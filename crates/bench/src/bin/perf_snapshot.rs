@@ -57,10 +57,6 @@ struct Snapshot {
     /// Active compute-kernel tier (`avx2-fma` or `scalar`) — wall-clock
     /// numbers are only comparable within one tier.
     kernel_tier: String,
-    /// Parameter sync mode the training metrics ran under: `delta`
-    /// (versioned per-parameter republish) or `full-copy` (the
-    /// `TSPN_TRAIN_DELTA_SYNC=0` fallback).
-    train_sync: String,
     metrics: Vec<Metric>,
     pool_hit_rate: f64,
 }
@@ -358,11 +354,6 @@ fn main() {
         generation: 9,
         threads: parallel::num_threads(),
         kernel_tier: kernel_tier().to_string(),
-        train_sync: if trainer.delta_sync() {
-            "delta".to_string()
-        } else {
-            "full-copy".to_string()
-        },
         metrics,
         pool_hit_rate: pool::stats().hit_rate(),
     };

@@ -460,30 +460,6 @@ fn smoke(
         );
     }
 
-    // `?flat=1` keeps the pre-lane schema for old dashboards: the same
-    // readiness/overload counters at the top level, no v2 envelope.
-    let (status, text) = client
-        .get("/v1/stats?flat=1")
-        .expect("smoke: flat stats I/O");
-    assert_eq!(status, 200, "flat stats failed: {text}");
-    let flat: Value = serde_json::from_str(&text).expect("flat stats JSON");
-    assert!(
-        flat.get("schema_version").is_none(),
-        "flat stats must keep the v1 shape: {text}"
-    );
-    assert_eq!(
-        flat.get("ready").and_then(Value::as_bool),
-        Some(true),
-        "flat stats must report readiness at the top level: {text}"
-    );
-    assert!(
-        flat.get("overload")
-            .and_then(|o| o.get("queue_cap"))
-            .and_then(Value::as_usize)
-            .is_some(),
-        "flat stats must keep the overload ledger at the top level: {text}"
-    );
-
     // If a known-good checkpoint was provided, hot-swap it in and align
     // the local reference to it; a fresh server is already aligned.
     if let Some(path) = ckpt {
@@ -1054,15 +1030,16 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
     // Stage 4: recovery.
     let recover_deadline = Instant::now() + Duration::from_secs(30);
     let stats = loop {
-        // The flat view aggregates every lane's queue/readiness, which is
+        // The v2 aggregate sums every lane's queue/readiness, which is
         // exactly the fleet-wide recovery question being asked here.
-        let (status, text) = client.get("/v1/stats?flat=1").expect("chaos: stats I/O");
+        let (status, text) = client.get("/v1/stats").expect("chaos: stats I/O");
         assert_eq!(status, 200);
         let stats: Value = serde_json::from_str(&text).expect("stats JSON");
-        if stats.get("ready").and_then(Value::as_bool) == Some(true)
-            && num_of(&stats, &["queue"]) == 0
+        let aggregate = stats.get("aggregate").cloned().expect("stats aggregate");
+        if aggregate.get("ready").and_then(Value::as_bool) == Some(true)
+            && num_of(&aggregate, &["queue"]) == 0
         {
-            break stats;
+            break aggregate;
         }
         assert!(
             Instant::now() < recover_deadline,

@@ -39,10 +39,11 @@
 //! every parameter and refreshes exactly the stale ones at shard start —
 //! O(changed params) per batch instead of O(all params). External
 //! parameter mutation ([`Trainer::mark_model_dirty`]) bumps every stamp.
-//! `TSPN_TRAIN_DELTA_SYNC=0` (or [`Trainer::set_delta_sync`]) keeps the
-//! full-copy fallback: every publish buffer is rewritten and every
-//! replica copies all of them each batch. Both modes copy identical
-//! values, so training is **bitwise identical across sync modes**.
+//! The full-copy refresh (every publish buffer rewritten, every replica
+//! copying all of them each batch) survives only as the reference that
+//! `tests/prop_trainer_sync.rs` selects through the hidden
+//! `Trainer::set_delta_sync(false)`. Both modes copy identical values,
+//! so training is **bitwise identical across sync modes**.
 //!
 //! ## Determinism contract
 //!
@@ -270,9 +271,8 @@ pub struct Trainer {
     /// Cached `batch_tables` for evaluation, keyed by
     /// `(param version, ctx revision)`.
     tables_cache: RefCell<Option<(CacheKey, Rc<BatchTables>)>>,
-    /// Delta parameter sync on the sharded path (module docs); the
-    /// full-copy fallback is bitwise identical. Defaults from
-    /// `TSPN_TRAIN_DELTA_SYNC` (`0` disables) at construction.
+    /// Delta parameter sync on the sharded path (module docs); `false`
+    /// selects the bitwise-identical full-copy reference.
     delta_sync: bool,
     /// Owner side of the publish/version protocol.
     sync: RefCell<SyncState>,
@@ -292,25 +292,20 @@ impl Trainer {
             rng,
             version: Cell::new(0),
             tables_cache: RefCell::new(None),
-            delta_sync: std::env::var("TSPN_TRAIN_DELTA_SYNC").map_or(true, |v| v != "0"),
+            delta_sync: true,
             sync: RefCell::new(SyncState::default()),
         }
     }
 
     /// Switches the sharded path between delta parameter sync and the
-    /// full-copy fallback (both bitwise identical; see the module docs).
-    /// Programmatic override of the `TSPN_TRAIN_DELTA_SYNC` default — env
-    /// reads race across parallel tests, so tests set this explicitly.
+    /// full-copy reference (both bitwise identical; see the module docs).
+    /// Hidden: `prop_trainer_sync` only.
+    #[doc(hidden)]
     pub fn set_delta_sync(&mut self, on: bool) {
         if self.delta_sync != on {
             self.delta_sync = on;
             self.mark_model_dirty();
         }
-    }
-
-    /// Whether the sharded path uses delta parameter sync.
-    pub fn delta_sync(&self) -> bool {
-        self.delta_sync
     }
 
     /// Invalidates cached derived state (the evaluation batch tables and
@@ -643,16 +638,6 @@ impl Trainer {
         self.predict_mapped(&queries, outcome_of)
     }
 
-    /// The single-threaded evaluation path (kept callable for determinism
-    /// tests); uses the version-keyed batch-tables cache.
-    pub fn evaluate_with_k_serial(&self, samples: &[Sample], k: usize) -> Vec<EvalOutcome> {
-        let queries: Vec<Query> = samples
-            .iter()
-            .map(|&sample| Query::new(sample, k))
-            .collect();
-        self.predict_mapped_serial(&queries, outcome_of)
-    }
-
     /// Answers a batch of prediction queries, sharded across the
     /// persistent worker pool exactly like [`Trainer::evaluate_with_k`];
     /// results are in query order and bitwise identical to answering each
@@ -929,14 +914,18 @@ mod tests {
     #[test]
     fn parallel_evaluation_matches_serial_exactly() {
         // The acceptance contract: sharded evaluation must return the
-        // same ranks as the single-thread path, bitwise. On a single-core
-        // machine both calls take the serial path and the test is trivial.
+        // same ranks as the single-thread path, bitwise. Singletons always
+        // take the serial path; on a single-core machine the batched call
+        // does too and the test is trivial.
         let (mut trainer, samples) = tiny_trainer();
         let train: Vec<Sample> = samples.iter().take(16).copied().collect();
         trainer.fit_epochs(&train, 1);
         let eval: Vec<Sample> = samples.iter().take(40).copied().collect();
         let parallel = trainer.evaluate(&eval);
-        let serial = trainer.evaluate_with_k_serial(&eval, trainer.model.config.top_k);
+        let serial: Vec<EvalOutcome> = eval
+            .iter()
+            .flat_map(|s| trainer.evaluate(std::slice::from_ref(s)))
+            .collect();
         assert_eq!(parallel, serial);
     }
 
@@ -963,14 +952,15 @@ mod tests {
     #[test]
     fn evaluate_caches_tables_between_calls() {
         let (mut trainer, samples) = tiny_trainer();
+        // Three samples stay on the serial path at any thread count.
         let eval: Vec<Sample> = samples.iter().take(3).copied().collect();
-        let _ = trainer.evaluate_with_k_serial(&eval, 4);
+        let _ = trainer.evaluate(&eval);
         let v1 = trainer.tables_cache.borrow().as_ref().map(|(k, _)| *k);
-        let _ = trainer.evaluate_with_k_serial(&eval, 4);
+        let _ = trainer.evaluate(&eval);
         let v2 = trainer.tables_cache.borrow().as_ref().map(|(k, _)| *k);
         assert_eq!(v1, v2, "unchanged params must reuse the cached tables");
         trainer.mark_model_dirty();
-        let _ = trainer.evaluate_with_k_serial(&eval, 4);
+        let _ = trainer.evaluate(&eval);
         let v3 = trainer.tables_cache.borrow().as_ref().map(|(k, _)| *k);
         assert_ne!(v1, v3, "dirty marker must invalidate the cache");
         // Context mutation (the Fig. 12b noise sweep path) must also
@@ -978,7 +968,7 @@ mod tests {
         // would silently flatten the dose-response curve.
         let noisy = trainer.ctx.imagery.with_noise(0.5, 3);
         trainer.ctx.swap_imagery(noisy);
-        let clean = trainer.evaluate_with_k_serial(&eval, 4);
+        let clean = trainer.evaluate(&eval);
         let v4 = trainer.tables_cache.borrow().as_ref().map(|(k, _)| *k);
         assert_ne!(v3, v4, "swap_imagery must invalidate the cache");
         let _ = clean;

@@ -94,7 +94,6 @@ fn steady_state_sharded_step_allocates_zero_tensor_buffers() {
     // bar on the first measured epoch.
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut trainer, samples) = build_trainer();
-    trainer.set_delta_sync(true);
     let train = vec![samples[0]; 4];
 
     trainer.fit_epochs(&train, 3);

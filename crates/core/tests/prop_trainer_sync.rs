@@ -1,5 +1,5 @@
 //! Property tests for the PR-9 training hot path: the delta parameter
-//! sync must be bitwise identical to the full-copy fallback at every
+//! sync must be bitwise identical to the full-copy reference at every
 //! batch size and thread count, and the shared-tables decomposition
 //! (owner tape + shard gradient leaves + seeded backward) must reproduce
 //! the straight-through serial tape bitwise.

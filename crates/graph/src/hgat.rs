@@ -131,11 +131,15 @@ impl HgatLayer {
                 .gather_rows_padded(&groups, d_max)
                 .reshape(vec![n, d_max]);
             let scores = sr_pad.add(&sl).leaky_relu(0.2);
-            let att = scores
-                .softmax_rows_masked(Some(&tspn_tensor::key_padding_mask(&degrees, 1, d_max)));
-            let neigh_feats = hk.gather_rows_padded(&groups, d_max); // [N·D, out]
+            // Node i owns one score row and the i-th padded neighbour
+            // block, of which only its `degrees[i]` rows are live.
             let ones = vec![1usize; n];
-            let msg = att.bmm_ragged(&neigh_feats, n, None, &ones, &degrees); // [N, out]
+            let mask = tspn_tensor::jagged_key_padding_mask(&ones, &degrees, d_max);
+            let att = scores.softmax_rows_masked(Some(&mask));
+            let neigh_feats = hk.gather_rows_padded(&groups, d_max); // [N·D, out]
+            let rows: Vec<usize> = (0..n).collect();
+            let blocks: Vec<usize> = (0..n).map(|i| i * d_max).collect();
+            let msg = att.bmm_jagged(&neigh_feats, &rows, &ones, &degrees, &blocks); // [N, out]
             message = Some(match message {
                 Some(acc) => acc.add(&msg),
                 None => msg,

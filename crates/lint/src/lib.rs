@@ -8,7 +8,9 @@
 //!
 //! The library surface takes `(path, contents)` pairs so fixture tests can
 //! lint virtual files without touching the filesystem; [`lint_workspace`]
-//! is the thin disk-walking wrapper the binary uses.
+//! is the thin disk-walking wrapper the binary uses. [`code_lines`] reuses
+//! the same lexing and test-scope detection to count non-test code lines
+//! per crate (`tspn-lint --stats`).
 
 pub mod diag;
 pub mod lexer;
@@ -17,7 +19,7 @@ pub mod rules;
 pub use diag::{render_json, Diagnostic, Severity};
 
 use rules::{env_registry, hash_order, serve_panic, unsafe_safety, wall_clock, SourceFile};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -51,12 +53,54 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github", "node_module
 /// shims and the lint fixtures, which are deliberately rule-violating) and
 /// lints them against `docs/KNOBS.md`.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
+    let files = workspace_files(root)?;
+    let knobs = fs::read_to_string(root.join("docs/KNOBS.md")).ok();
+    Ok(lint_files(&files, knobs.as_deref()))
+}
+
+/// Every workspace `.rs` file under `root` as `(relative path, contents)`,
+/// sorted by path (the walk [`lint_workspace`] lints).
+pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     // Deterministic order in, deterministic order out.
     files.sort_by(|a, b| a.0.cmp(&b.0));
-    let knobs = fs::read_to_string(root.join("docs/KNOBS.md")).ok();
-    Ok(lint_files(&files, knobs.as_deref()))
+    Ok(files)
+}
+
+/// Non-test code lines per crate: lines that carry at least one code
+/// token (comments and blank lines never count; a multi-line literal
+/// counts on the lines its tokens start on), outside whole-test files
+/// (`tests/`, `benches/`, `examples/`) and `#[cfg(test)]`/`#[test]` item
+/// extents. `crates/<name>/…` counts toward `<name>`, any other path
+/// toward its first segment.
+pub fn code_lines(files: &[(String, String)]) -> BTreeMap<String, usize> {
+    let mut out = BTreeMap::new();
+    for (rel, src) in files {
+        let file = SourceFile::new(rel, src);
+        let name = file
+            .crate_name()
+            .or_else(|| rel.split('/').next())
+            .unwrap_or(rel)
+            .to_string();
+        let lines = (1..file.lexed.lines_with_code.len() as u32)
+            .filter(|&l| file.lexed.line_has_code(l) && !file.in_test(l))
+            .count();
+        *out.entry(name).or_insert(0) += lines;
+    }
+    out
+}
+
+/// Renders [`code_lines`] as a `name lines` table ending in a `total`
+/// row.
+pub fn render_stats(stats: &BTreeMap<String, usize>) -> String {
+    let total: usize = stats.values().sum();
+    let mut out = String::new();
+    for (k, v) in stats {
+        out.push_str(&format!("{k:<12} {v:>7}\n"));
+    }
+    out.push_str(&format!("{:<12} {total:>7}\n", "total"));
+    out
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {

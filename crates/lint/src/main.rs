@@ -1,11 +1,12 @@
 //! CLI for `tspn-lint`.
 //!
 //! ```text
-//! tspn-lint [--root <dir>] [--format text|json] [--list-rules]
+//! tspn-lint [--root <dir>] [--format text|json] [--list-rules] [--stats]
 //! ```
 //!
 //! Exit codes: 0 = no deny-level findings, 1 = deny-level findings,
 //! 2 = usage or I/O error. Warn-level findings never fail the build.
+//! `--stats` prints non-test code lines per crate instead of linting.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,16 +15,18 @@ use tspn_lint::diag::{render_json, Severity};
 use tspn_lint::rules::RULES;
 
 fn usage() -> &'static str {
-    "usage: tspn-lint [--root <dir>] [--format text|json] [--list-rules]\n\
+    "usage: tspn-lint [--root <dir>] [--format text|json] [--list-rules] [--stats]\n\
      \n\
      Walks every workspace .rs file (skipping target/, vendor/ and the\n\
      lint fixtures) and enforces the project contracts. Suppress a finding\n\
-     with `// tspn-lint: allow(<rule>) — <reason>` on or above the line.\n"
+     with `// tspn-lint: allow(<rule>) — <reason>` on or above the line.\n\
+     --stats instead prints non-test code lines per crate.\n"
 }
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format_json = false;
+    let mut stats = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -48,6 +51,7 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
+            "--stats" => stats = true,
             "--help" | "-h" => {
                 print!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -57,6 +61,20 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
+    }
+
+    if stats {
+        return match tspn_lint::workspace_files(&root) {
+            Ok(files) => {
+                let lines = tspn_lint::code_lines(&files);
+                print!("{}", tspn_lint::render_stats(&lines));
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("tspn-lint: cannot walk {}: {e}", root.display());
+                ExitCode::from(2)
+            }
+        };
     }
 
     let diags = match tspn_lint::lint_workspace(&root) {

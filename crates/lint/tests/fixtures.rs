@@ -1,6 +1,7 @@
 //! Golden-file tests: each `fixtures/<name>.rs` is linted as if it lived at
 //! the workspace path named in its `//@ path:` header, and the JSON report
-//! must match `fixtures/<name>.json` byte for byte.
+//! must match `fixtures/<name>.json` byte for byte. `fixtures/stats.rs`
+//! is counted by `--stats` instead, against `fixtures/stats.txt`.
 //!
 //! Regenerate goldens after an intentional rule change with
 //! `TSPN_LINT_BLESS=1 cargo test -p tspn-lint --test fixtures`.
@@ -8,7 +9,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use tspn_lint::{lint_files, render_json};
+use tspn_lint::{code_lines, lint_files, render_json, render_stats};
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -32,20 +33,38 @@ fn run_fixture(name: &str) {
         fs::read_to_string(dir.join(&f)).unwrap_or_else(|e| panic!("read registry {f}: {e}"))
     });
     let diags = lint_files(&[(rel, src)], knobs.as_deref());
-    let got = render_json(&diags);
+    check_golden(&format!("{name}.json"), &render_json(&diags));
+}
 
-    let golden_path = dir.join(format!("{name}.json"));
+/// Compares `got` with the committed golden `file` (or rewrites it under
+/// `TSPN_LINT_BLESS`).
+fn check_golden(file: &str, got: &str) {
+    let golden_path = fixtures_dir().join(file);
     if std::env::var("TSPN_LINT_BLESS").is_ok() {
-        fs::write(&golden_path, &got).expect("bless golden");
+        fs::write(&golden_path, got).expect("bless golden");
         return;
     }
     let want = fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("read golden {name}.json (bless first?): {e}"));
+        .unwrap_or_else(|e| panic!("read golden {file} (bless first?): {e}"));
     assert_eq!(
         got, want,
-        "fixture `{name}` drifted from its golden — if the rule change is \
-         intentional, re-bless with TSPN_LINT_BLESS=1"
+        "golden `{file}` drifted — if the rule change is intentional, \
+         re-bless with TSPN_LINT_BLESS=1"
     );
+}
+
+#[test]
+fn stats_fixture() {
+    let src = fs::read_to_string(fixtures_dir().join("stats.rs")).expect("read stats.rs");
+    let rel = header(&src, "path").expect("stats.rs `//@ path:` header");
+    // The same source as an integration test is all test scope: its crate
+    // row stays, but it adds no lines.
+    let files = vec![
+        (rel, src.clone()),
+        ("crates/demo/tests/it.rs".to_string(), src.clone()),
+        ("perfbench/src/main.rs".to_string(), src),
+    ];
+    check_golden("stats.txt", &render_stats(&code_lines(&files)));
 }
 
 #[test]

@@ -302,170 +302,6 @@ impl Client {
     }
 }
 
-// ---------------------------------------------------------------------
-// Shard-aware fleet client
-// ---------------------------------------------------------------------
-
-use crate::protocol::{self, Topology};
-use crate::shard::{backend_of_session_id, shard_of_content, shard_of_user, SHARD_FN_ID};
-
-/// A shard-aware client for a routed fleet.
-///
-/// At connect time it asks the entry process `GET /v1/topology`. If the
-/// entry is a router speaking the same shard hash ([`SHARD_FN_ID`]), the
-/// fleet's backend addresses are captured and every subsequent request is
-/// placed **client-side** — the same decisions the router makes, one
-/// network hop shorter. Requests the client cannot place (unknown paths,
-/// unparseable bodies) and backends it cannot reach fall back to the
-/// entry connection, which proxies them; against a standalone server (or
-/// a pre-topology one answering 404) the fleet client degrades to a
-/// plain [`Client`] on the entry connection, so callers never need to
-/// know which deployment they are talking to.
-pub struct FleetClient {
-    entry: Client,
-    topology: Option<Topology>,
-    backends: Vec<Option<Client>>,
-    deadline_ms: Option<u64>,
-}
-
-impl FleetClient {
-    /// Connects to `addr` and resolves the fleet topology.
-    ///
-    /// # Errors
-    /// Connection failures on the entry address. A missing or foreign
-    /// topology is not an error — it just disables client-side routing.
-    pub fn connect(addr: &str) -> std::io::Result<Self> {
-        let mut entry = Client::connect(addr)?;
-        let topology = match entry.request("GET", "/v1/topology", None) {
-            Ok((200, body)) => serde_json::from_str::<Value>(&body)
-                .ok()
-                .as_ref()
-                .and_then(protocol::parse_topology),
-            _ => None,
-        };
-        // Route client-side only for a router advertising our hash and a
-        // full backend list; anything else proxies through the entry.
-        let topology = topology.filter(|t| {
-            t.mode == "router"
-                && t.shard_fn == SHARD_FN_ID
-                && !t.backends.is_empty()
-                && t.backends.len() == t.shard_count
-        });
-        let n = topology.as_ref().map_or(0, |t| t.backends.len());
-        Ok(FleetClient {
-            entry,
-            topology,
-            backends: (0..n).map(|_| None).collect(),
-            deadline_ms: None,
-        })
-    }
-
-    /// The resolved fleet topology, when the entry was a router this
-    /// client routes for.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
-    }
-
-    /// Attaches (or clears) the `x-tspn-deadline-ms` budget sent with
-    /// every subsequent request, whichever connection carries it.
-    pub fn set_deadline_ms(&mut self, ms: Option<u64>) {
-        self.deadline_ms = ms;
-        self.entry.set_deadline_ms(ms);
-        for c in self.backends.iter_mut().flatten() {
-            c.set_deadline_ms(ms);
-        }
-    }
-
-    /// Which backend owns a request — the mirror of the router's own
-    /// placement. `None` means "let the entry proxy it" (unknown path,
-    /// unparseable body, or no routable topology).
-    fn backend_index(&self, method: &str, path: &str, body: Option<&str>) -> Option<usize> {
-        let t = self.topology.as_ref()?;
-        let n = t.shard_count;
-        let path = path.split('?').next().unwrap_or(path);
-        if let Some(rest) = path.strip_prefix("/v1/sessions/") {
-            let segment = rest.split('/').next().unwrap_or("");
-            return protocol::parse_session_id(segment).map(|id| backend_of_session_id(id, n));
-        }
-        let body = body.unwrap_or("").as_bytes();
-        match (method, path) {
-            ("POST", "/v1/sessions") => protocol::parse_session_create(body)
-                .ok()
-                .map(|r| shard_of_user(r.user, n)),
-            ("POST", "/v1/predict") => protocol::parse_v1_predict(body)
-                .ok()
-                .map(|r| shard_of_content(r.user, &r.checkins, n)),
-            ("POST", "/predict") => protocol::parse_predict(body)
-                .ok()
-                .map(|r| shard_of_user(r.sample.user_index, n)),
-            _ => None,
-        }
-    }
-
-    /// [`Client::request_with_retry`], routed: the request goes straight
-    /// to the backend its shard hash selects (dialled lazily), with the
-    /// entry connection as proxy fallback when the backend cannot be
-    /// reached before anything was sent. A mid-flight failure on a
-    /// non-idempotent request surfaces instead of being re-run elsewhere.
-    ///
-    /// # Errors
-    /// See [`Client::request_with_retry`].
-    pub fn request_with_retry(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        policy: RetryPolicy,
-    ) -> std::io::Result<Response> {
-        let Some(idx) = self.backend_index(method, path, body) else {
-            return self.entry.request_with_retry(method, path, body, policy);
-        };
-        if self.backends[idx].is_none() {
-            let addr = &self.topology.as_ref().expect("routable topology").backends[idx];
-            match Client::connect(addr) {
-                Ok(mut c) => {
-                    c.set_deadline_ms(self.deadline_ms);
-                    self.backends[idx] = Some(c);
-                }
-                // Nothing was sent; the router still owns a live path.
-                Err(_) => return self.entry.request_with_retry(method, path, body, policy),
-            }
-        }
-        let backend = self.backends[idx].as_mut().expect("dialled above");
-        match backend.request_with_retry(method, path, body, policy) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                // Drop the dead connection either way; re-run through the
-                // proxy only when a replay is safe.
-                self.backends[idx] = None;
-                if is_idempotent(method, path) {
-                    self.entry.request_with_retry(method, path, body, policy)
-                } else {
-                    Err(e)
-                }
-            }
-        }
-    }
-
-    /// `GET` shorthand with the default retry policy.
-    ///
-    /// # Errors
-    /// See [`FleetClient::request_with_retry`].
-    pub fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        self.request_with_retry("GET", path, None, RetryPolicy::default())
-            .map(|r| (r.status, r.body))
-    }
-
-    /// `POST` shorthand with the default retry policy.
-    ///
-    /// # Errors
-    /// See [`FleetClient::request_with_retry`].
-    pub fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-        self.request_with_retry("POST", path, Some(body), RetryPolicy::default())
-            .map(|r| (r.status, r.body))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,160 +465,5 @@ mod tests {
         assert!(is_idempotent("POST", "/v1/sessions/s1/predict"));
         assert!(!is_idempotent("POST", "/v1/sessions"));
         assert!(!is_idempotent("POST", "/v1/sessions/s1/checkins"));
-    }
-
-    // --- FleetClient -------------------------------------------------
-
-    use crate::mux::{self, MuxConfig, MuxResponse};
-    use crate::protocol::topology_response;
-    use crate::shard::SHARD_FN_ID;
-    use std::sync::atomic::AtomicBool;
-
-    /// A canned-handler backend on the real mux (keep-alive for free).
-    fn mux_stub(
-        handler: impl Fn(&crate::http::Request) -> (u16, String) + Send + Sync + 'static,
-    ) -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
-        let addr = listener.local_addr().expect("stub addr").to_string();
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let h: Arc<mux::Handler> = Arc::new(move |req| {
-            let (status, body) = handler(req);
-            MuxResponse {
-                status,
-                body,
-                retry_after: None,
-                close: false,
-            }
-        });
-        let cfg = MuxConfig {
-            workers: 2,
-            ..MuxConfig::default()
-        };
-        let handle = std::thread::spawn(move || {
-            mux::run(listener, cfg, flag, h).expect("stub mux runs");
-        });
-        (addr, stop, handle)
-    }
-
-    fn echo_stub(tag: &'static str) -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-        mux_stub(move |req| {
-            (
-                200,
-                format!("{{\"who\":\"{tag}\",\"path\":\"{}\"}}", req.path),
-            )
-        })
-    }
-
-    fn who(resp: &std::io::Result<Response>) -> String {
-        let resp = resp.as_ref().expect("response");
-        serde_json::from_str::<Value>(&resp.body)
-            .expect("json")
-            .get("who")
-            .and_then(Value::as_str)
-            .expect("who")
-            .to_string()
-    }
-
-    #[test]
-    fn fleet_client_routes_around_the_router() {
-        let (a0, s0, h0) = echo_stub("b0");
-        let (a1, s1, h1) = echo_stub("b1");
-        let backends = vec![a0.clone(), a1.clone()];
-        let topo = topology_response("router", 2, SHARD_FN_ID, 0, 2, &backends);
-        let (ra, rs, rh) = mux_stub(move |req| {
-            if req.path == "/v1/topology" {
-                (200, topo.clone())
-            } else {
-                (
-                    200,
-                    format!("{{\"who\":\"router\",\"path\":\"{}\"}}", req.path),
-                )
-            }
-        });
-
-        let mut fleet = FleetClient::connect(&ra).expect("connect");
-        let t = fleet.topology().expect("routable topology").clone();
-        assert_eq!(t.backends, backends);
-
-        // Session ids land on the backend their residue names — directly.
-        let r = fleet.request_with_retry("GET", "/v1/sessions/s1", None, fast_policy());
-        assert_eq!(who(&r), "b0");
-        let r = fleet.request_with_retry("GET", "/v1/sessions/s2", None, fast_policy());
-        assert_eq!(who(&r), "b1");
-
-        // User-keyed placement mirrors shard_of_user.
-        for user in 0..6usize {
-            let expect = if crate::shard::shard_of_user(user, 2) == 0 {
-                "b0"
-            } else {
-                "b1"
-            };
-            let body = format!("{{\"user\":{user},\"traj\":0,\"prefix_len\":2}}");
-            let r = fleet.request_with_retry("POST", "/predict", Some(&body), fast_policy());
-            assert_eq!(who(&r), expect, "user {user}");
-        }
-
-        // Unplaceable requests proxy through the entry.
-        let r = fleet.request_with_retry("GET", "/healthz", None, fast_policy());
-        assert_eq!(who(&r), "router");
-        let r = fleet.request_with_retry("POST", "/predict", Some("not json"), fast_policy());
-        assert_eq!(who(&r), "router");
-
-        drop(fleet);
-        for (s, h) in [(rs, rh), (s0, h0), (s1, h1)] {
-            s.store(true, Ordering::Release);
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn fleet_client_degrades_to_the_entry_for_standalone_servers() {
-        let topo = topology_response("single", 2, SHARD_FN_ID, 0, 1, &[]);
-        let (addr, stop, handle) = mux_stub(move |req| {
-            if req.path == "/v1/topology" {
-                (200, topo.clone())
-            } else {
-                (200, "{\"who\":\"single\"}".to_string())
-            }
-        });
-        let mut fleet = FleetClient::connect(&addr).expect("connect");
-        assert!(fleet.topology().is_none(), "single mode disables routing");
-        let r = fleet.request_with_retry("GET", "/v1/sessions/s7", None, fast_policy());
-        assert_eq!(who(&r), "single");
-        drop(fleet);
-        stop.store(true, Ordering::Release);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn fleet_client_falls_back_to_the_proxy_for_unreachable_backends() {
-        // Topology names a dead backend; routed requests still succeed
-        // through the entry, which proxies.
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-            l.local_addr().expect("addr").to_string()
-        };
-        let (a0, s0, h0) = echo_stub("b0");
-        let backends = vec![a0.clone(), dead];
-        let topo = topology_response("router", 2, SHARD_FN_ID, 0, 2, &backends);
-        let (ra, rs, rh) = mux_stub(move |req| {
-            if req.path == "/v1/topology" {
-                (200, topo.clone())
-            } else {
-                (200, "{\"who\":\"router\"}".to_string())
-            }
-        });
-        let mut fleet = FleetClient::connect(&ra).expect("connect");
-        // s2 → backend 1 (dead) → proxied; s1 → backend 0 → direct.
-        let r = fleet.request_with_retry("GET", "/v1/sessions/s2", None, fast_policy());
-        assert_eq!(who(&r), "router");
-        let r = fleet.request_with_retry("GET", "/v1/sessions/s1", None, fast_policy());
-        assert_eq!(who(&r), "b0");
-        drop(fleet);
-        for (s, h) in [(rs, rh), (s0, h0)] {
-            s.store(true, Ordering::Release);
-            h.join().unwrap();
-        }
     }
 }

@@ -36,7 +36,7 @@ pub mod snapshot;
 
 pub use batcher::{Answered, BatchConfig, Batcher, SubmitError, Verdict};
 pub use chaos::{Chaos, ChaosConfig};
-pub use client::{Client, FleetClient, Response, RetryPolicy};
+pub use client::{Client, Response, RetryPolicy};
 pub use mux::MuxConfig;
 pub use protocol::{ApiError, LaneStats, StatsSnapshot, Topology};
 pub use router::{start_router, RouterConfig, RouterHandle};

@@ -584,26 +584,23 @@ pub fn health_response(s: &StatsSnapshot) -> String {
     )
 }
 
-/// The leading members of a stats object (shared by the flat renderer
-/// and the v2 `aggregate` block): versions, queue, readiness.
-fn stats_head(s: &StatsSnapshot) -> String {
+/// The v2 `aggregate` object: versions, queue, readiness, per-endpoint
+/// served counts, session lifecycle, the overload/shedding ledger, and
+/// (always, zeros when inert) the fault-injection counters.
+fn aggregate_block(s: &StatsSnapshot) -> String {
     format!(
-        "\"snapshot\":{},\"published\":{},\"batches\":{},\"queue\":{},\"ready\":{}",
-        s.snapshot, s.published, s.batches, s.queue, s.ready,
-    )
-}
-
-/// The trailing members of a stats object: per-endpoint served counts,
-/// session lifecycle, the overload/shedding ledger, and (always, zeros
-/// when inert) the fault-injection counters.
-fn stats_tail(s: &StatsSnapshot) -> String {
-    format!(
-        "\"served\":{{\"total\":{},\"legacy_predict\":{},\"v1_predict\":{},\"session_predict\":{}}},\
+        "{{\"snapshot\":{},\"published\":{},\"batches\":{},\"queue\":{},\"ready\":{},\
+         \"served\":{{\"total\":{},\"legacy_predict\":{},\"v1_predict\":{},\"session_predict\":{}}},\
          \"sessions\":{{\"live\":{},\"created\":{},\"appends\":{},\"expired\":{},\"evicted\":{},\
          \"ttl_ms\":{},\"capacity\":{}}},\
          \"overload\":{{\"queue_cap\":{},\"shed_queue_full\":{},\"shed_expired\":{},\
          \"shed_not_ready\":{},\"restarts\":{},\"request_timeout_ms\":{}}},\
-         \"chaos\":{{\"injected_panics\":{},\"corrupted_publishes\":{}}}",
+         \"chaos\":{{\"injected_panics\":{},\"corrupted_publishes\":{}}}}}",
+        s.snapshot,
+        s.published,
+        s.batches,
+        s.queue,
+        s.ready,
         s.served,
         s.served_legacy,
         s.served_v1,
@@ -635,13 +632,6 @@ fn build_block() -> String {
         tspn_tensor::kernel_tier(),
         tspn_tensor::parallel::num_threads(),
     )
-}
-
-/// Renders the **schema v1** (flat) `GET /v1/stats` answer — served
-/// verbatim for `GET /v1/stats?flat=1` so pre-lane dashboards keep
-/// working against a lane-partitioned server.
-pub fn stats_response(s: &StatsSnapshot) -> String {
-    format!("{{{},{},{}}}", stats_head(s), build_block(), stats_tail(s))
 }
 
 /// Per-lane counters for the stats v2 `lanes` array: each lane is an
@@ -703,16 +693,15 @@ fn lane_block(l: &LaneStats) -> String {
 
 /// Renders the **schema v2** `GET /v1/stats` answer:
 /// `{"schema_version":2,"build":{…},"aggregate":{…},"lanes":[…]}`. The
-/// `aggregate` object carries exactly the flat schema's counters (minus
-/// the `build` block, which is process-wide and lives at the top level),
-/// summed across lanes; `lanes` breaks the same ledger down per lane.
+/// `aggregate` object carries the whole ledger summed across lanes (the
+/// `build` block is process-wide and lives at the top level); `lanes`
+/// breaks the same ledger down per lane.
 pub fn stats_response_v2(s: &StatsSnapshot, lanes: &[LaneStats]) -> String {
     let lanes_json: Vec<String> = lanes.iter().map(lane_block).collect();
     format!(
-        "{{\"schema_version\":2,{},\"aggregate\":{{{},{}}},\"lanes\":[{}]}}",
+        "{{\"schema_version\":2,{},\"aggregate\":{},\"lanes\":[{}]}}",
         build_block(),
-        stats_head(s),
-        stats_tail(s),
+        aggregate_block(s),
         lanes_json.join(","),
     )
 }
@@ -721,9 +710,8 @@ pub fn stats_response_v2(s: &StatsSnapshot, lanes: &[LaneStats]) -> String {
 /// in the fleet. `mode` is `"single"` (standalone), `"backend"` (one
 /// shard of a routed fleet), or `"router"`; `shard_fn` names the hash
 /// every participant must share ([`crate::shard::SHARD_FN_ID`]);
-/// `backends` lists the fleet's backend addresses (empty for a
-/// standalone server, so a shard-aware client knows to talk to this
-/// process directly).
+/// `backends` lists the fleet's backend addresses (empty unless asked of
+/// a router).
 pub fn topology_response(
     mode: &str,
     lanes: usize,
@@ -778,9 +766,9 @@ pub fn parse_topology(v: &Value) -> Option<Topology> {
     })
 }
 
-/// Parses a flat stats object — a `?flat=1` answer or the `aggregate`
-/// block of a v2 answer (same shape) — back into a [`StatsSnapshot`].
-/// The router uses this to merge backend ledgers into one fleet view.
+/// Parses the `aggregate` block of a v2 stats answer back into a
+/// [`StatsSnapshot`]. The router uses this to merge backend ledgers into
+/// one fleet view.
 pub fn parse_stats(v: &Value) -> Option<StatsSnapshot> {
     let num = |path: &[&str]| -> Option<u64> {
         let mut cur = v;
@@ -1055,40 +1043,8 @@ mod tests {
             Some("not_ready")
         );
 
-        let full: Value = serde_json::from_str(&stats_response(&stats)).unwrap();
-        let served = full.get("served").expect("served object");
-        assert_eq!(served.get("total").and_then(Value::as_usize), Some(10));
-        assert_eq!(served.get("v1_predict").and_then(Value::as_usize), Some(3));
-        let sessions = full.get("sessions").expect("sessions object");
-        assert_eq!(sessions.get("live").and_then(Value::as_usize), Some(2));
-        assert_eq!(
-            sessions.get("ttl_ms").and_then(Value::as_usize),
-            Some(1_000)
-        );
-        let overload = full.get("overload").expect("overload object");
-        assert_eq!(
-            overload.get("shed_queue_full").and_then(Value::as_usize),
-            Some(6)
-        );
-        assert_eq!(overload.get("restarts").and_then(Value::as_usize), Some(1));
-        assert_eq!(
-            overload.get("request_timeout_ms").and_then(Value::as_usize),
-            Some(10_000)
-        );
-        let chaos = full.get("chaos").expect("chaos object");
-        assert_eq!(
-            chaos.get("injected_panics").and_then(Value::as_usize),
-            Some(0)
-        );
-        let build = full.get("build").expect("build object");
-        assert_eq!(
-            build.get("kernel_tier").and_then(Value::as_str),
-            Some(tspn_tensor::kernel_tier())
-        );
-        assert!(build.get("threads").and_then(Value::as_usize).unwrap() >= 1);
-
-        // Stats v2: top-level schema_version/build, the flat counters
-        // under `aggregate`, and a per-lane breakdown.
+        // Stats v2: top-level schema_version/build, the ledger under
+        // `aggregate`, and a per-lane breakdown.
         let lanes = [
             LaneStats {
                 lane: 0,
@@ -1117,19 +1073,36 @@ mod tests {
         ];
         let v2: Value = serde_json::from_str(&stats_response_v2(&stats, &lanes)).unwrap();
         assert_eq!(v2.get("schema_version").and_then(Value::as_usize), Some(2));
-        assert!(v2.get("build").and_then(|b| b.get("kernel_tier")).is_some());
-        let agg = v2.get("aggregate").expect("aggregate object");
+        let build = v2.get("build").expect("build object");
         assert_eq!(
-            agg.get("served")
-                .and_then(|s| s.get("total"))
-                .and_then(Value::as_usize),
-            Some(10)
+            build.get("kernel_tier").and_then(Value::as_str),
+            Some(tspn_tensor::kernel_tier())
         );
+        assert!(build.get("threads").and_then(Value::as_usize).unwrap() >= 1);
+        let agg = v2.get("aggregate").expect("aggregate object");
+        let served = agg.get("served").expect("served object");
+        assert_eq!(served.get("total").and_then(Value::as_usize), Some(10));
+        assert_eq!(served.get("v1_predict").and_then(Value::as_usize), Some(3));
+        let sessions = agg.get("sessions").expect("sessions object");
+        assert_eq!(sessions.get("live").and_then(Value::as_usize), Some(2));
         assert_eq!(
-            agg.get("overload")
-                .and_then(|o| o.get("shed_queue_full"))
-                .and_then(Value::as_usize),
+            sessions.get("ttl_ms").and_then(Value::as_usize),
+            Some(1_000)
+        );
+        let overload = agg.get("overload").expect("overload object");
+        assert_eq!(
+            overload.get("shed_queue_full").and_then(Value::as_usize),
             Some(6)
+        );
+        assert_eq!(overload.get("restarts").and_then(Value::as_usize), Some(1));
+        assert_eq!(
+            overload.get("request_timeout_ms").and_then(Value::as_usize),
+            Some(10_000)
+        );
+        let chaos = agg.get("chaos").expect("chaos object");
+        assert_eq!(
+            chaos.get("injected_panics").and_then(Value::as_usize),
+            Some(0)
         );
         assert!(agg.get("build").is_none(), "build is top-level in v2");
         let lanes_arr = v2.get("lanes").and_then(Value::as_array).expect("lanes");
@@ -1217,11 +1190,7 @@ mod tests {
             chaos_injected_panics: 1,
             chaos_corrupted_publishes: 0,
         };
-        // Flat rendering -> parse_stats is the identity.
-        let flat: Value = serde_json::from_str(&stats_response(&s)).unwrap();
-        let back = parse_stats(&flat).expect("flat stats parse");
-        assert_eq!(format!("{back:?}"), format!("{s:?}"));
-        // The v2 aggregate block parses with the same parser.
+        // Rendering the v2 aggregate block -> parse_stats is the identity.
         let lane = LaneStats {
             lane: 1,
             snapshot: 3,
@@ -1245,7 +1214,7 @@ mod tests {
         assert_eq!(format!("{lane_back:?}"), format!("{lane:?}"));
 
         // Merging sums counters, ANDs readiness, keeps config from `a`.
-        let merged = merge_stats(&s, &back);
+        let merged = merge_stats(&s, &agg);
         assert_eq!(merged.served, 20);
         assert_eq!(merged.shed_not_ready, 26);
         assert_eq!(merged.queue_cap, 1024);

@@ -4,9 +4,9 @@
 //!
 //! The router is deliberately *thin*: it owns no model, no sessions, and
 //! no batcher. It answers locally only where a fleet-wide view is the
-//! whole point — `GET /healthz` and `GET /v1/stats` (backend ledgers
-//! merged via [`protocol::merge_stats`]), `GET /v1/topology` (the fleet
-//! map a shard-aware client bootstraps from), `POST /admin/shutdown`
+//! whole point — `GET /healthz` and `GET /v1/stats` (the backends' v2
+//! `aggregate` ledgers merged via [`protocol::merge_stats`]),
+//! `GET /v1/topology` (the fleet map), `POST /admin/shutdown`
 //! (stops the router itself), and `POST /admin/reload` (broadcast to
 //! every backend). **Everything else is forwarded verbatim** to the
 //! backend selected by the same FNV-1a hash the backends use for lane
@@ -36,9 +36,8 @@ use crate::http::Request;
 use crate::mux::{self, MuxConfig, MuxResponse};
 use crate::protocol::{
     self, health_response, merge_stats, parse_lane_stats, parse_stats, parse_topology,
-    stats_response, stats_response_v2, topology_response, ApiError, LaneStats, StatsSnapshot,
+    stats_response_v2, topology_response, ApiError, LaneStats, StatsSnapshot,
 };
-use crate::server::wants_flat;
 use crate::shard::{backend_of_session_id, shard_of_content, shard_of_user, SHARD_FN_ID};
 
 /// How many idle keep-alive connections the router retains per backend.
@@ -242,6 +241,15 @@ fn error(err: ApiError) -> MuxResponse {
     }
 }
 
+fn ok(body: String) -> MuxResponse {
+    MuxResponse {
+        status: 200,
+        body,
+        retry_after: None,
+        close: false,
+    }
+}
+
 /// The router's request handler, run on mux workers (each call may block
 /// on one backend round-trip).
 fn respond(state: &RouterState, req: &Request) -> MuxResponse {
@@ -252,13 +260,16 @@ fn respond(state: &RouterState, req: &Request) -> MuxResponse {
         resp.close = true;
         return resp;
     }
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
-    };
+    let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
     match (req.method.as_str(), path) {
-        ("GET", "/healthz") => merged_health(state),
-        ("GET", "/v1/stats") => merged_stats(state, wants_flat(query)),
+        ("GET", "/healthz") => match fleet_stats(state) {
+            Ok((s, _)) => ok(health_response(&s)),
+            Err(resp) => resp,
+        },
+        ("GET", "/v1/stats") => match fleet_stats(state) {
+            Ok((s, lanes)) => ok(stats_response_v2(&s, &lanes)),
+            Err(resp) => resp,
+        },
         ("GET", "/v1/topology") => fleet_topology(state),
         ("POST", "/admin/shutdown") => {
             state.shutdown.store(true, Ordering::Release);
@@ -308,7 +319,9 @@ fn forward(state: &RouterState, req: &Request) -> MuxResponse {
     };
     let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
     let idx = backend_index(state, &req.method, path, &req.body);
-    let backend = &state.backends[idx];
+    let Some(backend) = state.backends.get(idx) else {
+        return error(ApiError::internal(format!("no backend {idx}")));
+    };
     match backend.call(&req.method, &req.path, body, req.deadline_ms) {
         Ok(resp) => MuxResponse {
             status: resp.status,
@@ -370,63 +383,19 @@ fn fetch_all(state: &RouterState, path: &str) -> Result<Vec<Value>, MuxResponse>
     Ok(answers)
 }
 
-/// Merges every backend's flat stats ledger into one fleet snapshot.
-fn merged_snapshot(state: &RouterState) -> Result<StatsSnapshot, MuxResponse> {
-    let mut merged: Option<StatsSnapshot> = None;
-    for (i, v) in fetch_all(state, "/v1/stats?flat=1")?.iter().enumerate() {
-        let s = parse_stats(v).ok_or_else(|| {
-            error(ApiError::internal(format!(
-                "backend {} returned an unparseable stats ledger",
-                state.backends[i].addr
-            )))
-        })?;
-        merged = Some(match merged {
-            Some(acc) => merge_stats(&acc, &s),
-            None => s,
-        });
-    }
-    merged.ok_or_else(|| error(ApiError::internal("no backends answered")))
-}
-
-fn merged_health(state: &RouterState) -> MuxResponse {
-    match merged_snapshot(state) {
-        Ok(s) => MuxResponse {
-            status: 200,
-            body: health_response(&s),
-            retry_after: None,
-            close: false,
-        },
-        Err(resp) => resp,
-    }
-}
-
-fn merged_stats(state: &RouterState, flat: bool) -> MuxResponse {
-    if flat {
-        return match merged_snapshot(state) {
-            Ok(s) => MuxResponse {
-                status: 200,
-                body: stats_response(&s),
-                retry_after: None,
-                close: false,
-            },
-            Err(resp) => resp,
-        };
-    }
-    // v2: merge backend aggregates and splice their lane arrays into one
-    // fleet-wide list, renumbered in backend order.
-    let answers = match fetch_all(state, "/v1/stats") {
-        Ok(a) => a,
-        Err(resp) => return resp,
-    };
+/// The fleet ledger behind `/healthz` and `/v1/stats`: every backend's v2
+/// `aggregate` merged into one snapshot, and their `lanes` arrays spliced
+/// into one fleet-wide list, renumbered in backend order.
+fn fleet_stats(state: &RouterState) -> Result<(StatsSnapshot, Vec<LaneStats>), MuxResponse> {
+    let answers = fetch_all(state, "/v1/stats")?;
     let mut merged: Option<StatsSnapshot> = None;
     let mut lanes: Vec<LaneStats> = Vec::new();
-    for (i, v) in answers.iter().enumerate() {
-        let parsed = v.get("aggregate").and_then(parse_stats);
-        let Some(s) = parsed else {
-            return error(ApiError::internal(format!(
+    for (backend, v) in state.backends.iter().zip(&answers) {
+        let Some(s) = v.get("aggregate").and_then(parse_stats) else {
+            return Err(error(ApiError::internal(format!(
                 "backend {} returned an unparseable v2 stats answer",
-                state.backends[i].addr
-            )));
+                backend.addr
+            ))));
         };
         merged = Some(match merged {
             Some(acc) => merge_stats(&acc, &s),
@@ -439,15 +408,8 @@ fn merged_stats(state: &RouterState, flat: bool) -> MuxResponse {
             }
         }
     }
-    match merged {
-        Some(s) => MuxResponse {
-            status: 200,
-            body: stats_response_v2(&s, &lanes),
-            retry_after: None,
-            close: false,
-        },
-        None => error(ApiError::internal("no backends answered")),
-    }
+    let merged = merged.ok_or_else(|| error(ApiError::internal("no backends answered")))?;
+    Ok((merged, lanes))
 }
 
 fn fleet_topology(state: &RouterState) -> MuxResponse {
@@ -456,35 +418,30 @@ fn fleet_topology(state: &RouterState) -> MuxResponse {
         Err(resp) => return resp,
     };
     let mut total_lanes = 0usize;
-    for (i, v) in answers.iter().enumerate() {
+    for (backend, v) in state.backends.iter().zip(&answers) {
         let Some(t) = parse_topology(v) else {
             return error(ApiError::internal(format!(
                 "backend {} returned an unparseable topology",
-                state.backends[i].addr
+                backend.addr
             )));
         };
         if t.shard_fn != SHARD_FN_ID {
             return error(ApiError::internal(format!(
                 "backend {} speaks shard fn {:?}, router speaks {:?}",
-                state.backends[i].addr, t.shard_fn, SHARD_FN_ID
+                backend.addr, t.shard_fn, SHARD_FN_ID
             )));
         }
         total_lanes += t.lanes;
     }
     let addrs: Vec<String> = state.backends.iter().map(|b| b.addr.clone()).collect();
-    MuxResponse {
-        status: 200,
-        body: topology_response(
-            "router",
-            total_lanes,
-            SHARD_FN_ID,
-            0,
-            state.backends.len(),
-            &addrs,
-        ),
-        retry_after: None,
-        close: false,
-    }
+    ok(topology_response(
+        "router",
+        total_lanes,
+        SHARD_FN_ID,
+        0,
+        state.backends.len(),
+        &addrs,
+    ))
 }
 
 /// `POST /admin/reload` fans out to every backend so the fleet swaps
@@ -667,7 +624,6 @@ mod tests {
                 ..LaneStats::default()
             };
             match req.path.as_str() {
-                "/v1/stats?flat=1" => (200, stats_response(&s)),
                 "/v1/stats" => (200, stats_response_v2(&s, &[lane])),
                 "/v1/topology" => (
                     200,
@@ -685,27 +641,31 @@ mod tests {
         let router = start(vec![a0.clone(), a1.clone()]);
         let mut client = Client::connect(&router.local_addr().to_string()).expect("connect");
 
-        // /healthz and /v1/stats?flat=1 report the summed fleet ledger.
+        // /healthz and the v2 aggregate both report the two backends'
+        // aggregates summed.
         let (status, text) = client.get("/healthz").expect("healthz");
         assert_eq!(status, 200);
         let v = serde_json::from_str::<Value>(&text).expect("json");
         assert_eq!(v.get("served").and_then(Value::as_usize), Some(30));
         assert_eq!(v.get("snapshot").and_then(Value::as_usize), Some(2));
+        assert_eq!(v.get("batches").and_then(Value::as_usize), Some(6));
+        assert_eq!(v.get("queue").and_then(Value::as_usize), Some(2));
         assert_eq!(v.get("ready").and_then(Value::as_bool), Some(true));
 
-        let (status, text) = client.get("/v1/stats?flat=1").expect("flat stats");
-        assert_eq!(status, 200);
-        let v = serde_json::from_str::<Value>(&text).expect("json");
-        let merged = parse_stats(&v).expect("flat parse");
-        assert_eq!(merged.served, 30);
-        assert_eq!(merged.batches, 6);
-        assert_eq!(merged.queue, 2);
-
-        // v2 splices the lane arrays, renumbered in backend order.
         let (status, text) = client.get("/v1/stats").expect("v2 stats");
         assert_eq!(status, 200);
         let v = serde_json::from_str::<Value>(&text).expect("json");
         assert_eq!(v.get("schema_version").and_then(Value::as_usize), Some(2));
+        let merged = parse_stats(v.get("aggregate").expect("aggregate")).expect("aggregate parse");
+        assert_eq!(merged.served, 30);
+        assert_eq!(merged.served_legacy, 30);
+        assert_eq!(merged.batches, 6);
+        assert_eq!(merged.queue, 2);
+        assert_eq!(merged.snapshot, 2);
+        assert!(merged.ready);
+        assert_eq!(merged.queue_cap, 64);
+
+        // The lane arrays splice, renumbered in backend order.
         let lanes = v.get("lanes").and_then(Value::as_array).expect("lanes");
         assert_eq!(lanes.len(), 2);
         for (i, lane) in lanes.iter().enumerate() {

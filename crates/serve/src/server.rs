@@ -112,10 +112,6 @@ pub struct ServerConfig {
     /// Session-store knobs, applied **per lane** (capacity is per
     /// partition).
     pub session: SessionConfig,
-    /// Retained knob from the thread-per-connection era; the multiplexer
-    /// polls readiness on a fixed tick instead of blocking reads, so this
-    /// no longer affects serving.
-    pub read_timeout: Duration,
     /// A buffered response making no write progress for this long means a
     /// dead or malicious peer; the connection is dropped.
     pub write_timeout: Duration,
@@ -147,7 +143,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             batch: BatchConfig::default(),
             session: SessionConfig::default(),
-            read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(10),
             request_timeout: Duration::from_secs(10),
             default_top: 10,
@@ -741,21 +736,12 @@ fn route_of(method: &str, path: &str) -> Result<Route, ApiError> {
     Err(ApiError::not_found(format!("no route {method} {path}")))
 }
 
-/// True when a query string (already split off the path) asks for the
-/// pre-v2 flat stats rendering.
-pub(crate) fn wants_flat(query: &str) -> bool {
-    query.split('&').any(|kv| kv == "flat=1")
-}
-
 /// Dispatches one request to its endpoint. Prediction routes carry a
 /// per-request deadline: the `x-tspn-deadline-ms` budget when the client
 /// sent one (clamped to [`MAX_DEADLINE_MS`]), the configured default
 /// otherwise.
 fn route(shared: &Shared, req: &Request) -> (u16, String) {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
-    };
+    let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
     let resolved = match route_of(&req.method, path) {
         Ok(r) => r,
         Err(e) => return e.render(),
@@ -769,14 +755,10 @@ fn route(shared: &Shared, req: &Request) -> (u16, String) {
         Route::LegacyPredict => predict_legacy(shared, &req.body, deadline),
         Route::Healthz => (200, protocol::health_response(&stats_snapshot(shared))),
         Route::V1Predict => answer(v1_predict(shared, &req.body, deadline)),
-        Route::V1Stats => {
-            let s = stats_snapshot(shared);
-            if wants_flat(query) {
-                (200, protocol::stats_response(&s))
-            } else {
-                (200, protocol::stats_response_v2(&s, &lane_stats(shared)))
-            }
-        }
+        Route::V1Stats => (
+            200,
+            protocol::stats_response_v2(&stats_snapshot(shared), &lane_stats(shared)),
+        ),
         Route::V1Topology => {
             let mode = if shared.shard_count > 1 {
                 "backend"
@@ -1247,14 +1229,5 @@ mod tests {
             route_of("POST", "/v1/sessions/s12/predict"),
             Ok(Route::SessionPredict(12))
         );
-    }
-
-    #[test]
-    fn flat_query_flag_is_detected_exactly() {
-        assert!(wants_flat("flat=1"));
-        assert!(wants_flat("a=b&flat=1"));
-        assert!(!wants_flat(""));
-        assert!(!wants_flat("flat=0"));
-        assert!(!wants_flat("deflate=1"));
     }
 }

@@ -2,12 +2,10 @@
 //! request.
 //!
 //! Everything that fans the serving layer out agrees on one hash: the
-//! server picks a lane, the router picks a backend, and a shard-aware
-//! client ([`crate::client::FleetClient`]) mirrors both decisions
-//! client-side. The function is FNV-1a 64 (tiny, dependency-free,
-//! deterministic across processes), advertised by `GET /v1/topology` as
-//! [`SHARD_FN_ID`] so a client can refuse to route for a fleet speaking a
-//! different hash.
+//! server picks a lane and the router picks a backend. The function is
+//! FNV-1a 64 (tiny, dependency-free, deterministic across processes),
+//! advertised by `GET /v1/topology` as [`SHARD_FN_ID`] so a router can
+//! refuse a backend speaking a different hash.
 //!
 //! Session ids carry their placement arithmetically instead of through a
 //! lookup table: lane `l` of `L` (on backend `b` of `N`) issues ids from

@@ -479,15 +479,6 @@ fn mixed_legacy_payload_and_session_queries_are_bitwise_identical_under_load() {
         .expect("lanes array");
     assert_eq!(lanes.len(), 1, "default server runs one lane");
 
-    // The `?flat=1` compat renderer still serves the schema v1 shape.
-    let (status, text) = client.get("/v1/stats?flat=1").expect("flat stats");
-    assert_eq!(status, 200);
-    let flat: Value = serde_json::from_str(&text).expect("flat stats JSON");
-    assert_eq!(
-        num_field(flat.get("served").expect("served object"), "total"),
-        total
-    );
-
     handle.shutdown();
     handle.join();
 }
@@ -867,12 +858,12 @@ fn start_server_overload(cfg: ServerConfig) -> ServerHandle {
     server::start(cfg, model_cfg, ctx, None).expect("server starts")
 }
 
-/// The flat (schema v1) stats ledger via the `?flat=1` compat renderer —
-/// these tests predate lanes and read the flat shape on purpose.
+/// The v2 stats `aggregate` ledger (every lane's counters summed).
 fn stats_of(client: &mut Client) -> Value {
-    let (status, text) = client.get("/v1/stats?flat=1").expect("stats I/O");
+    let (status, text) = client.get("/v1/stats").expect("stats I/O");
     assert_eq!(status, 200);
-    serde_json::from_str(&text).expect("stats JSON")
+    let stats: Value = serde_json::from_str(&text).expect("stats JSON");
+    stats.get("aggregate").cloned().expect("aggregate object")
 }
 
 fn p99(mut latencies: Vec<Duration>) -> Duration {

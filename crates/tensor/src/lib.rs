@@ -51,8 +51,8 @@ mod tensor;
 
 pub use ops::matmul::{gemm, gemm_ex, GemmLayout};
 pub use ops::{
-    batch_causal_mask, causal_mask, conv_out_dim, cosine_scores, fused_attention,
-    jagged_causal_mask, jagged_key_padding_mask, key_padding_mask, FusedAttnSpec,
+    causal_mask, conv_out_dim, cosine_scores, fused_attention, jagged_causal_mask,
+    jagged_key_padding_mask, FusedAttnSpec,
 };
 pub use shape::{Broadcast, Shape};
 pub use simd::{kernel_tier, KernelTier};

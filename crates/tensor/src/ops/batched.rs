@@ -8,15 +8,14 @@
 //! dead regions. The ops here supply what that layout needs beyond the
 //! existing 2-D operators:
 //!
-//! * the `bmm*` family — strided batched GEMM over per-item blocks
-//!   (uniform, shared-rhs, ragged live corners, and fully jagged
-//!   offset-addressed forms), riding the packed 4×16 kernels of
-//!   [`crate::ops::matmul`] and the persistent worker pool;
-//! * [`Tensor::gather_rows_padded`] / [`Tensor::stack_rows_padded`] — the
-//!   gather/pad primitives that assemble ragged per-sample row sets into
-//!   one zero-padded block tensor (backward scatters skip the padding);
-//! * [`batch_causal_mask`] / [`jagged_causal_mask`] /
-//!   [`key_padding_mask`] / [`jagged_key_padding_mask`] — additive
+//! * [`Tensor::bmm_jagged`] / [`Tensor::bmm_nt_jagged`] — strided batched
+//!   GEMM over offset-addressed per-item row spans with live extents,
+//!   riding the packed 4×16 kernels of [`crate::ops::matmul`] and the
+//!   persistent worker pool;
+//! * [`Tensor::gather_rows_padded`] — the gather/pad primitive that
+//!   assembles ragged per-sample row sets into one zero-padded block
+//!   tensor (the backward scatter skips the padding);
+//! * [`jagged_causal_mask`] / [`jagged_key_padding_mask`] — additive
 //!   `-1e9` attention masks (shared layout with
 //!   [`Tensor::softmax_rows_masked`]);
 //! * [`Tensor::cosine_many_to_rows`] / [`Tensor::cosine_grouped`] and
@@ -43,10 +42,8 @@ use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Per-item geometry of one batched GEMM: where each item's rows live in
-/// the flat lhs/rhs/output buffers and how many of them are live. One
-/// plan covers every `bmm*` form — uniform blocks, shared rhs blocks,
-/// ragged live corners, and fully jagged (dense, offset-addressed)
-/// layouts.
+/// the flat lhs/rhs/output buffers and how many of them are live. Item
+/// `i`'s rhs rows may overlap other items' (shared K/V blocks).
 struct BmmPlan {
     /// lhs column count (NT: the contraction width; NN: the padded lhs
     /// column stride).
@@ -65,37 +62,6 @@ struct BmmPlan {
 }
 
 impl BmmPlan {
-    /// Uniform-block plan: item `i`'s lhs rows start at `i·m`; its rhs
-    /// block is `rhs_block[i]` (or `i`) with `b_stride` rows; `live`
-    /// optionally restricts the live extents.
-    #[allow(clippy::too_many_arguments)]
-    fn uniform(
-        batch: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-        b_stride: usize,
-        blocks: Option<&[usize]>,
-        live: Option<(&[usize], &[usize])>,
-    ) -> BmmPlan {
-        let a_start = (0..batch).map(|i| i * m).collect();
-        let b_start = (0..batch)
-            .map(|i| blocks.map_or(i, |b| b[i]) * b_stride)
-            .collect();
-        let (a_rows, b_rows) = match live {
-            Some((al, bl)) => (al.to_vec(), bl.to_vec()),
-            None => (vec![m; batch], vec![b_stride; batch]),
-        };
-        BmmPlan {
-            k,
-            n,
-            a_start,
-            a_rows,
-            b_start,
-            b_rows,
-        }
-    }
-
     fn batch(&self) -> usize {
         self.a_start.len()
     }
@@ -143,7 +109,7 @@ impl BmmPlan {
 /// the work is big enough. Per-item results are identical either way
 /// (pool tasks run under the worker scope, and `gemm_ex` itself is
 /// thread-count-invariant). Item row spans must be disjoint and
-/// ascending — every `bmm*` layout satisfies this by construction.
+/// ascending — the jagged layout satisfies this by construction.
 fn bmm_dispatch(
     out: &mut [f32],
     plan: &BmmPlan,
@@ -355,7 +321,7 @@ fn bmm_nt_op(lhs: &Tensor, rhs: &Tensor, out_rows: usize, plan: BmmPlan) -> Tens
     assert_eq!(
         rhs.cols(),
         plan.k,
-        "bmm_nt inner dimension mismatch: {} vs {}",
+        "bmm_nt_jagged inner dimension mismatch: {} vs {}",
         lhs.shape(),
         rhs.shape()
     );
@@ -380,11 +346,11 @@ fn bmm_nn_op(lhs: &Tensor, rhs: &Tensor, out_rows: usize, plan: BmmPlan) -> Tens
     assert_eq!(
         lhs.cols(),
         plan.k,
-        "bmm lhs column/stride mismatch: {} vs stride {}",
+        "bmm_jagged lhs column/stride mismatch: {} vs stride {}",
         lhs.shape(),
         plan.k
     );
-    assert_eq!(rhs.cols(), plan.n, "bmm rhs column mismatch");
+    assert_eq!(rhs.cols(), plan.n, "bmm_jagged rhs column mismatch");
     plan.validate(lhs, rhs, out_rows, true);
     let mut out = pool::take_zeroed(out_rows * plan.n);
     bmm_nn_fwd(&lhs.data(), &rhs.data(), &mut out, &plan);
@@ -401,142 +367,15 @@ fn bmm_nn_op(lhs: &Tensor, rhs: &Tensor, out_rows: usize, plan: BmmPlan) -> Tens
     )
 }
 
-/// Shared validation/shape plumbing for the uniform-block `bmm*` forms.
-fn uniform_dims(
-    lhs: &Tensor,
-    rhs: &Tensor,
-    batch: usize,
-    blocks: Option<&[usize]>,
-) -> (usize, usize, usize) {
-    assert!(batch >= 1, "bmm needs a positive batch");
-    let rows_a = lhs.rows();
-    assert_eq!(rows_a % batch, 0, "bmm lhs rows not a multiple of batch");
-    let nblocks = match blocks {
-        None => batch,
-        Some(b) => {
-            assert_eq!(b.len(), batch, "one rhs block per item");
-            b.iter().max().map_or(0, |&x| x + 1)
-        }
-    };
-    assert!(nblocks >= 1, "bmm needs at least one rhs block");
-    assert_eq!(
-        rhs.rows() % nblocks,
-        0,
-        "rhs rows not a multiple of its blocks"
-    );
-    (rows_a / batch, rhs.rows() / nblocks, rows_a)
-}
-
 impl Tensor {
-    /// Batched matrix product over `batch` equally-sized blocks:
-    /// `self [B·M, K] · rhs [B·K, N] → [B·M, N]`, block `b` of the output
-    /// being `self_b · rhs_b` — the attention `A·V` product of the padded
-    /// forward.
-    ///
-    /// # Panics
-    /// Panics when the row counts are not multiples of `batch` or the
-    /// inner dimensions disagree.
-    pub fn bmm(&self, rhs: &Tensor, batch: usize) -> Tensor {
-        let (m, bk, out_rows) = uniform_dims(self, rhs, batch, None);
-        let plan = BmmPlan::uniform(batch, m, self.cols(), rhs.cols(), bk, None, None);
-        bmm_nn_op(self, rhs, out_rows, plan)
-    }
-
-    /// Batched product against per-block transposed right operands:
-    /// `self [B·M, K] · rhs [B·N, K]ᵀ → [B·M, N]` — the attention score
-    /// product `Q·Kᵀ` of the padded forward, without materialising any
-    /// transpose.
-    pub fn bmm_nt(&self, rhs: &Tensor, batch: usize) -> Tensor {
-        let (m, bn, out_rows) = uniform_dims(self, rhs, batch, None);
-        let plan = BmmPlan::uniform(batch, m, self.cols(), bn, bn, None, None);
-        bmm_nt_op(self, rhs, out_rows, plan)
-    }
-
-    /// [`Tensor::bmm_nt`] with a **shared** right operand: item `i`
-    /// multiplies against block `rhs_block[i]` of `rhs` (which holds
-    /// `max(rhs_block)+1` equally-sized blocks) instead of owning a
-    /// private block — the cross-attention score product over a
-    /// deduplicated history stack, whose K projection runs once per
-    /// unique history rather than once per sample.
-    pub fn bmm_nt_shared(&self, rhs: &Tensor, batch: usize, rhs_block: &[usize]) -> Tensor {
-        let (m, bn, out_rows) = uniform_dims(self, rhs, batch, Some(rhs_block));
-        let plan = BmmPlan::uniform(batch, m, self.cols(), bn, bn, Some(rhs_block), None);
-        bmm_nt_op(self, rhs, out_rows, plan)
-    }
-
-    /// [`Tensor::bmm`] with a **shared** right operand (see
-    /// [`Tensor::bmm_nt_shared`]): the cross-attention value product over
-    /// a deduplicated history stack.
-    pub fn bmm_shared(&self, rhs: &Tensor, batch: usize, rhs_block: &[usize]) -> Tensor {
-        let (m, bk, out_rows) = uniform_dims(self, rhs, batch, Some(rhs_block));
-        let plan = BmmPlan::uniform(batch, m, self.cols(), rhs.cols(), bk, Some(rhs_block), None);
-        bmm_nn_op(self, rhs, out_rows, plan)
-    }
-
-    /// Ragged [`Tensor::bmm_nt`]: item `i` computes only its live
-    /// `rows_live[i] × keys_live[i]` score corner (optionally against a
-    /// shared rhs block); the dead region of the output is exact zero.
-    /// Bitwise identical to the full product wherever a masked softmax or
-    /// an exact-zero attention weight consumes the dead region — which is
-    /// precisely how the padded forward uses it.
-    pub fn bmm_nt_ragged(
-        &self,
-        rhs: &Tensor,
-        batch: usize,
-        rhs_block: Option<&[usize]>,
-        rows_live: &[usize],
-        keys_live: &[usize],
-    ) -> Tensor {
-        assert_eq!(rows_live.len(), batch, "one live row count per item");
-        assert_eq!(keys_live.len(), batch, "one live key count per item");
-        let (m, bn, out_rows) = uniform_dims(self, rhs, batch, rhs_block);
-        let plan = BmmPlan::uniform(
-            batch,
-            m,
-            self.cols(),
-            bn,
-            bn,
-            rhs_block,
-            Some((rows_live, keys_live)),
-        );
-        bmm_nt_op(self, rhs, out_rows, plan)
-    }
-
-    /// Ragged [`Tensor::bmm`]: item `i` contracts only its live
-    /// `inner_live[i]` rhs rows for its live `rows_live[i]` rows. The
-    /// dropped lhs columns must be exact zeros (post-softmax padding
-    /// weights are), making the restriction bitwise-free.
-    pub fn bmm_ragged(
-        &self,
-        rhs: &Tensor,
-        batch: usize,
-        rhs_block: Option<&[usize]>,
-        rows_live: &[usize],
-        inner_live: &[usize],
-    ) -> Tensor {
-        assert_eq!(rows_live.len(), batch, "one live row count per item");
-        assert_eq!(inner_live.len(), batch, "one live inner count per item");
-        let (m, bk, out_rows) = uniform_dims(self, rhs, batch, rhs_block);
-        let plan = BmmPlan::uniform(
-            batch,
-            m,
-            self.cols(),
-            rhs.cols(),
-            bk,
-            rhs_block,
-            Some((rows_live, inner_live)),
-        );
-        bmm_nn_op(self, rhs, out_rows, plan)
-    }
-
-    /// Jagged [`Tensor::bmm_nt`] over a **dense** (offset-addressed)
-    /// layout: item `i`'s queries are rows
-    /// `starts[i] .. starts[i]+lens[i]` of `self`, its keys rows
-    /// `key_starts[i] .. key_starts[i]+key_lens[i]` of `rhs`, and its
-    /// scores land in the same query rows of the `[self.rows(),
-    /// out_cols]` output (columns past `key_lens[i]` exact zero). This is
-    /// the self/cross-attention score product of the dense batched
-    /// forward, which carries **no padding rows at all**.
+    /// Batched `A_i · B_iᵀ` over a **dense** (offset-addressed) layout:
+    /// item `i`'s queries are rows `starts[i] .. starts[i]+lens[i]` of
+    /// `self`, its keys rows `key_starts[i] .. key_starts[i]+key_lens[i]`
+    /// of `rhs` (items may share key rows), and its scores land in the
+    /// same query rows of the `[self.rows(), out_cols]` output (columns
+    /// past `key_lens[i]` exact zero). This is the self/cross-attention
+    /// score product of the dense batched forward, which carries **no
+    /// padding rows at all**.
     pub fn bmm_nt_jagged(
         &self,
         rhs: &Tensor,
@@ -568,11 +407,14 @@ impl Tensor {
         bmm_nt_op(self, rhs, self.rows(), plan)
     }
 
-    /// Jagged [`Tensor::bmm`] over a dense layout (see
+    /// Batched `A_i · B_i` over a dense layout (see
     /// [`Tensor::bmm_nt_jagged`]): item `i` multiplies the live
     /// `inner_lens[i]` columns of its rows against rhs rows
     /// `val_starts[i] .. val_starts[i]+inner_lens[i]` — the attention
-    /// value product of the dense batched forward.
+    /// value product of the dense batched forward, and the HGAT's
+    /// per-node reduction over its padded neighbour block. The dropped
+    /// lhs columns must be exact zeros (post-softmax padding weights
+    /// are), making the restriction bitwise-free.
     pub fn bmm_jagged(
         &self,
         rhs: &Tensor,
@@ -662,47 +504,6 @@ impl Tensor {
                             }
                         }
                     });
-                }
-            }),
-        )
-    }
-
-    /// Stacks ragged matrices (equal column counts) into one zero-padded
-    /// block tensor `[parts.len()·padded, m]` — the history-encoding
-    /// analogue of [`Tensor::gather_rows_padded`]. Backward slices each
-    /// part's gradient back out (padding rows contribute nothing).
-    pub fn stack_rows_padded(parts: &[Tensor], padded: usize) -> Tensor {
-        assert!(!parts.is_empty(), "stack_rows_padded of zero tensors");
-        let m = parts[0].cols();
-        for p in parts {
-            assert_eq!(p.cols(), m, "stack_rows_padded column mismatch");
-            assert!(
-                p.rows() <= padded,
-                "part of {} rows exceeds padded length {padded}",
-                p.rows()
-            );
-        }
-        let mut out = pool::take_uninit(parts.len() * padded * m);
-        for (b, p) in parts.iter().enumerate() {
-            let pd = p.data();
-            let base = b * padded * m;
-            out[base..base + pd.len()].copy_from_slice(&pd);
-            out[base + pd.len()..base + padded * m].fill(0.0);
-        }
-        let owned: Vec<Tensor> = parts.to_vec();
-        Tensor::from_op(
-            out,
-            matrix_shape(parts.len() * padded, m),
-            owned.clone(),
-            Box::new(move |o: &Tensor| {
-                let og = o.inner.grad.borrow();
-                let g = og.as_ref().expect("grad");
-                for (b, p) in owned.iter().enumerate() {
-                    if p.requires_grad() {
-                        let span = p.rows() * m;
-                        let base = b * padded * m;
-                        p.accumulate_grad(&g[base..base + span]);
-                    }
                 }
             }),
         )
@@ -1010,23 +811,6 @@ impl Tensor {
     }
 }
 
-/// The causal mask of [`crate::ops::softmax::causal_mask`], replicated
-/// for `batch` length-`s` blocks: `[batch·s, s]`, row `b·s + u` masking
-/// keys `v > u` with `-1e9`. Because sequences are right-padded, causality
-/// alone already hides every padding key from every live query.
-pub fn batch_causal_mask(batch: usize, s: usize) -> Tensor {
-    let mut data = pool::take_zeroed(batch * s * s);
-    for b in 0..batch {
-        let base = b * s * s;
-        for u in 0..s {
-            for v in (u + 1)..s {
-                data[base + u * s + v] = -1e9;
-            }
-        }
-    }
-    Tensor::from_vec(data, vec![batch * s, s])
-}
-
 /// Causal mask for the **dense jagged** layout: `[Σlens, s_max]`, where
 /// sample `b`'s rows are its `lens[b]` live positions and row `u` masks
 /// keys `v > u` with `-1e9` (which also hides every column past the
@@ -1069,26 +853,6 @@ pub fn jagged_key_padding_mask(q_lens: &[usize], key_lens: &[usize], padded: usi
     Tensor::from_vec(data, vec![total, padded])
 }
 
-/// Key-padding mask for grouped attention over zero-padded key blocks:
-/// `[lens.len()·per_query, padded]`, where every query row of block `b`
-/// sees keys `j < lens[b]` as valid (`0.0`) and the padding as `-1e9`.
-pub fn key_padding_mask(lens: &[usize], per_query: usize, padded: usize) -> Tensor {
-    let mut data = pool::take_zeroed(lens.len() * per_query * padded);
-    for (b, &len) in lens.iter().enumerate() {
-        assert!(
-            len <= padded,
-            "key group {len} exceeds padded length {padded}"
-        );
-        for u in 0..per_query {
-            let base = (b * per_query + u) * padded;
-            for v in data[base + len..base + padded].iter_mut() {
-                *v = -1e9;
-            }
-        }
-    }
-    Tensor::from_vec(data, vec![lens.len() * per_query, padded])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1101,12 +865,23 @@ mod tests {
             .collect()
     }
 
+    /// Row starts of `batch` uniform blocks of `rows` rows each.
+    fn block_starts(batch: usize, rows: usize) -> Vec<usize> {
+        (0..batch).map(|i| i * rows).collect()
+    }
+
     #[test]
     fn bmm_blocks_match_per_block_matmul_bitwise() {
         let (b, m, k, n) = (3usize, 4usize, 5usize, 6usize);
         let a = Tensor::param(filled(b * m * k, 1), vec![b * m, k]);
         let v = Tensor::param(filled(b * k * n, 2), vec![b * k, n]);
-        let out = a.bmm(&v, b);
+        let out = a.bmm_jagged(
+            &v,
+            &block_starts(b, m),
+            &vec![m; b],
+            &vec![k; b],
+            &block_starts(b, k),
+        );
         assert_eq!(out.shape().0, vec![b * m, n]);
         for bi in 0..b {
             let ab = a.slice_rows(bi * m, (bi + 1) * m);
@@ -1122,7 +897,14 @@ mod tests {
         let (b, m, k, n) = (2usize, 3usize, 7usize, 4usize);
         let a = Tensor::param(filled(b * m * k, 3), vec![b * m, k]);
         let v = Tensor::param(filled(b * n * k, 4), vec![b * n, k]);
-        let out = a.bmm_nt(&v, b);
+        let out = a.bmm_nt_jagged(
+            &v,
+            n,
+            &block_starts(b, m),
+            &vec![m; b],
+            &block_starts(b, n),
+            &vec![n; b],
+        );
         for bi in 0..b {
             let ab = a.slice_rows(bi * m, (bi + 1) * m);
             let vb = v.slice_rows(bi * n, (bi + 1) * n);
@@ -1138,7 +920,15 @@ mod tests {
         let run_batched = || {
             let a = Tensor::param(filled(b * m * k, 5), vec![b * m, k]);
             let v = Tensor::param(filled(b * k * n, 6), vec![b * k, n]);
-            a.bmm(&v, b).sum_all().backward();
+            a.bmm_jagged(
+                &v,
+                &block_starts(b, m),
+                &vec![m; b],
+                &vec![k; b],
+                &block_starts(b, k),
+            )
+            .sum_all()
+            .backward();
             (a.grad(), v.grad())
         };
         let run_blocks = || {
@@ -1166,30 +956,33 @@ mod tests {
 
     #[test]
     fn shared_rhs_bmm_variants_match_private_blocks_bitwise() {
-        // Three items share two rhs blocks (0, 1, 0); the shared ops must
-        // match bmm/bmm_nt against physically replicated blocks — values
-        // and gradients alike.
+        // Three items share two rhs blocks (0, 1, 0) by pointing their key
+        // starts at the same rows; the shared products must match private
+        // blocks physically replicated by a gather — values and gradients
+        // alike.
         let (m, k, n) = (2usize, 4usize, 3usize);
         let idx = [0usize, 1, 0];
+        let (starts, ms, ns) = (block_starts(3, m), vec![m; 3], vec![n; 3]);
+        let shared_starts: Vec<usize> = idx.iter().map(|&b| b * n).collect();
+        let private_starts = block_starts(3, n);
+        let rows: Vec<usize> = idx.iter().flat_map(|&b| b * n..(b + 1) * n).collect();
         let run = |shared: bool| {
             let a = Tensor::param(filled(3 * m * k, 12), vec![3 * m, k]);
             let bsh = Tensor::param(filled(2 * n * k, 13), vec![2 * n, k]);
-            let scores = if shared {
-                a.bmm_nt_shared(&bsh, 3, &idx)
-            } else {
-                let rows: Vec<usize> = idx.iter().flat_map(|&b| b * n..(b + 1) * n).collect();
-                a.bmm_nt(&bsh.gather_rows(&rows), 3)
-            };
             let vsh = Tensor::param(filled(2 * k * n, 14), vec![2 * k, n]);
-            // Feed the scores through the value product too ([3*m, n] →
-            // needs k == n blocks; reuse scores [3*m, n] with value
-            // blocks of n rows).
-            let out = if shared {
-                scores.bmm_shared(&vsh.reshape(vec![2 * n, k]), 3, &idx)
+            // Value blocks of n rows each, so scores [3·m, n] feed them.
+            let vals = vsh.reshape(vec![2 * n, k]);
+            let (keys, vals, key_starts) = if shared {
+                (bsh.clone(), vals, &shared_starts)
             } else {
-                let rows: Vec<usize> = idx.iter().flat_map(|&b| b * n..(b + 1) * n).collect();
-                scores.bmm(&vsh.reshape(vec![2 * n, k]).gather_rows(&rows), 3)
+                (
+                    bsh.gather_rows(&rows),
+                    vals.gather_rows(&rows),
+                    &private_starts,
+                )
             };
+            let scores = a.bmm_nt_jagged(&keys, n, &starts, &ms, key_starts, &ns);
+            let out = scores.bmm_jagged(&vals, &starts, &ms, &ns, key_starts);
             out.sum_all().backward();
             (out.to_vec(), a.grad(), bsh.grad(), vsh.grad())
         };
@@ -1203,13 +996,14 @@ mod tests {
 
     #[test]
     fn ragged_bmm_matches_full_products_bitwise_under_masked_use() {
-        // The forward uses ragged products exactly where the dead region
-        // is either masked away or multiplied by exact zeros; under those
-        // conditions values and gradients must match the full product
-        // bit for bit.
+        // The forward uses live-extent products exactly where the dead
+        // region is either masked away or multiplied by exact zeros;
+        // under those conditions values and gradients must match the full
+        // product bit for bit.
         let (b, m, k, n) = (3usize, 4usize, 5usize, 4usize);
         let rows_live = [2usize, 4, 1];
         let keys_live = [3usize, 4, 2];
+        let (a_starts, b_starts) = (block_starts(b, m), block_starts(b, n));
         // lhs with exact-zero pad rows, rhs with arbitrary pad rows (the
         // score product never reads them past keys_live).
         let zero_padded = |seed: u32, rows: usize, cols: usize, lens: &[usize]| {
@@ -1235,21 +1029,18 @@ mod tests {
             Tensor::from_vec(w, vec![b * m, n])
         };
         let run = |ragged: bool| {
+            let (rows, keys) = if ragged {
+                (rows_live.to_vec(), keys_live.to_vec())
+            } else {
+                (vec![m; b], vec![n; b])
+            };
             let a = Tensor::param(zero_padded(21, m, k, &rows_live), vec![b * m, k]);
             let rhs = Tensor::param(filled(b * n * k, 22), vec![b * n, k]);
-            let scores = if ragged {
-                a.bmm_nt_ragged(&rhs, b, None, &rows_live, &keys_live)
-            } else {
-                a.bmm_nt(&rhs, b)
-            };
+            let scores = a.bmm_nt_jagged(&rhs, n, &a_starts, &rows, &b_starts, &keys);
             let att = scores.mul(&live_weight); // exact-zero dead region
                                                 // Value product: contract only live keys.
             let v = Tensor::param(filled(b * n * 3, 23), vec![b * n, 3]);
-            let out = if ragged {
-                att.bmm_ragged(&v, b, None, &rows_live, &keys_live)
-            } else {
-                att.bmm(&v, b)
-            };
+            let out = att.bmm_jagged(&v, &a_starts, &rows, &keys, &b_starts);
             let loss = out.sum_all();
             loss.backward();
             (
@@ -1284,22 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_rows_padded_round_trips_gradients() {
-        let a = Tensor::param(vec![1.0, 2.0], vec![1, 2]);
-        let b = Tensor::param(vec![3.0, 4.0, 5.0, 6.0], vec![2, 2]);
-        let out = Tensor::stack_rows_padded(&[a.clone(), b.clone()], 3);
-        assert_eq!(out.shape().0, vec![6, 2]);
-        assert_eq!(
-            out.to_vec(),
-            vec![1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0]
-        );
-        let w = Tensor::from_vec((1..=12).map(|x| x as f32).collect(), vec![6, 2]);
-        out.mul(&w).sum_all().backward();
-        assert_eq!(a.grad(), vec![1.0, 2.0]);
-        assert_eq!(b.grad(), vec![7.0, 8.0, 9.0, 10.0]);
-    }
-
-    #[test]
     fn cosine_many_to_rows_matches_per_row_op_bitwise() {
         let q = Tensor::param(filled(3 * 4, 7), vec![3, 4]);
         let cands = Tensor::param(filled(5 * 4, 8), vec![5, 4]);
@@ -1316,7 +1091,11 @@ mod tests {
         let q = Tensor::param(filled(2 * 4, 9), vec![2, 4]);
         let g0 = Tensor::from_vec(filled(3 * 4, 10), vec![3, 4]);
         let g1 = Tensor::from_vec(filled(2 * 4, 11), vec![2, 4]);
-        let padded = Tensor::stack_rows_padded(&[g0.clone(), g1.clone()], 3);
+        // Zero-padded [2·3, 4] block: g0, then g1 plus one zero row.
+        let padded = Tensor::from_vec(
+            [g0.to_vec(), g1.to_vec(), vec![0.0; 4]].concat(),
+            vec![6, 4],
+        );
         let got = q.cosine_grouped(&padded, &[3, 2]).to_vec();
         let want0 = q.slice_rows(0, 1).cosine_to_rows(&g0).to_vec();
         let want1 = q.slice_rows(1, 2).cosine_to_rows(&g1).to_vec();
@@ -1349,10 +1128,12 @@ mod tests {
 
     #[test]
     fn masks_have_the_documented_layout() {
-        let m = batch_causal_mask(2, 3).to_vec();
-        // Block 1, row 0 masks keys 1 and 2.
-        assert_eq!(&m[9..12], &[0.0, -1e9, -1e9]);
-        let kp = key_padding_mask(&[1, 3], 2, 3).to_vec();
+        let m = jagged_causal_mask(&[2, 3], 3).to_vec();
+        // Sample 0's last row hides the column past its own length.
+        assert_eq!(&m[3..6], &[0.0, 0.0, -1e9]);
+        // Sample 1, row 0 (overall row 2) masks keys 1 and 2.
+        assert_eq!(&m[6..9], &[0.0, -1e9, -1e9]);
+        let kp = jagged_key_padding_mask(&[2, 1], &[1, 3], 3).to_vec();
         assert_eq!(&kp[0..3], &[0.0, -1e9, -1e9]);
         assert_eq!(&kp[3..6], &[0.0, -1e9, -1e9]);
         assert_eq!(&kp[6..9], &[0.0, 0.0, 0.0]);
@@ -1364,7 +1145,7 @@ mod tests {
         // must not change the live probabilities by a single bit.
         let live = Tensor::from_vec(vec![0.3, -1.2, 0.7], vec![1, 3]).softmax_rows();
         let padded = Tensor::from_vec(vec![0.3, -1.2, 0.7, 123.0, -4.0], vec![1, 5])
-            .softmax_rows_masked(Some(&key_padding_mask(&[3], 1, 5)));
+            .softmax_rows_masked(Some(&jagged_key_padding_mask(&[1], &[3], 5)));
         let lv = live.to_vec();
         let pv = padded.to_vec();
         assert!(

@@ -613,7 +613,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::batched::key_padding_mask;
+    use crate::ops::batched::jagged_key_padding_mask;
     use crate::ops::softmax::causal_mask;
 
     fn filled(len: usize, seed: u32) -> Vec<f32> {
@@ -703,7 +703,7 @@ mod tests {
                     },
                 )
             } else {
-                let mask = key_padding_mask(&[live], 1, padded);
+                let mask = jagged_key_padding_mask(&[1], &[live], padded);
                 q.matmul_nt(&kv)
                     .softmax_rows_scaled_masked(2.0, Some(&mask))
                     .matmul(&kv)
@@ -837,11 +837,11 @@ mod tests {
                 )
             } else {
                 // The composite analogue: each query row attends the same
-                // block; bmm over a shared rhs reproduces the same
-                // accumulation order (item-major within each pass).
-                q.bmm_nt_shared(&kv, 2, &[0, 0])
+                // block (both key starts 0); the jagged products reproduce
+                // the same accumulation order (item-major within each pass).
+                q.bmm_nt_jagged(&kv, hl, &[0, 1], &[1, 1], &[0, 0], &[hl, hl])
                     .softmax_rows_scaled_masked(1.0, None)
-                    .bmm_shared(&kv, 2, &[0, 0])
+                    .bmm_jagged(&kv, &[0, 1], &[1, 1], &[hl, hl], &[0, 0])
             };
             out.square().sum_all().backward();
             (out.to_vec(), q.grad(), kv.grad())

@@ -12,9 +12,7 @@ pub mod reduce;
 pub mod shapeops;
 pub mod softmax;
 
-pub use batched::{
-    batch_causal_mask, jagged_causal_mask, jagged_key_padding_mask, key_padding_mask,
-};
+pub use batched::{jagged_causal_mask, jagged_key_padding_mask};
 pub use conv::conv_out_dim;
 pub use fused::{fused_attention, FusedAttnSpec};
 pub use norm::cosine_scores;

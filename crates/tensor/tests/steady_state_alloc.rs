@@ -10,7 +10,7 @@ use std::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tspn_tensor::nn::{Conv2d, LayerNorm, Linear, Module};
-use tspn_tensor::{batch_causal_mask, key_padding_mask, optim, pool, Tensor};
+use tspn_tensor::{jagged_causal_mask, jagged_key_padding_mask, optim, pool, Tensor};
 
 /// The pool counters are process-global; the steady-state tests must
 /// not interleave their reset/assert windows.
@@ -20,9 +20,10 @@ static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 fn steady_state_batched_forward_training_step_allocates_nothing() {
     let _guard = COUNTER_LOCK.lock().expect("counter lock");
     // A padded, masked batched-forward step built from the batched
-    // primitives (padded gather, bmm/bmm_nt, causal + key-padding masks,
-    // grouped cosine, row-wise arcface): every pad/mask scratch buffer
-    // must come from the pool, so a warmed step allocates nothing.
+    // primitives (padded gather, bmm_jagged/bmm_nt_jagged, causal +
+    // key-padding masks, grouped cosine, row-wise arcface): every pad/mask
+    // scratch buffer must come from the pool, so a warmed step allocates
+    // nothing.
     let mut rng = StdRng::seed_from_u64(3);
     let (b, s, dm) = (4usize, 5usize, 12usize);
     let table = Tensor::param(
@@ -46,6 +47,9 @@ fn steady_state_batched_forward_training_step_allocates_nothing() {
         .collect();
     let cand_groups: Vec<Vec<usize>> = vec![vec![2, 5, 9], vec![0, 7], vec![11, 3, 4, 6], vec![8]];
     let cand_lens: Vec<usize> = cand_groups.iter().map(Vec::len).collect();
+    // Every block is `s` rows of the padded gather.
+    let starts: Vec<usize> = (0..b).map(|i| i * s).collect();
+    let full = vec![s; b];
 
     let mut step = || {
         optim::zero_grad(&params);
@@ -53,18 +57,18 @@ fn steady_state_batched_forward_training_step_allocates_nothing() {
         let q = wq.forward(&h);
         let k = wk.forward(&h);
         let v = wv.forward(&h);
-        // Self-attention under the replicated causal mask…
+        // Self-attention under the per-block causal mask…
         let att = q
-            .bmm_nt(&k, b)
+            .bmm_nt_jagged(&k, s, &starts, &full, &starts, &full)
             .scale(0.3)
-            .softmax_rows_masked(Some(&batch_causal_mask(b, s)));
-        let z = att.bmm(&v, b);
+            .softmax_rows_masked(Some(&jagged_causal_mask(&full, s)));
+        let z = att.bmm_jagged(&v, &starts, &full, &full, &starts);
         // …and a key-padding-masked cross product over the same blocks.
         let att2 = q
-            .bmm_nt(&z, b)
+            .bmm_nt_jagged(&z, s, &starts, &full, &starts, &full)
             .scale(0.3)
-            .softmax_rows_masked(Some(&key_padding_mask(&lens, s, s)));
-        let mixed = att2.bmm(&v, b);
+            .softmax_rows_masked(Some(&jagged_key_padding_mask(&full, &lens, s)));
+        let mixed = att2.bmm_jagged(&v, &starts, &full, &full, &starts);
         let queries = mixed.gather_rows(&last_rows);
         let cands = table.gather_rows_padded(&cand_groups, 4);
         let cos = queries.cosine_grouped(&cands, &cand_lens);
