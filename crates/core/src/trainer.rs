@@ -5,10 +5,12 @@
 //! ([`tspn_tensor::parallel`]), and every pool thread owns a full model
 //! **replica** (the autodiff tape is single-threaded `Rc`, so replicas —
 //! cached per thread and kept in sync from the owner — are how the tape
-//! scales across cores). Within a shard the samples no longer run one at
-//! a time: each shard (and each serial batch) is one padded, masked
-//! batched forward ([`crate::TspnRa::forward_batch`]), so the
-//! ~50-node-per-sample tape overhead is paid once per batch. Shard work
+//! scales across cores). A one-thread training budget is not a separate
+//! path: each batch is one shard, run on the calling thread's cached
+//! replica. Within a shard the samples no longer run one at a time: each
+//! shard is one padded, masked batched forward
+//! ([`crate::TspnRa::forward_batch`]), so the ~50-node-per-sample tape
+//! overhead is paid once per batch. Shard work
 //! is dispatched per batch; nothing occupies a worker between batches,
 //! so concurrent trainers and evaluations interleave freely on the
 //! shared pool.
@@ -58,14 +60,18 @@
 //!   order. A shard's result never depends on which pool thread computes
 //!   it (replica parameters are refreshed to the published values, and
 //!   every task runs under the worker scope), so the schedule is
-//!   irrelevant.
+//!   irrelevant. With `batch_size: 1` every step is one shard at any
+//!   thread count, so such a run is bitwise **thread-count-invariant**
+//!   (`tests/cross_thread_training.rs`).
 //! * **Optimizer updates** run as one fused pass with the clip factor
 //!   folded in ([`optim::grad_global_norm`] + [`optim::Adam::step_scaled`]),
 //!   bitwise identical to the retired clip-then-step sequence on both
 //!   kernel tiers.
 //!
 //! Thread count comes from [`tspn_tensor::parallel::num_threads`]
-//! (`TSPN_NUM_THREADS` to override; `1` forces the serial path).
+//! (`TSPN_NUM_THREADS` to override). At `1`, each training batch is one
+//! shard and every prediction runs on the owner's model, both on the
+//! calling thread.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -271,7 +277,7 @@ pub struct Trainer {
     /// Cached `batch_tables` for evaluation, keyed by
     /// `(param version, ctx revision)`.
     tables_cache: RefCell<Option<(CacheKey, Rc<BatchTables>)>>,
-    /// Delta parameter sync on the sharded path (module docs); `false`
+    /// Delta parameter sync to the training replicas (module docs); `false`
     /// selects the bitwise-identical full-copy reference.
     delta_sync: bool,
     /// Owner side of the publish/version protocol.
@@ -297,7 +303,7 @@ impl Trainer {
         }
     }
 
-    /// Switches the sharded path between delta parameter sync and the
+    /// Switches training between delta parameter sync and the
     /// full-copy reference (both bitwise identical; see the module docs).
     /// Hidden: `prop_trainer_sync` only.
     #[doc(hidden)]
@@ -343,74 +349,15 @@ impl Trainer {
 
     /// Trains for an explicit number of epochs.
     ///
-    /// With more than one thread available, each batch's gradient is
-    /// computed across per-thread model replicas (see the module docs for
-    /// the determinism contract).
+    /// Every batch is split into `min(threads, batch)` contiguous shards
+    /// that run on cached per-thread model replicas; the owner builds the
+    /// shared tables tape once per batch, publishes only the downstream
+    /// parameters the optimizer moved, and merges shard gradients in shard
+    /// order (module docs cover the ownership, sync and determinism
+    /// contracts). A one-thread budget is simply one shard, run on the
+    /// calling thread.
     pub fn fit_epochs(&mut self, train: &[Sample], epochs: usize) -> Vec<EpochStats> {
         let workers = parallel::num_threads();
-        let stats = if workers > 1 && train.len() >= 2 && epochs > 0 {
-            self.fit_epochs_sharded(train, epochs, workers)
-        } else {
-            self.fit_epochs_serial(train, epochs)
-        };
-        self.mark_model_dirty();
-        stats
-    }
-
-    /// Single-threaded path: one padded batched forward per batch (the
-    /// dropout stream and the loss summation order match the retired
-    /// per-sample loop exactly, so fixed-seed runs reproduce).
-    fn fit_epochs_serial(&mut self, train: &[Sample], epochs: usize) -> Vec<EpochStats> {
-        let mut stats = Vec::with_capacity(epochs);
-        let params = self.model.params();
-        let batch_size = self.model.config.batch_size;
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        for epoch in 0..epochs {
-            // tspn-lint: allow(wall-clock) — epoch wall time is reported in EpochStats metadata only and never feeds a computed value
-            let started = std::time::Instant::now();
-            order.shuffle(&mut self.rng);
-            let mut total_loss = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in order.chunks(batch_size) {
-                optim::zero_grad(&params);
-                // Tables are shared across the batch: one CNN pass over all
-                // tiles per gradient step, amortising the expensive part.
-                let tables = self.model.batch_tables(&self.ctx);
-                let batch: Vec<Sample> = chunk.iter().map(|&i| train[i]).collect();
-                let loss = self
-                    .model
-                    .loss_batch(&self.ctx, &batch, &tables)
-                    .sum_all()
-                    .scale(1.0 / chunk.len() as f32);
-                total_loss += loss.item() as f64;
-                batches += 1;
-                loss.backward();
-                // Fused clip + update: bitwise identical to the retired
-                // clip_grad_norm + step sequence (see optim module docs).
-                let scale = optim::clip_scale(optim::grad_global_norm(&params), 5.0);
-                self.opt.step_scaled(&params, scale, |_| {});
-            }
-            self.opt.decay_lr(self.model.config.lr_decay);
-            stats.push(EpochStats {
-                epoch,
-                mean_loss: (total_loss / batches.max(1) as f64) as f32,
-                seconds: started.elapsed().as_secs_f64(),
-            });
-        }
-        stats
-    }
-
-    /// Data-parallel path: the owner builds the shared tables tape once
-    /// per batch and publishes only changed downstream parameters; shards
-    /// run on cached replicas and return (table-leaf + downstream)
-    /// gradients, which merge in shard order on this thread (module docs
-    /// cover the ownership and sync protocols).
-    fn fit_epochs_sharded(
-        &mut self,
-        train: &[Sample],
-        epochs: usize,
-        workers: usize,
-    ) -> Vec<EpochStats> {
         let Trainer {
             ref model,
             ref ctx,
@@ -561,8 +508,11 @@ impl Trainer {
                 // may have run a shard job itself, and buffers parked in
                 // its local cache would be invisible to whichever worker
                 // draws that shard next batch. (Workers spill when idle.)
+                // A one-thread budget has no workers, so nothing to spill.
                 drop(tables);
-                pool::flush_thread_local();
+                if workers > 1 {
+                    pool::flush_thread_local();
+                }
             }
             opt.decay_lr(lr_decay);
             stats.push(EpochStats {
@@ -571,6 +521,8 @@ impl Trainer {
                 seconds: started.elapsed().as_secs_f64(),
             });
         }
+        drop(sync);
+        self.mark_model_dirty();
         stats
     }
 
@@ -641,7 +593,7 @@ impl Trainer {
     /// Answers a batch of prediction queries, sharded across the
     /// persistent worker pool exactly like [`Trainer::evaluate_with_k`];
     /// results are in query order and bitwise identical to answering each
-    /// query alone on the serial path.
+    /// query alone.
     pub fn predict_batch(&self, queries: &[Query]) -> Vec<TopK> {
         self.predict_mapped(queries, |_ctx, q, pred| TopK::from_prediction(pred, q.top))
     }
@@ -678,122 +630,104 @@ impl Trainer {
         order
     }
 
-    /// Serial prediction over the cached batch tables: one padded batched
-    /// forward per [`PRED_CHUNK`] queries on this thread (queries
-    /// co-batched by prefix length), each [`Prediction`] mapped through
-    /// `f`; results return in query order.
-    fn predict_mapped_serial<R>(
-        &self,
-        queries: &[Query],
-        f: impl Fn(&SpatialContext, &Query, Prediction) -> R,
-    ) -> Vec<R> {
-        let tables = self.shared_tables();
-        let order = self.length_sorted_order(queries);
-        let mut out: Vec<Option<R>> = (0..queries.len()).map(|_| None).collect();
-        for chunk in order.chunks(PRED_CHUNK) {
-            let pairs: Vec<(Subject, usize)> = chunk
-                .iter()
-                .map(|&i| (queries[i].subject.clone(), queries[i].k))
-                .collect();
-            let preds = self.model.predict_many(&self.ctx, &pairs, &tables);
-            for (&i, pred) in chunk.iter().zip(preds) {
-                out[i] = Some(f(&self.ctx, &queries[i], pred));
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every query answered"))
-            .collect()
-    }
-
     /// The shared batched-prediction core: computes (or reuses) the batch
-    /// tables once, shards `queries` across the persistent worker pool,
-    /// runs each query's two-step prediction on a cached per-thread model
-    /// replica and maps it through `f` inside the shard. Falls back to the
-    /// serial path for tiny batches or a single-thread budget.
+    /// tables once, runs one padded batched forward per [`PRED_CHUNK`]
+    /// queries (co-batched by prefix length) and maps each query's
+    /// [`Prediction`] through `f`; results return in query order. Large
+    /// sets are sharded across the persistent worker pool onto cached
+    /// per-thread model replicas; small sets and a single-thread budget run
+    /// on the owner's model in place.
     fn predict_mapped<R, F>(&self, queries: &[Query], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&SpatialContext, &Query, Prediction) -> R + Sync,
     {
         let workers = parallel::num_threads();
-        // Dispatch is cheap but each shard still pays a parameter
-        // overwrite; tiny sets stay on the cached serial path.
-        if workers <= 1 || queries.len() < 4 * workers {
-            return self.predict_mapped_serial(queries, &f);
-        }
-        // The batch tables are computed (or served from cache) exactly
-        // once here; shards receive the raw values and wrap them in
-        // non-differentiable tensors, so the expensive CNN pass over all
-        // tiles never runs per worker — and repeated evaluations with
-        // unchanged parameters (the Fig. 11 K-sweep) stay cached.
-        let tables = self.shared_tables();
-        let tiles_data = tables.tiles.to_vec();
-        let tiles_shape = tables.tiles.shape().0.clone();
-        let pois_data = tables.pois.to_vec();
-        let pois_shape = tables.pois.shape().0.clone();
-        drop(tables);
-        let params = self.model.params();
-        let snapshot: Vec<Vec<f32>> = params
-            .iter()
-            .map(|p| pool::take_copied(&p.data()))
-            .collect();
-        let cfg = &self.model.config;
         let ctx = &self.ctx;
-        let trainer_id = self.id;
-        let f = &f;
         // Shards take contiguous runs of the length-sorted order, so each
-        // shard's padded batches stay dense; results scatter back to query
+        // run's padded batches stay dense; results scatter back to query
         // order below.
         let order = self.length_sorted_order(queries);
-        let per_shard = queries.len().div_ceil(workers);
-        let jobs: Vec<_> = order
-            .chunks(per_shard)
-            .map(|shard| {
-                let snapshot = &snapshot;
-                let (tiles_data, tiles_shape) = (&tiles_data, &tiles_shape);
-                let (pois_data, pois_shape) = (&pois_data, &pois_shape);
-                move || {
-                    // Full-value overwrite (prediction never steps the
-                    // optimizer, so the publish/version protocol does not
-                    // apply); replica `seen` stamps are left alone — they
-                    // under-report freshness, which is always safe.
-                    with_replica(trainer_id, cfg, ctx, |replica, rparams, _seen| {
-                        for (p, values) in rparams.iter().zip(snapshot) {
-                            p.set_data(values);
-                        }
-                        let tables = BatchTables {
-                            tiles: Tensor::from_vec(
-                                pool::take_copied(tiles_data),
-                                tiles_shape.clone(),
-                            ),
-                            pois: Tensor::from_vec(
-                                pool::take_copied(pois_data),
-                                pois_shape.clone(),
-                            ),
-                        };
-                        let mut results: Vec<R> = Vec::with_capacity(shard.len());
-                        for chunk in shard.chunks(PRED_CHUNK) {
-                            let pairs: Vec<(Subject, usize)> = chunk
-                                .iter()
-                                .map(|&i| (queries[i].subject.clone(), queries[i].k))
-                                .collect();
-                            let preds = replica.predict_many(ctx, &pairs, &tables);
-                            results.extend(
-                                chunk
-                                    .iter()
-                                    .zip(preds)
-                                    .map(|(&i, pred)| f(ctx, &queries[i], pred)),
-                            );
-                        }
-                        results
-                    })
-                }
-            })
-            .collect();
-        let flat: Vec<R> = parallel::map_scoped(jobs).into_iter().flatten().collect();
-        for buf in snapshot {
-            pool::give(buf);
-        }
+        let predict_run = |model: &TspnRa, tables: &BatchTables, run: &[usize]| {
+            let mut results: Vec<R> = Vec::with_capacity(run.len());
+            for chunk in run.chunks(PRED_CHUNK) {
+                let pairs: Vec<(Subject, usize)> = chunk
+                    .iter()
+                    .map(|&i| (queries[i].subject.clone(), queries[i].k))
+                    .collect();
+                let preds = model.predict_many(ctx, &pairs, tables);
+                results.extend(
+                    chunk
+                        .iter()
+                        .zip(preds)
+                        .map(|(&i, pred)| f(ctx, &queries[i], pred)),
+                );
+            }
+            results
+        };
+        // The batch tables are computed (or served from cache) exactly
+        // once here, so repeated evaluations with unchanged parameters (the
+        // Fig. 11 K-sweep) never rerun the CNN pass over all tiles.
+        let tables = self.shared_tables();
+        // Dispatch is cheap but each shard still pays a parameter
+        // overwrite; tiny sets stay on the owner's model.
+        let flat: Vec<R> = if workers <= 1 || queries.len() < 4 * workers {
+            predict_run(&self.model, &tables, &order)
+        } else {
+            // Shards receive the raw table values and wrap them in
+            // non-differentiable tensors.
+            let tiles_data = tables.tiles.to_vec();
+            let tiles_shape = tables.tiles.shape().0.clone();
+            let pois_data = tables.pois.to_vec();
+            let pois_shape = tables.pois.shape().0.clone();
+            drop(tables);
+            let snapshot: Vec<Vec<f32>> = self
+                .model
+                .params()
+                .iter()
+                .map(|p| pool::take_copied(&p.data()))
+                .collect();
+            let cfg = &self.model.config;
+            let trainer_id = self.id;
+            let predict_run = &predict_run;
+            let per_shard = queries.len().div_ceil(workers);
+            let jobs: Vec<_> = order
+                .chunks(per_shard)
+                .map(|shard| {
+                    let snapshot = &snapshot;
+                    let (tiles_data, tiles_shape) = (&tiles_data, &tiles_shape);
+                    let (pois_data, pois_shape) = (&pois_data, &pois_shape);
+                    move || {
+                        // Full-value overwrite (prediction never steps the
+                        // optimizer, so the publish/version protocol does
+                        // not apply); replica `seen` stamps are left alone
+                        // — they under-report freshness, which is always
+                        // safe.
+                        with_replica(trainer_id, cfg, ctx, |replica, rparams, _seen| {
+                            for (p, values) in rparams.iter().zip(snapshot) {
+                                p.set_data(values);
+                            }
+                            let tables = BatchTables {
+                                tiles: Tensor::from_vec(
+                                    pool::take_copied(tiles_data),
+                                    tiles_shape.clone(),
+                                ),
+                                pois: Tensor::from_vec(
+                                    pool::take_copied(pois_data),
+                                    pois_shape.clone(),
+                                ),
+                            };
+                            predict_run(replica, &tables, shard)
+                        })
+                    }
+                })
+                .collect();
+            let flat = parallel::map_scoped(jobs).into_iter().flatten().collect();
+            for buf in snapshot {
+                pool::give(buf);
+            }
+            flat
+        };
         let mut out: Vec<Option<R>> = (0..queries.len()).map(|_| None).collect();
         for (&i, r) in order.iter().zip(flat) {
             out[i] = Some(r);
@@ -914,9 +848,9 @@ mod tests {
     #[test]
     fn parallel_evaluation_matches_serial_exactly() {
         // The acceptance contract: sharded evaluation must return the
-        // same ranks as the single-thread path, bitwise. Singletons always
-        // take the serial path; on a single-core machine the batched call
-        // does too and the test is trivial.
+        // same ranks as answering each sample alone, bitwise. Singletons
+        // always run on the owner's model; on a single-core machine the
+        // batched call does too and the test is trivial.
         let (mut trainer, samples) = tiny_trainer();
         let train: Vec<Sample> = samples.iter().take(16).copied().collect();
         trainer.fit_epochs(&train, 1);
@@ -952,7 +886,7 @@ mod tests {
     #[test]
     fn evaluate_caches_tables_between_calls() {
         let (mut trainer, samples) = tiny_trainer();
-        // Three samples stay on the serial path at any thread count.
+        // Three samples stay on the owner's model at any thread count.
         let eval: Vec<Sample> = samples.iter().take(3).copied().collect();
         let _ = trainer.evaluate(&eval);
         let v1 = trainer.tables_cache.borrow().as_ref().map(|(k, _)| *k);
@@ -978,8 +912,8 @@ mod tests {
     #[should_panic(expected = "")]
     fn invalid_sample_panics_rather_than_hanging() {
         // A poisoned shard must surface its panic on the calling thread —
-        // on the sharded path a lost worker must not deadlock the batch
-        // loop (the serial path panics directly).
+        // a lost worker must not deadlock the batch loop (a one-thread
+        // budget runs its one shard inline and re-raises after it).
         let (mut trainer, _) = tiny_trainer();
         let bogus = Sample {
             user_index: usize::MAX,

@@ -90,8 +90,9 @@ fn steady_state_sharded_step_allocates_zero_tensor_buffers() {
     // allocates at most once and the loop below must converge to
     // zero-miss epochs almost immediately. A hot path that allocated
     // per step would never converge and fails the bound. With
-    // TSPN_NUM_THREADS=1 the serial path runs instead and clears the
-    // bar on the first measured epoch.
+    // TSPN_NUM_THREADS=1 each batch is one shard on the calling thread,
+    // so no buffer changes threads and the first measured epoch clears
+    // the bar.
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut trainer, samples) = build_trainer();
     let train = vec![samples[0]; 4];

@@ -4,10 +4,12 @@
 //! (owner tape + shard gradient leaves + seeded backward) must reproduce
 //! the straight-through serial tape bitwise.
 //!
-//! Thread count is whatever `TSPN_NUM_THREADS` says: at 1 both sync
-//! modes take the serial path (trivially equal); CI re-runs this suite
-//! with `TSPN_NUM_THREADS=3` (and `TSPN_SIMD=0`), where the sharded
-//! machinery is fully exercised.
+//! Thread count is whatever `TSPN_NUM_THREADS` says. Every thread count
+//! trains through replicas, so the comparison is real even at 1: there
+//! each batch is one shard, refreshed by delta or full-copy sync on the
+//! calling thread's replica. CI re-runs this suite with
+//! `TSPN_NUM_THREADS=3` (and `TSPN_SIMD=0`), where multi-shard gradient
+//! merges and cross-thread replica refreshes are exercised too.
 
 use std::sync::OnceLock;
 

@@ -30,7 +30,8 @@
 //! Thread count resolution (cached for the process lifetime):
 //! `TSPN_NUM_THREADS` environment variable when set, otherwise
 //! `std::thread::available_parallelism()`. Setting `TSPN_NUM_THREADS=1`
-//! forces fully serial execution everywhere.
+//! runs every dispatch inline on the calling thread: no workers are
+//! spawned, and callers that shard by thread count get one shard.
 
 use std::any::Any;
 use std::cell::Cell;

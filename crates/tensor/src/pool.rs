@@ -311,9 +311,9 @@ pub fn give(buf: Vec<f32>) {
 /// invisible to whichever thread picks up the matching work next
 /// batch, forcing a fresh allocation even though the buffer exists.
 /// The data-parallel workers call this when they run out of tasks,
-/// and the sharded trainer calls it after each step, so between
-/// dispatches the shared shards hold the complete recycled set and
-/// shard-to-thread assignment cannot cause steady-state misses.
+/// and the trainer calls it after each step when the pool has workers,
+/// so between dispatches the shared shards hold the complete recycled
+/// set and shard-to-thread assignment cannot cause steady-state misses.
 pub fn flush_thread_local() {
     let drained: Vec<(usize, Vec<Vec<f32>>)> = TL_CACHE.with(|cell| {
         let mut tl = cell.borrow_mut();
