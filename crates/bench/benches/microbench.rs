@@ -15,7 +15,7 @@ use tspn_data::synth::generate_dataset;
 use tspn_data::Visit;
 use tspn_geo::{NodeId, QuadTree, QuadTreeConfig};
 use tspn_graph::{build_qrp, Hgat, QrpOptions};
-use tspn_tensor::{cosine_scores, init, Tensor};
+use tspn_tensor::{cosine_scores, init};
 
 fn fixture() -> (tspn_data::LbsnDataset, tspn_world::World) {
     let mut cfg = nyc_mini(0.12);
@@ -93,7 +93,7 @@ fn bench_qrp(c: &mut Criterion) {
     let hgat = Hgat::new(&mut rng, 32, 2);
     let h0 = init::normal(&mut rng, 0.0, 0.5, vec![graph.num_nodes(), 32]).detach();
     c.bench_function("hgat_forward_2layer", |b| {
-        b.iter(|| hgat.forward(&graph, &h0))
+        b.iter(|| hgat.forward_union(&[&graph], &h0))
     });
 }
 
@@ -110,11 +110,11 @@ fn bench_attention(c: &mut Criterion) {
 fn bench_me1(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let me1 = tspn_core::embed::Me1::new(&mut rng, 16, 32);
-    let images: Vec<Tensor> = (0..32)
-        .map(|i| Tensor::full(i as f32 / 32.0, vec![3, 16, 16]))
+    let images: Vec<Vec<f32>> = (0..32)
+        .map(|i| vec![i as f32 / 32.0; 3 * 16 * 16])
         .collect();
     c.bench_function("me1_embed_32_tiles_16px", |b| {
-        b.iter(|| me1.embed_tiles(&images))
+        b.iter(|| me1.embed_tiles_chw(&images).l2_normalize_rows())
     });
 }
 
@@ -144,6 +144,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     let samples = trainer.ctx.dataset.all_samples();
     let sample = samples[samples.len() / 2];
     let tables = trainer.model.batch_tables(&trainer.ctx);
+    // A batch of one through `predict_many`, the only inference path;
+    // the name is kept so earlier results stay comparable.
     c.bench_function("tspn_predict_one", |b| {
         b.iter(|| trainer.model.predict(&trainer.ctx, &sample, &tables))
     });

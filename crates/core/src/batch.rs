@@ -16,15 +16,19 @@
 //!
 //! ## Contract with the per-sample reference
 //!
-//! [`TspnRa::forward`] / [`TspnRa::loss`] / [`TspnRa::predict`] remain
-//! the per-sample reference implementation. The batched path performs,
-//! per sample, exactly the same arithmetic in the same order (see
+//! [`TspnRa::forward`] / [`TspnRa::loss`] remain the per-sample
+//! reference implementation; only the tests call them. Inference has one
+//! path: [`TspnRa::predict`] is a batch of one through
+//! [`TspnRa::predict_many`]. The batched path performs, per sample,
+//! exactly the same arithmetic in the same order (see
 //! `tspn_tensor::ops::batched` for why padding cannot perturb an
 //! IEEE-754 result), so:
 //!
 //! * per-sample **losses** and **forward outputs** are bitwise identical
 //!   to the reference at every batch size and thread count;
-//! * **predictions/rankings** are bitwise identical likewise;
+//! * **predictions/rankings** are bitwise identical to rankings computed
+//!   from the reference's forward outputs, and invariant to batch
+//!   composition;
 //! * **gradients** are bitwise identical to the reference for a batch of
 //!   one, and bitwise thread-count-invariant at every batch size. For
 //!   multi-sample batches the gradient *values* agree with the reference
@@ -268,11 +272,14 @@ impl TspnRa {
 
     /// Batched inference: the full two-step ranking for every query
     /// `(subject, k)` — indexed and ad-hoc subjects mix freely — from
-    /// **one** padded batched forward. Each returned [`Prediction`] is
-    /// bitwise identical to [`TspnRa::predict_subject_with_k`] on the
-    /// same subject.
+    /// **one** padded batched forward. This is the only inference path:
+    /// [`TspnRa::predict`], offline evaluation and serving all reach it.
+    /// Each returned [`Prediction`] is bitwise identical to ranking the
+    /// per-sample [`TspnRa::forward_subject`] outputs for the same
+    /// subject, whatever else shares the batch.
     ///
-    /// Runs under [`Tensor::no_grad`] like the per-sample predictor.
+    /// Runs under [`Tensor::no_grad`]: prediction returns rankings, never
+    /// tensors, so tape bookkeeping would be pure overhead.
     pub fn predict_many(
         &self,
         ctx: &SpatialContext,
@@ -309,8 +316,7 @@ impl TspnRa {
                 .collect();
         }
 
-        // Leaf table and POI buffers computed once for the whole batch —
-        // the values the per-sample path re-gathers per call.
+        // Leaf table and POI buffers computed once for the whole batch.
         let leaf_table = self.leaf_table(ctx, tables).to_vec();
         let pois = tables.pois.data();
         queries

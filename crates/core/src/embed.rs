@@ -70,25 +70,6 @@ impl Me1 {
         self.project.forward(&flat)
     }
 
-    /// Embeds a batch of images into unnormalised rows `[n, dm]` — used
-    /// when the model mixes in a learnable per-tile correction before the
-    /// final normalisation.
-    pub fn embed_tiles_raw(&self, images: &[Tensor]) -> Tensor {
-        assert!(!images.is_empty(), "no tile images given");
-        let s = self.image_size;
-        let rows: Vec<Tensor> = images
-            .iter()
-            .map(|img| {
-                assert_eq!(img.shape().0, vec![3, s, s], "image shape mismatch");
-                img.reshape(vec![1, 3 * s * s])
-            })
-            .collect();
-        // Stacking through concat keeps per-image gradients flowing for
-        // differentiable inputs; the embed itself is fully batched.
-        let batch = Tensor::concat_rows(&rows).reshape(vec![images.len(), 3, s, s]);
-        self.embed_batch(&batch)
-    }
-
     /// Packs raw CHW float buffers (`3·s·s` each, as stored in the spatial
     /// context) into one pooled `[n, 3, s, s]` input tensor. The result is
     /// a plain leaf (no grad history), so the model may cache it across
@@ -106,17 +87,12 @@ impl Me1 {
         Tensor::from_vec(buf, vec![images.len(), 3, s, s])
     }
 
-    /// Like [`Me1::embed_tiles_raw`], but over raw CHW float buffers via
-    /// [`Me1::pack_tiles_chw`]; keeping the context tensor-free is what
-    /// lets the trainer share it across threads.
+    /// Embeds raw CHW float buffers into unnormalised rows `[n, dm]` via
+    /// [`Me1::pack_tiles_chw`] and [`Me1::embed_batch`]; keeping the
+    /// context tensor-free is what lets the trainer share it across
+    /// threads.
     pub fn embed_tiles_chw(&self, images: &[Vec<f32>]) -> Tensor {
         self.embed_batch(&self.pack_tiles_chw(images))
-    }
-
-    /// Embeds a batch of images into the tile embedding table
-    /// `E_T [n, dm]`, L2-normalised per row as in the paper.
-    pub fn embed_tiles(&self, images: &[Tensor]) -> Tensor {
-        self.embed_tiles_raw(images).l2_normalize_rows()
     }
 }
 
@@ -278,6 +254,10 @@ impl TemporalEncoder {
     }
 
     /// Slot embeddings for a timestamp sequence → `[n, dm]`.
+    ///
+    /// Per-sample test reference (the batched forward gathers the slot
+    /// rows directly); no production caller.
+    #[doc(hidden)]
     pub fn encode_seq(&self, times: &[Timestamp]) -> Tensor {
         assert!(!times.is_empty(), "empty time sequence");
         let idx: Vec<usize> = times.iter().map(|&t| time_slot(t)).collect();
@@ -301,10 +281,10 @@ mod tests {
     fn me1_shapes_and_normalisation() {
         let mut rng = StdRng::seed_from_u64(1);
         let me1 = Me1::new(&mut rng, 16, 24);
-        let imgs: Vec<Tensor> = (0..3)
-            .map(|i| Tensor::full(0.1 * (i as f32 + 1.0), vec![3, 16, 16]))
+        let imgs: Vec<Vec<f32>> = (0..3)
+            .map(|i| vec![0.1 * (i as f32 + 1.0); 3 * 16 * 16])
             .collect();
-        let et = me1.embed_tiles(&imgs);
+        let et = me1.embed_tiles_chw(&imgs).l2_normalize_rows();
         assert_eq!(et.shape().0, vec![3, 24]);
         // Rows are unit-norm.
         let v = et.to_vec();
@@ -322,13 +302,15 @@ mod tests {
     fn me1_distinguishes_different_images() {
         let mut rng = StdRng::seed_from_u64(2);
         let me1 = Me1::new(&mut rng, 16, 16);
-        let a = Tensor::full(0.9, vec![3, 16, 16]);
+        let a = vec![0.9f32; 3 * 16 * 16];
         let mut checker = vec![0.0f32; 3 * 16 * 16];
         for (i, v) in checker.iter_mut().enumerate() {
             *v = if (i / 16 + i % 16) % 2 == 0 { 1.0 } else { 0.0 };
         }
-        let b = Tensor::from_vec(checker, vec![3, 16, 16]);
-        let et = me1.embed_tiles(&[a, b]).to_vec();
+        let et = me1
+            .embed_tiles_chw(&[a, checker])
+            .l2_normalize_rows()
+            .to_vec();
         let dist: f32 = (0..16).map(|i| (et[i] - et[16 + i]).abs()).sum();
         assert!(dist > 0.05, "embeddings too close: {dist}");
     }

@@ -174,6 +174,10 @@ impl AttentionBlock {
     /// `history = None` covers the "No QR-P graph" ablation and cold-start
     /// users: the cross-attention stage collapses to the identity and only
     /// self-attention + FF remain.
+    ///
+    /// Per-sample test reference for the batched block; no production
+    /// caller.
+    #[doc(hidden)]
     pub fn forward(&self, h_seq: &Tensor, history: Option<&Tensor>) -> Tensor {
         let n = h_seq.rows();
         // 1. Masked self-attention (causal masking inside the fused node).
@@ -346,6 +350,10 @@ impl FusionModule {
 
     /// Runs all blocks and returns the last sequence position `[1, dm]`
     /// (`h_out = H_out[−1]`).
+    ///
+    /// Per-sample test reference for the batched module; no production
+    /// caller.
+    #[doc(hidden)]
     pub fn forward(&self, h_seq: &Tensor, history: Option<&Tensor>) -> Tensor {
         let mut h = h_seq.clone();
         for block in &self.blocks {

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use tspn_data::{PoiId, Sample, Timestamp, Visit};
 use tspn_graph::{build_qrp, Hgat, QrpGraph, QrpNode, QrpOptions};
 use tspn_tensor::nn::{Dropout, EmbeddingTable, Module};
-use tspn_tensor::{cosine_scores, Tensor};
+use tspn_tensor::Tensor;
 
 use crate::config::TspnConfig;
 use crate::context::SpatialContext;
@@ -98,10 +98,11 @@ pub struct TspnRa {
     /// functions of the visit run), so indexed and ad-hoc subjects with
     /// the same history share one structure.
     qrp_cache: RefCell<HashMap<HistKey, Rc<QrpGraph>>>,
-    /// Inference-only memo of [`TspnRa::encode_history`] outputs, keyed by
-    /// the tile-table tensor id it was computed against (history encodings
-    /// are pure functions of `(graph, tables)`): `(tables id, per-history
-    /// content key encodings)`. Populated only under
+    /// Inference-only memo of [`TspnRa::history_encodings_batch`]
+    /// outputs, keyed by the tile-table tensor id they were computed
+    /// against (history encodings are pure functions of
+    /// `(graph, tables)`): `(tables id, per-history content key
+    /// encodings)`. Populated only under
     /// [`Tensor::no_grad`], where the cached tensors carry no tape.
     history_cache: RefCell<HistoryCache>,
     /// Packed `[n, 3, s, s]` tile-image input keyed by the context
@@ -389,22 +390,16 @@ impl TspnRa {
         (ht, hp)
     }
 
-    /// Encodes a QR-P graph into `(H_T◁, H_P◁)`.
-    fn encode_history(&self, graph: &QrpGraph, tables: &BatchTables) -> HistoryEncodings {
-        let h0 = self.qrp_h0(graph, tables);
-        let h = self.hgat.forward(graph, &h0);
-        Self::split_encoding(graph, &h, 0)
-    }
-
     /// Batched history encoding: resolves every history's graph (content
-    /// and inference caches first, as the per-sample path does), then
-    /// runs **all** graphs still needing encoding through one disjoint
-    /// [`tspn_graph::Hgat::forward_union`] tape — the per-edge-type GEMMs
-    /// and padded softmaxes batch across samples instead of running once
-    /// per graph. Duplicate histories share one encoding tensor (by id),
-    /// which the fusion module's identity dedup relies on; a batch whose
-    /// unique histories reduce to one graph builds bitwise the per-sample
-    /// tape.
+    /// and inference caches first), then runs **all** graphs still needing
+    /// encoding through one disjoint [`tspn_graph::Hgat::forward_union`]
+    /// tape — the per-edge-type GEMMs and padded softmaxes batch across
+    /// samples instead of running once per graph. Duplicate histories
+    /// share one encoding tensor (by id), which the fusion module's
+    /// identity dedup relies on. Under no-grad inference the encodings are
+    /// pure functions of `(graph, tables)` and are memoised by sequence
+    /// content, so evaluating many prefixes of one trajectory — or a
+    /// session re-predicting an unchanged history — runs the HGAT once.
     pub(crate) fn history_encodings_batch(
         &self,
         ctx: &SpatialContext,
@@ -481,51 +476,13 @@ impl TspnRa {
             .collect()
     }
 
-    /// A history visit run's `(H_T◁, H_P◁)` encodings. Under no-grad
-    /// inference the encodings are pure functions of `(graph, tables)`;
-    /// memoise them by sequence content so evaluating many prefixes of
-    /// one trajectory — or a session re-predicting an unchanged history —
-    /// runs the HGAT once.
-    pub(crate) fn history_encodings(
-        &self,
-        ctx: &SpatialContext,
-        history: &[Visit],
-        key: &HistKey,
-        tables: &BatchTables,
-        training: bool,
-    ) -> HistoryEncodings {
-        match self.qrp_graph(ctx, history, key) {
-            Some(graph) => {
-                if !training && Tensor::grad_suspended() {
-                    let tables_id = tables.tiles.id();
-                    let mut cache = self.history_cache.borrow_mut();
-                    if cache.0 != tables_id {
-                        cache.0 = tables_id;
-                        cache.1.clear();
-                    }
-                    match cache.1.get(key) {
-                        Some((t, p)) => (t.clone(), p.clone()),
-                        None => {
-                            let enc = self.encode_history(&graph, tables);
-                            if cache.1.len() >= CONTENT_CACHE_CAP {
-                                cache.1.clear();
-                            }
-                            cache.1.insert(key.clone(), enc.clone());
-                            enc
-                        }
-                    }
-                } else {
-                    self.encode_history(&graph, tables)
-                }
-            }
-            None => (None, None),
-        }
-    }
-
     /// Runs the network up to the fused output vectors
     /// `(h_out_τ [1, dm], h_out_p [1, dm])` for a dataset-indexed sample
-    /// (the retained per-sample reference signature; see
-    /// [`TspnRa::forward_subject`] for the general entry point).
+    /// (see [`TspnRa::forward_subject`] for the general entry point).
+    ///
+    /// Per-sample test reference for [`TspnRa::forward_batch`]; no
+    /// production caller.
+    #[doc(hidden)]
     pub fn forward(
         &self,
         ctx: &SpatialContext,
@@ -540,6 +497,10 @@ impl TspnRa {
     /// address modes resolve to the same `(prefix, history)` visit runs
     /// and then share every instruction, so an ad-hoc subject built from
     /// an in-dataset stream produces **bitwise** the indexed result.
+    ///
+    /// Per-sample test reference for
+    /// [`TspnRa::forward_batch_subjects`]; no production caller.
+    #[doc(hidden)]
     pub fn forward_subject(
         &self,
         ctx: &SpatialContext,
@@ -577,8 +538,10 @@ impl TspnRa {
 
         // --- Historical graph knowledge ---
         let history = self.history_visits(ctx, subject);
-        let key = hist_key(&history);
-        let (hist_t, hist_p) = self.history_encodings(ctx, &history, &key, tables, training);
+        let (hist_t, hist_p) = self
+            .history_encodings_batch(ctx, std::slice::from_ref(&history), tables, training)
+            .pop()
+            .expect("one history yields one encoding");
 
         // --- Fusion ---
         let fused_t = self.mp1.forward(&h_tile, hist_t.as_ref());
@@ -613,6 +576,9 @@ impl TspnRa {
     /// as one fused attention node — the same node the batched path's
     /// `pointer_residual_batch` uses, so batch-of-one gradients stay
     /// bitwise identical.
+    ///
+    /// Per-sample test reference (reached only through
+    /// [`TspnRa::forward_subject`]); no production caller.
     fn pointer_residual(h: &Tensor, table: &Tensor, rows: &[usize]) -> Tensor {
         if rows.is_empty() {
             return h.clone();
@@ -646,6 +612,10 @@ impl TspnRa {
     }
 
     /// Training loss for one sample (Eq. 8): `β·loss_τ + loss_p`.
+    ///
+    /// Per-sample test reference for [`TspnRa::loss_batch`]; no
+    /// production caller.
+    #[doc(hidden)]
     pub fn loss(&self, ctx: &SpatialContext, sample: &Sample, tables: &BatchTables) -> Tensor {
         let (h_out_t, h_out_p) = self.forward(ctx, sample, tables, true);
         let target = ctx.dataset.sample_target(sample);
@@ -685,84 +655,22 @@ impl TspnRa {
         loss_t.scale(self.config.beta).add(&loss_p)
     }
 
-    /// Inference: the full two-step ranking for a sample, using `top_k`
-    /// from the config (see [`TspnRa::predict_with_k`] to override).
+    /// Inference: the full two-step ranking for a sample with the
+    /// configured `top_k` — a batch of one through
+    /// [`TspnRa::predict_many`].
     pub fn predict(
         &self,
         ctx: &SpatialContext,
         sample: &Sample,
         tables: &BatchTables,
     ) -> Prediction {
-        self.predict_with_k(ctx, sample, tables, self.config.top_k)
-    }
-
-    /// Inference with an explicit K — the knob swept in Fig. 11.
-    ///
-    /// Runs under [`Tensor::no_grad`]: prediction returns rankings, never
-    /// tensors, so tape bookkeeping would be pure overhead.
-    pub fn predict_with_k(
-        &self,
-        ctx: &SpatialContext,
-        sample: &Sample,
-        tables: &BatchTables,
-        k: usize,
-    ) -> Prediction {
-        self.predict_subject_with_k(ctx, &Subject::Indexed(*sample), tables, k)
-    }
-
-    /// Inference for any [`Subject`] with an explicit K — the per-subject
-    /// reference path the batched [`TspnRa::predict_many`] is asserted
-    /// bitwise against.
-    pub fn predict_subject_with_k(
-        &self,
-        ctx: &SpatialContext,
-        subject: &Subject,
-        tables: &BatchTables,
-        k: usize,
-    ) -> Prediction {
-        Tensor::no_grad(|| self.predict_with_k_inner(ctx, subject, tables, k))
-    }
-
-    fn predict_with_k_inner(
-        &self,
-        ctx: &SpatialContext,
-        subject: &Subject,
-        tables: &BatchTables,
-        k: usize,
-    ) -> Prediction {
-        let (h_out_t, h_out_p) = self.forward_subject(ctx, subject, tables, false);
-        let dm = self.config.dm;
-
-        if !self.config.variant.two_step {
-            let scores = cosine_scores(&h_out_t_to_query(&h_out_p), &tables.pois.to_vec(), dm);
-            let order = descending_order(&scores);
-            return Prediction {
-                tile_ranking: Vec::new(),
-                candidate_count: order.len(),
-                poi_ranking: order.into_iter().map(PoiId).collect(),
-            };
-        }
-
-        // Step 1: rank all leaves by cosine similarity.
-        let leaf_table = self.leaf_table(ctx, tables);
-        let t_scores = cosine_scores(&h_out_t_to_query(&h_out_t), &leaf_table.to_vec(), dm);
-        let tile_ranking = descending_order(&t_scores);
-
-        // Step 2: candidates from the top-K tiles, ranked by POI cosine.
-        let top: Vec<usize> = tile_ranking.iter().copied().take(k).collect();
-        let candidates: Vec<PoiId> = top
-            .iter()
-            .flat_map(|&leaf| ctx.leaf_pois[leaf].iter().copied())
-            .collect();
-        let cand_rows: Vec<usize> = candidates.iter().map(|p| p.0).collect();
-        let cand_table = tables.pois.gather_rows(&cand_rows);
-        let p_scores = cosine_scores(&h_out_t_to_query(&h_out_p), &cand_table.to_vec(), dm);
-        let order = descending_order(&p_scores);
-        Prediction {
-            tile_ranking,
-            candidate_count: candidates.len(),
-            poi_ranking: order.into_iter().map(|i| candidates[i]).collect(),
-        }
+        self.predict_many(
+            ctx,
+            &[(Subject::Indexed(*sample), self.config.top_k)],
+            tables,
+        )
+        .pop()
+        .expect("one query yields one prediction")
     }
 
     /// Clears the QR-P structure cache (e.g. after swapping imagery the
@@ -782,11 +690,6 @@ impl TspnRa {
     pub fn reseed_dropout(&self, seed: u64) {
         *self.rng.borrow_mut() = StdRng::seed_from_u64(seed);
     }
-}
-
-/// Extracts the flat query vector from an `[1, dm]` output.
-fn h_out_t_to_query(h: &Tensor) -> Vec<f32> {
-    h.to_vec()
 }
 
 /// Indices of the `k` largest scores, best first.
@@ -907,8 +810,12 @@ mod tests {
         let model = TspnRa::new(cfg, &ctx);
         let tables = model.batch_tables(&ctx);
         let s = first_sample(&ctx);
-        let small = model.predict_with_k(&ctx, &s, &tables, 2);
-        let large = model.predict_with_k(&ctx, &s, &tables, ctx.num_leaves());
+        let queries = [
+            (Subject::Indexed(s), 2),
+            (Subject::Indexed(s), ctx.num_leaves()),
+        ];
+        let preds = model.predict_many(&ctx, &queries, &tables);
+        let (small, large) = (&preds[0], &preds[1]);
         assert!(large.candidate_count >= small.candidate_count);
         assert_eq!(large.candidate_count, ctx.dataset.pois.len());
     }

@@ -5,8 +5,10 @@
 //! evaluation harness run the *same* batched prediction code path
 //! ([`Trainer::predict_batch`] / [`Trainer::evaluate_with_k`]): queries
 //! are sharded across the persistent worker pool onto cached per-thread
-//! model replicas, and every answer is bitwise identical to a single
-//! serial [`crate::TspnRa::predict`] call with the same parameters.
+//! model replicas, and every answer is bitwise identical to answering the
+//! same query alone, as a batch of one ([`Predictor::predict_one`]).
+//! [`crate::TspnRa::predict_many`] is the one inference path under all
+//! of these.
 //!
 //! Checkpoint loading is atomic at this level: [`Predictor::load_checkpoint`]
 //! first validates the checkpoint in full (every parameter present, every
@@ -240,9 +242,12 @@ impl Predictor {
         self.trainer.predict_batch(queries)
     }
 
-    /// Answers one query on the serial reference path.
+    /// Answers one query: a batch of one through
+    /// [`Predictor::predict_batch`].
     pub fn predict_one(&self, query: &Query) -> TopK {
-        self.trainer.predict_one(query)
+        self.predict_batch(std::slice::from_ref(query))
+            .pop()
+            .expect("one query yields one answer")
     }
 }
 

@@ -598,17 +598,6 @@ impl Trainer {
         self.predict_mapped(queries, |_ctx, q, pred| TopK::from_prediction(pred, q.top))
     }
 
-    /// Single-query answer on the retained **per-subject reference path**
-    /// ([`crate::TspnRa::predict_subject_with_k`]); the batched paths are
-    /// asserted bitwise against this.
-    pub fn predict_one(&self, query: &Query) -> TopK {
-        let tables = self.shared_tables();
-        let pred = self
-            .model
-            .predict_subject_with_k(&self.ctx, &query.subject, &tables, query.k);
-        TopK::from_prediction(pred, query.top)
-    }
-
     /// Query indices sorted by effective prefix length (ties by index):
     /// co-batching like-length prefixes keeps the padded `[B·S, dm]`
     /// tensors dense, and per-subject results are batch-composition

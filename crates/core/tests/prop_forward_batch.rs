@@ -1,11 +1,14 @@
 //! Property tests for the padded, masked batched forward: per-sample
 //! losses, forward outputs and rankings must be **bitwise** identical to
-//! the per-sample reference at every batch size, batch composition and
-//! thread count; gradients must be bitwise identical for a batch of one
-//! and bitwise thread-count-invariant at every size (multi-sample
-//! gradients agree with the reference to float associativity — shared
-//! tables receive the same contributions grouped per batched op instead
-//! of per sample).
+//! the per-sample reference (rankings: the shared oracle in `support`,
+//! which ranks the reference forward's outputs) at every batch size,
+//! batch composition and thread count; gradients must be bitwise
+//! identical for a batch of one and bitwise thread-count-invariant at
+//! every size (multi-sample gradients agree with the reference to float
+//! associativity — shared tables receive the same contributions grouped
+//! per batched op instead of per sample).
+
+mod support;
 
 use std::sync::OnceLock;
 
@@ -76,6 +79,10 @@ fn grads_of(loss: Tensor, params: &[Tensor]) -> Vec<Vec<f32>> {
     params.iter().map(|p| p.grad()).collect()
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -92,21 +99,38 @@ proptest! {
             batched == reference,
             "losses diverged for picks {picks:?}:\n batched  {batched:?}\n reference {reference:?}"
         );
+        // Forward output row `b` is the reference forward of `batch[b]`.
+        let tables = model.batch_tables(ctx);
+        let out = model.forward_batch(ctx, &batch, &tables, false);
+        let (rows_t, rows_p) = (out.h_out_t.to_vec(), out.h_out_p.to_vec());
+        let dm = model.config.dm;
+        for (b, s) in batch.iter().enumerate() {
+            let (want_t, want_p) = model.forward(ctx, s, &tables, false);
+            let row = b * dm..(b + 1) * dm;
+            assert!(
+                bits(&rows_t[row.clone()]) == bits(&want_t.to_vec())
+                    && bits(&rows_p[row]) == bits(&want_p.to_vec()),
+                "forward row {b} diverged for picks {picks:?}"
+            );
+        }
     }
 
     #[test]
     fn batched_rankings_match_per_sample_reference_bitwise(
         picks in proptest::collection::vec(0..10_000usize, 1..10),
-        k in 1..6usize
+        k in 1..6usize,
+        two_step in any::<bool>()
     ) {
         let (ctx, samples) = setup();
         let batch = pick(samples, &picks);
-        let model = TspnRa::new(config(), ctx);
+        let mut cfg = config();
+        cfg.variant.two_step = two_step;
+        let model = TspnRa::new(cfg, ctx);
         let tables = Tensor::no_grad(|| model.batch_tables(ctx));
         let queries: Vec<(Subject, usize)> = batch.iter().map(|&s| (Subject::from(s), k)).collect();
         let many = model.predict_many(ctx, &queries, &tables);
-        for (s, got) in batch.iter().zip(&many) {
-            let want = model.predict_with_k(ctx, s, &tables, k);
+        for ((subject, _), got) in queries.iter().zip(&many) {
+            let want = support::oracle_predict(&model, ctx, subject, &tables, k);
             prop_assert_eq!(&got.tile_ranking, &want.tile_ranking);
             prop_assert_eq!(&got.poi_ranking, &want.poi_ranking);
             prop_assert_eq!(got.candidate_count, want.candidate_count);

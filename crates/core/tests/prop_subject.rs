@@ -2,8 +2,11 @@
 //! from a sample's raw check-in stream must predict **bitwise**
 //! identically to the dataset-indexed sample — for every trajectory in
 //! the dataset, at every batch composition mixing indexed, payload, and
-//! session-style (incrementally assembled) queries, on both the batched
-//! pool-sharded path and the per-subject reference path.
+//! session-style (incrementally assembled) queries, on the batched
+//! pool-sharded path and as a batch of one, and equal to the per-sample
+//! ranking oracle in `support`.
+
+mod support;
 
 use std::sync::{Arc, OnceLock};
 
@@ -89,7 +92,7 @@ fn every_in_dataset_trajectory_predicts_identically_by_payload_and_index() {
     // Exhaustive over the dataset, including the true online next-visit
     // queries (prefix_len == trajectory length, which all_samples never
     // yields): one big mixed batch of indexed/payload pairs, answered by
-    // the batched pool-sharded path, then spot-checked per-subject.
+    // the batched pool-sharded path, then spot-checked as batches of one.
     let (pred, samples) = setup_predictor();
     let samples = &samples;
     let ctx = pred.ctx();
@@ -126,7 +129,7 @@ fn every_in_dataset_trajectory_predicts_identically_by_payload_and_index() {
     for pair in answers.chunks(2) {
         assert_eq!(pair[0], pair[1], "payload diverged from index");
     }
-    // Reference-path spot checks (first, last, and a middle pair).
+    // Batch-of-one spot checks (first, last, and a middle pair).
     for i in [0usize, (queries.len() / 2) & !1, queries.len() - 2] {
         let indexed = pred.predict_one(&queries[i]);
         let payload = pred.predict_one(&queries[i + 1]);
@@ -161,8 +164,8 @@ proptest! {
     /// Random batch compositions: indexed, payload, and session-style
     /// subjects with mixed `k`, shuffled and with duplicates, run through
     /// one batched `predict_many` tape. Every answer must equal the
-    /// indexed per-subject reference, bitwise — regardless of which other
-    /// address modes share the batch.
+    /// per-sample oracle's ranking of the indexed subject, bitwise —
+    /// regardless of which other address modes share the batch.
     #[test]
     fn mixed_compositions_answer_bitwise_identically(
         picks in proptest::collection::vec((0..10_000usize, 0..3u8, 1..6usize), 1..24)
@@ -185,7 +188,7 @@ proptest! {
         let answers = model.predict_many(ctx, &queries, &tables);
         for (&(i, _, k), got) in picks.iter().zip(&answers) {
             let s = samples[i % samples.len()];
-            let want = model.predict_with_k(ctx, &s, &tables, k);
+            let want = support::oracle_predict(&model, ctx, &Subject::from(s), &tables, k);
             prop_assert_eq!(&got.poi_ranking, &want.poi_ranking, "composition broke {:?}", s);
             prop_assert_eq!(&got.tile_ranking, &want.tile_ranking);
             prop_assert_eq!(got.candidate_count, want.candidate_count);

@@ -61,42 +61,34 @@ impl HgatLayer {
         self.out_dim
     }
 
-    /// Applies the layer: `h [N, in] → [N, out]` over the graph structure.
+    /// Applies the layer over the **disjoint union** of one or more
+    /// graphs: `h [N, in] → [N, out]`, where `h` stacks the graphs'
+    /// feature blocks in order and neighbour indices are offset into the
+    /// union. A single graph is the union `&[&graph]`.
     ///
     /// The aggregation runs as **flat padded segmented attention**: per
     /// edge type, every node's neighbour set is gathered into one
     /// zero-padded `[N·D_k, ·]` block (`D_k` = the type's maximum
-    /// degree), scored in a single masked row softmax, and reduced with
-    /// one batched `[1×D_k]·[D_k×out]` product per node — a fixed ~10
-    /// tape nodes per edge type instead of ~8 per *graph node*, which is
-    /// what makes per-sample history encoding affordable inside the
-    /// batched model forward. Padding is numerically transparent: padded
-    /// keys are masked to `-1e9` (their probabilities underflow to exact
-    /// zeros) and padded neighbour features are exact zeros, so each
-    /// node's message is bit-for-bit the softmax-weighted sum over its
-    /// live neighbours; a node with no type-`k` neighbours contributes an
-    /// exact-zero message row, matching the retired per-node loop that
-    /// skipped the type entirely.
-    pub fn forward(&self, graph: &QrpGraph, h: &Tensor) -> Tensor {
-        self.forward_union(&[graph], h)
-    }
-
-    /// Applies the layer over the **disjoint union** of several graphs at
-    /// once: `h` stacks the graphs' feature blocks in order, neighbour
-    /// indices are offset into the union, and every per-edge-type GEMM /
-    /// padded softmax / batched reduction runs once for the whole union
-    /// instead of once per graph. A batch's history encodings therefore
-    /// cost a fixed ~10 tape nodes per edge type *total*.
+    /// degree across the union), scored in a single masked row softmax,
+    /// and reduced with one batched `[1×D_k]·[D_k×out]` product per node
+    /// — a fixed ~10 tape nodes per edge type for the whole union instead
+    /// of ~8 per *graph node*, which is what makes history encoding
+    /// affordable inside the batched model forward. Padding is
+    /// numerically transparent: padded keys are masked to `-1e9` (their
+    /// probabilities underflow to exact zeros) and padded neighbour
+    /// features are exact zeros, so each node's message is bit-for-bit
+    /// the softmax-weighted sum over its live neighbours; a node with no
+    /// type-`k` neighbours contributes an exact-zero message row,
+    /// matching the retired per-node loop that skipped the type entirely.
     ///
-    /// Each node's output row is bitwise the row its own graph's
-    /// [`HgatLayer::forward`] produces: the row-wise GEMMs are
+    /// Each node's output row is therefore bitwise the row a singleton
+    /// union of its own graph produces: the row-wise GEMMs are
     /// row-equivalent, the union-wide padded degree only appends
     /// masked-to-exact-zero score columns (transparent to the row max /
     /// sum / reduction), and an edge type absent from one member graph
     /// but present elsewhere in the union contributes that graph's nodes
     /// an exact-zero message row — the same value the per-graph skip
-    /// produces. A singleton union builds the identical tape, so
-    /// per-sample gradients are bitwise unchanged too.
+    /// produces.
     pub fn forward_union(&self, graphs: &[&QrpGraph], h: &Tensor) -> Tensor {
         assert!(!graphs.is_empty(), "forward_union of zero graphs");
         let n: usize = graphs.iter().map(|g| g.num_nodes()).sum();
@@ -182,11 +174,6 @@ impl Hgat {
         }
     }
 
-    /// Runs all layers.
-    pub fn forward(&self, graph: &QrpGraph, h0: &Tensor) -> Tensor {
-        self.forward_union(&[graph], h0)
-    }
-
     /// Runs all layers over a disjoint union of graphs (see
     /// [`HgatLayer::forward_union`]): `h0` stacks the graphs' initial
     /// feature blocks in order.
@@ -249,7 +236,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let layer = HgatLayer::new(&mut rng, 8, 8);
         let h = init::normal(&mut rng, 0.0, 1.0, vec![g.num_nodes(), 8]);
-        let out = layer.forward(&g, &h);
+        let out = layer.forward_union(&[&g], &h);
         assert_eq!(out.rows(), g.num_nodes());
         assert_eq!(out.cols(), 8);
         for v in out.to_vec() {
@@ -263,7 +250,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let layer = HgatLayer::new(&mut rng, 6, 6);
         let h = init::normal(&mut rng, 0.0, 1.0, vec![g.num_nodes(), 6]);
-        let loss = layer.forward(&g, &h).square().sum_all();
+        let loss = layer.forward_union(&[&g], &h).square().sum_all();
         loss.backward();
         let with_grad = layer
             .params()
@@ -280,7 +267,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let net = Hgat::new(&mut rng, 8, 2);
         let h = init::normal(&mut rng, 0.0, 1.0, vec![g.num_nodes(), 8]);
-        let out = net.forward(&g, &h);
+        let out = net.forward_union(&[&g], &h);
         assert_eq!(out.rows(), g.num_nodes());
         assert_eq!(net.params().len(), 2 * (3 + 3 + 3 + 1));
     }
@@ -300,14 +287,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let layer = HgatLayer::new(&mut rng, 4, 4);
         let base = init::normal(&mut rng, 0.0, 1.0, vec![g.num_nodes(), 4]);
-        let out_a = layer.forward(&g, &base).to_vec();
+        let out_a = layer.forward_union(&[&g], &base).to_vec();
         // Perturb `node`'s features.
         let mut data = base.to_vec();
         for c in 0..4 {
             data[node * 4 + c] += 3.0;
         }
         let perturbed = Tensor::from_vec(data, vec![g.num_nodes(), 4]);
-        let out_b = layer.forward(&g, &perturbed).to_vec();
+        let out_b = layer.forward_union(&[&g], &perturbed).to_vec();
         let diff: f32 = (0..4)
             .map(|c| (out_a[neighbor * 4 + c] - out_b[neighbor * 4 + c]).abs())
             .sum();
@@ -331,7 +318,11 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..60 {
             optim::zero_grad(&params);
-            let loss = layer.forward(&g, &h).sub(&target).square().mean_all();
+            let loss = layer
+                .forward_union(&[&g], &h)
+                .sub(&target)
+                .square()
+                .mean_all();
             last = loss.item();
             first.get_or_insert(last);
             loss.backward();

@@ -11,11 +11,11 @@ use tspn::core::embed::Me1;
 use tspn::geo::BBox;
 use tspn::imagery::TileRenderer;
 use tspn::tensor::nn::{Linear, Module};
-use tspn::tensor::{optim, Tensor};
+use tspn::tensor::optim;
 use tspn::world::{Coast, LandUse, World, WorldConfig};
 
 /// Renders labelled tiles: water vs commercial-downtown vs park/suburb.
-fn labelled_tiles(world: &World, n_per_class: usize) -> Vec<(Tensor, usize)> {
+fn labelled_tiles(world: &World, n_per_class: usize) -> Vec<(Vec<f32>, usize)> {
     let region = BBox::new(0.0, 0.0, 1.0, 1.0);
     let renderer = TileRenderer::new(world, region);
     let mut out = Vec::new();
@@ -44,7 +44,7 @@ fn labelled_tiles(world: &World, n_per_class: usize) -> Vec<(Tensor, usize)> {
                 (x + half).min(1.0),
             );
             let img = renderer.render(&bbox, 8);
-            out.push((Tensor::from_vec(img.to_chw_f32(), vec![3, 8, 8]), label));
+            out.push((img.to_chw_f32(), label));
             if counts.iter().all(|&c| c >= n_per_class) {
                 break 'outer;
             }
@@ -74,11 +74,11 @@ fn me1_learns_land_use_from_pixels() {
     params.extend(head.params());
     let mut opt = optim::Adam::new(5e-3);
 
-    let images: Vec<Tensor> = tiles.iter().map(|(t, _)| t.clone()).collect();
+    let images: Vec<Vec<f32>> = tiles.iter().map(|(t, _)| t.clone()).collect();
     let labels: Vec<usize> = tiles.iter().map(|(_, l)| *l).collect();
 
     let accuracy = |me1: &Me1, head: &Linear| -> f64 {
-        let feats = me1.embed_tiles(&images);
+        let feats = me1.embed_tiles_chw(&images).l2_normalize_rows();
         let logits = head.forward(&feats);
         let v = logits.to_vec();
         let c = logits.cols();
@@ -102,7 +102,7 @@ fn me1_learns_land_use_from_pixels() {
     let before = accuracy(&me1, &head);
     for _ in 0..60 {
         optim::zero_grad(&params);
-        let feats = me1.embed_tiles(&images);
+        let feats = me1.embed_tiles_chw(&images).l2_normalize_rows();
         let logits = head.forward(&feats);
         let loss = logits.cross_entropy_logits(&labels);
         loss.backward();
