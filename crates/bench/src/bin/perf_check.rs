@@ -3,16 +3,19 @@
 //!
 //! * `train_epoch` / `evaluate_test_split` — more than `--max-ratio`
 //!   (default 1.2×) slower;
-//! * `serve_p50_us` / `serve_p99_us` / `serve_qps` — the serving-layer
-//!   metrics merged in by `serve_bench`, gated at the *lenient*
-//!   `--serve-max-ratio` (default 1.5×, CI machines are noisy about
-//!   socket latency). `serve_qps` is a throughput: it fails when it
-//!   *drops* by the ratio, not when it rises.
+//! * `serve_v1_p50_us` / `serve_v1_p99_us` / `serve_v1_qps` — the
+//!   serving-layer metrics merged in by `serve_bench`, gated at the
+//!   *lenient* `--serve-max-ratio` (default 1.5×, CI machines are noisy
+//!   about socket latency). `serve_v1_qps` is a throughput: it fails when
+//!   it *drops* by the ratio, not when it rises.
 //!
-//! Metrics present in only one snapshot are reported and never fail the
-//! check (snapshots grow new metrics across generations — `serve_*` keys
-//! exist from `BENCH_3.json` on), and metric entries may carry their
-//! magnitude as `seconds` (timings) or `value` + `unit` (anything else).
+//! A metric new in the candidate is reported and never fails (snapshots
+//! grow new metrics across generations). A **gated** baseline metric
+//! missing from the candidate fails, unless [`RETIRED`] names it *and*
+//! its replacement is gated in this comparison (present in both
+//! snapshots) — so a gate can only be retired in favour of another one,
+//! never silently dropped. Metric entries may carry their magnitude as
+//! `seconds` (timings) or `value` + `unit` (anything else).
 //!
 //! ```text
 //! cargo run --release -p tspn-bench --bin perf_check -- BENCH_2.json BENCH_3.json
@@ -102,13 +105,37 @@ enum Gate {
 fn gate_for(name: &str) -> Gate {
     match name {
         "train_epoch" | "evaluate_test_split" => Gate::LowerIsBetter,
-        // Legacy index-addressed and v1 payload-addressed load phases
-        // gate identically (the payload path is the client-facing one).
-        "serve_p50_us" | "serve_p99_us" | "serve_v1_p50_us" | "serve_v1_p99_us" => {
-            Gate::ServeLowerIsBetter
-        }
-        "serve_qps" | "serve_v1_qps" => Gate::ServeHigherIsBetter,
+        "serve_v1_p50_us" | "serve_v1_p99_us" => Gate::ServeLowerIsBetter,
+        "serve_v1_qps" => Gate::ServeHigherIsBetter,
         _ => Gate::Informational,
+    }
+}
+
+/// Gated metrics that are no longer produced, each with the gated metric
+/// that replaced it. The `serve_*` trio timed the index-addressed
+/// `POST /predict` load, which was retired with that endpoint; the same
+/// load on `/v1/predict` gates `serve_v1_*` at the same bound.
+const RETIRED: &[(&str, &str)] = &[
+    ("serve_p50_us", "serve_v1_p50_us"),
+    ("serve_p99_us", "serve_v1_p99_us"),
+    ("serve_qps", "serve_v1_qps"),
+];
+
+fn has(snapshot: &Snapshot, name: &str) -> bool {
+    snapshot.metrics.iter().any(|m| m.name == name)
+}
+
+/// Verdict on a baseline metric the candidate lacks: `Ok` with a note
+/// when nothing is lost (the metric was never gated, or it is retired and
+/// its replacement is gated in this comparison), `Err` with the reason
+/// otherwise.
+fn check_dropped(name: &str, base: &Snapshot, cand: &Snapshot) -> Result<String, String> {
+    let gated = |n: &str| gate_for(n) != Gate::Informational && has(base, n) && has(cand, n);
+    match RETIRED.iter().find(|(old, _)| *old == name) {
+        Some((_, new)) if gated(new) => Ok(format!("retired; gated as {new}")),
+        Some((_, new)) => Err(format!("retired, but {new} is not gated here")),
+        None if gate_for(name) == Gate::Informational => Ok("dropped; not gated".into()),
+        None => Err("gated metric missing from candidate".into()),
     }
 }
 
@@ -201,14 +228,17 @@ fn main() {
             fmt_magnitude(new),
         );
     }
-    for old in &base.metrics {
-        if !cand.metrics.iter().any(|m| m.name == old.name) {
-            println!(
-                "{:<24} {:>14}  (dropped from candidate; not gated)",
-                old.name,
-                fmt_magnitude(old)
-            );
-        }
+    for old in base.metrics.iter().filter(|o| !has(&cand, &o.name)) {
+        let (note, verdict) = match check_dropped(&old.name, &base, &cand) {
+            Ok(note) => (note, "ok"),
+            Err(reason) => (reason, "FAIL"),
+        };
+        failed |= verdict == "FAIL";
+        println!(
+            "{:<24} {:>14}  ({note}) {verdict}",
+            old.name,
+            fmt_magnitude(old)
+        );
     }
     if failed {
         eprintln!(
@@ -220,4 +250,53 @@ fn main() {
     println!(
         "perf_check: no gated regressions (time gate {max_ratio:.2}x, serve gate {serve_max_ratio:.2}x)"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn snapshot(names: &[&str]) -> Snapshot {
+        Snapshot {
+            generation: 0.0,
+            threads: 1.0,
+            metrics: names
+                .iter()
+                .map(|n| Metric {
+                    name: (*n).to_string(),
+                    magnitude: 1.0,
+                    unit: "us".to_string(),
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn a_missing_gated_metric_fails() {
+        let base = snapshot(&["train_epoch", "serve_v1_p99_us"]);
+        let cand = snapshot(&["serve_v1_p99_us"]);
+        assert!(check_dropped("train_epoch", &base, &cand).is_err());
+        let cand = snapshot(&["train_epoch"]);
+        assert!(check_dropped("serve_v1_p99_us", &base, &cand).is_err());
+    }
+
+    #[test]
+    fn a_missing_informational_metric_passes() {
+        let base = snapshot(&["gemm_128"]);
+        assert!(check_dropped("gemm_128", &base, &snapshot(&[])).is_ok());
+    }
+
+    #[test]
+    fn a_retired_metric_passes_only_with_its_replacement_gated() {
+        let base = snapshot(&["serve_p99_us", "serve_v1_p99_us", "serve_qps"]);
+        let cand = snapshot(&["serve_v1_p99_us"]);
+        let note = check_dropped("serve_p99_us", &base, &cand).expect("replacement gated");
+        assert!(note.contains("serve_v1_p99_us"), "{note}");
+        // Replacement missing from the candidate.
+        assert!(check_dropped("serve_qps", &base, &cand).is_err());
+        // Replacement in the candidate but with no baseline to gate against.
+        let base = snapshot(&["serve_qps"]);
+        let cand = snapshot(&["serve_v1_qps"]);
+        assert!(check_dropped("serve_qps", &base, &cand).is_err());
+    }
 }

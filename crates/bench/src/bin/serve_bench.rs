@@ -10,16 +10,15 @@
 //! ```
 //!
 //! The load phase drives `--connections` (default 8) concurrent
-//! keep-alive connections, `--requests` (default 50) predict calls each,
-//! in **two** rounds — legacy index-addressed `/predict` and
-//! payload-addressed `/v1/predict` — and reports `serve_p50_us` /
-//! `serve_p99_us` / `serve_qps` (legacy) plus `serve_v1_p50_us` /
-//! `serve_v1_p99_us` / `serve_v1_qps` (payload). `--merge` appends those
-//! metrics into an existing `perf_snapshot` JSON so `perf_check` gates
-//! them alongside the training/evaluation timings, plus one
-//! `serve_lane<i>_*` group per batcher lane read from the v2 stats view
-//! (report-only against pre-lane baselines). `--lanes N` shards the
-//! self-hosted server into N user-partitioned batcher lanes.
+//! keep-alive connections, `--requests` (default 50) payload-addressed
+//! `/v1/predict` calls each (every dataset sample's raw check-in stream),
+//! after one untimed warm-up round, and reports `serve_v1_p50_us` /
+//! `serve_v1_p99_us` / `serve_v1_qps`.
+//! `--merge` appends those metrics into an existing `perf_snapshot` JSON
+//! so `perf_check` gates them alongside the training/evaluation timings,
+//! plus one `serve_lane<i>_*` group per batcher lane read from the stats
+//! view (report-only against pre-lane baselines). `--lanes N` shards the
+//! self-hosted server into N batcher lanes.
 //!
 //! `--chaos` switches to the fault/overload harness instead of the load
 //! phases: a self-hosted run arms the chaos layer itself (25 ms flush
@@ -33,20 +32,21 @@
 //! as `serve_chaos_*` metrics (report-only against older baselines).
 //!
 //! `--smoke` additionally asserts protocol correctness: `/healthz`,
-//! valid and *bitwise-reference-identical* top-k answers on the legacy,
-//! payload, and session endpoints, the full session lifecycle
-//! (create → append → predict → delete → gone, plus TTL expiry when
-//! `--session-ttl-ms` names the server's TTL), typed-error statuses
-//! (404/405/410/422), `/admin/reload` hot-swap (with `--ckpt`), and
-//! rejection of corrupt checkpoints.
+//! stats schema v3, valid and *bitwise-reference-identical* top-k
+//! answers on the payload and session endpoints, the full session
+//! lifecycle (create → append → predict → delete → gone, plus TTL
+//! expiry when `--session-ttl-ms` names the server's TTL), typed-error
+//! statuses (404/405/410/422), `/admin/reload` hot-swap (with `--ckpt`),
+//! and rejection of corrupt checkpoints.
 
 use std::time::{Duration, Instant};
 
 use serde::Value;
 use tspn_core::{Predictor, Query, SpatialContext, TspnConfig};
 use tspn_data::synth::{generate_dataset, SynthConfig};
-use tspn_data::{PoiId, Sample};
+use tspn_data::{LbsnDataset, PoiId, Sample};
 use tspn_serve::client::RetryPolicy;
+use tspn_serve::shard::shard_of_content;
 use tspn_serve::{
     protocol, server, BatchConfig, ChaosConfig, Client, ServerConfig, ServerHandle, SessionConfig,
 };
@@ -145,8 +145,10 @@ fn build_context(args: &Args) -> (TspnConfig, SpatialContext) {
     (model_cfg, ctx)
 }
 
-fn predict_body(s: &Sample, k: usize, top: usize) -> String {
-    protocol::predict_request_body(s, k, top)
+/// The `/v1/predict` body carrying a sample's raw check-in stream; the
+/// server answers it bitwise like the offline `Query::with_top(s, 4, 10)`.
+fn v1_body(ds: &LbsnDataset, s: &Sample) -> String {
+    protocol::v1_predict_request_body(s.user_index, &ds.sample_checkins(s), 4, 10)
 }
 
 fn pois_of(v: &Value) -> Vec<PoiId> {
@@ -168,12 +170,7 @@ fn main() {
     // The v1 payload bodies need each sample's raw check-in stream;
     // render them from the first context now, before it is consumed, so
     // no path ever rebuilds the dataset just for the load phase.
-    let v1_bodies: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            protocol::v1_predict_request_body(s.user_index, &ctx.dataset.sample_checkins(s), 4, 10)
-        })
-        .collect();
+    let v1_bodies: Vec<String> = samples.iter().map(|s| v1_body(&ctx.dataset, s)).collect();
 
     // The first context then feeds whichever consumer needs one: the
     // bitwise reference predictor (smoke only — the plain load/merge
@@ -249,8 +246,8 @@ fn main() {
     }
 
     if args.chaos {
-        // Chaos replaces the load phases: a chaos-armed server's flush
-        // delay would poison the serve_* latency metrics.
+        // Chaos replaces the load phase: a chaos-armed server's flush
+        // delay would poison the serve_v1_* latency metrics.
         let reference = reference.as_ref().expect("chaos builds a reference");
         let report = chaos_phase(&addr, reference, &samples);
         if let Some(path) = &args.merge {
@@ -278,48 +275,27 @@ fn main() {
         return;
     }
 
-    // Legacy index-addressed load, then the v1 payload-addressed load.
-    let legacy_bodies: Vec<String> = samples.iter().map(|s| predict_body(s, 4, 10)).collect();
-    let (p50_us, p99_us, qps, sheds) = load_phase(
-        &addr,
-        "/predict",
-        &legacy_bodies,
-        args.connections,
-        args.requests,
-    );
-    println!("serve_p50_us            {p50_us:>12.1}");
-    println!("serve_p99_us            {p99_us:>12.1}");
-    println!("serve_qps               {qps:>12.1}");
-
-    let (v1_p50_us, v1_p99_us, v1_qps, v1_sheds) = load_phase(
-        &addr,
-        "/v1/predict",
-        &v1_bodies,
-        args.connections,
-        args.requests,
-    );
+    // An untimed round first warms each lane's history memo, as the
+    // retired index-addressed round did before every committed baseline's
+    // serve_v1_* round, so the timed round measures the same steady state.
+    let round = || load_phase(&addr, &v1_bodies, args.connections, args.requests);
+    round();
+    let (v1_p50_us, v1_p99_us, v1_qps, sheds) = round();
     println!("serve_v1_p50_us         {v1_p50_us:>12.1}");
     println!("serve_v1_p99_us         {v1_p99_us:>12.1}");
     println!("serve_v1_qps            {v1_qps:>12.1}");
-    if sheds + v1_sheds > 0 {
-        println!("serve_shed_responses    {:>12}", sheds + v1_sheds);
+    if sheds > 0 {
+        println!("serve_shed_responses    {sheds:>12}");
     }
 
     if let Some(path) = &args.merge {
         let mut metrics: Vec<(String, f64, &str)> = vec![
-            ("serve_p50_us".into(), p50_us, "us"),
-            ("serve_p99_us".into(), p99_us, "us"),
-            ("serve_qps".into(), qps, "qps"),
             ("serve_v1_p50_us".into(), v1_p50_us, "us"),
             ("serve_v1_p99_us".into(), v1_p99_us, "us"),
             ("serve_v1_qps".into(), v1_qps, "qps"),
-            (
-                "serve_shed_responses".into(),
-                (sheds + v1_sheds) as f64,
-                "count",
-            ),
+            ("serve_shed_responses".into(), sheds as f64, "count"),
         ];
-        // Per-lane breakdown from the v2 stats view: shard imbalance
+        // Per-lane breakdown from the stats view: shard imbalance
         // shows up as `serve_lane<i>_served` skew long before it moves
         // the aggregate percentiles.
         metrics.extend(lane_metrics(&addr));
@@ -385,18 +361,25 @@ fn smoke(
     );
 
     // The stats endpoint carries the same ledger in structured form —
-    // schema v2 since the lane split: build info at the top level, the
-    // fleet-wide counters under `aggregate`, and one entry per batcher
-    // lane under `lanes`.
+    // schema v3: build info at the top level, the fleet-wide counters
+    // under `aggregate`, and one entry per batcher lane under `lanes`.
     let (status, text) = client.get("/v1/stats").expect("smoke: stats I/O");
     assert_eq!(status, 200, "stats failed: {text}");
     let stats: Value = serde_json::from_str(&text).expect("stats JSON");
     assert_eq!(
         stats.get("schema_version").and_then(Value::as_usize),
-        Some(2),
-        "stats must declare schema v2: {text}"
+        Some(3),
+        "stats must declare schema v3: {text}"
     );
     let aggregate = stats.get("aggregate").expect("stats aggregate ledger");
+    // The two predict endpoints partition the served total.
+    let served = aggregate.get("served").expect("stats served counters");
+    let count = |key: &str| num_of(served, &[key]);
+    assert!(
+        served.get("legacy_predict").is_none()
+            && count("total") == count("v1_predict") + count("session_predict"),
+        "stats v3 served total must be v1_predict + session_predict: {text}"
+    );
     assert_eq!(
         aggregate.get("ready").and_then(Value::as_bool),
         Some(true),
@@ -475,16 +458,15 @@ fn smoke(
         println!("serve_bench: hot-swapped {path}");
     }
 
-    // Valid + bitwise-identical top-k answers, legacy AND v1 payload: the
-    // raw check-in stream must reproduce the index-addressed ranking
-    // exactly, which in turn matches the offline reference.
+    // Valid + bitwise-identical top-k answers: a sample's raw check-in
+    // stream must reproduce the offline index-addressed ranking exactly.
     let ds = &reference.ctx().dataset;
     for (i, s) in samples.iter().take(5).enumerate() {
         let (status, text) = client
-            .post("/predict", &predict_body(s, 4, 10))
-            .expect("smoke: predict I/O");
-        assert_eq!(status, 200, "predict {i} failed: {text}");
-        let v: Value = serde_json::from_str(&text).expect("predict JSON");
+            .post("/v1/predict", &v1_body(ds, s))
+            .expect("smoke: v1 predict I/O");
+        assert_eq!(status, 200, "v1 predict {i} failed: {text}");
+        let v: Value = serde_json::from_str(&text).expect("v1 predict JSON");
         let served = pois_of(&v);
         assert!(!served.is_empty(), "empty top-k for {s:?}");
         let mut unique: Vec<usize> = served.iter().map(|p| p.0).collect();
@@ -494,24 +476,10 @@ fn smoke(
         let offline = reference.predict_one(&Query::with_top(*s, 4, 10));
         assert_eq!(
             served, offline.pois,
-            "served ranking diverged from offline predict"
-        );
-
-        let body = protocol::v1_predict_request_body(s.user_index, &ds.sample_checkins(s), 4, 10);
-        let (status, text) = client
-            .post("/v1/predict", &body)
-            .expect("smoke: v1 predict I/O");
-        assert_eq!(status, 200, "v1 predict {i} failed: {text}");
-        let v: Value = serde_json::from_str(&text).expect("v1 predict JSON");
-        assert_eq!(
-            pois_of(&v),
-            offline.pois,
             "payload-addressed ranking diverged from offline predict"
         );
     }
-    println!(
-        "serve_bench: legacy and v1-payload top-k answers bitwise-identical to offline predict"
-    );
+    println!("serve_bench: v1-payload top-k answers bitwise-identical to offline predict");
 
     smoke_sessions(&mut client, reference, samples, session_ttl_ms);
     smoke_typed_errors(&mut client, reference);
@@ -528,7 +496,7 @@ fn smoke(
     std::fs::remove_file(&corrupt).ok();
     let s = samples[0];
     let (status, text) = client
-        .post("/predict", &predict_body(&s, 4, 10))
+        .post("/v1/predict", &v1_body(ds, &s))
         .expect("smoke I/O");
     assert_eq!(
         status, 200,
@@ -736,13 +704,13 @@ fn smoke_typed_errors(client: &mut Client, reference: &Predictor) {
 }
 
 /// Drives the load: `connections` threads, `requests` keep-alive POSTs
-/// of `bodies` (round-robin) to `path`, through the retrying client so a
-/// transient shed backs off and is counted instead of failing the run;
+/// of `bodies` (round-robin) to `/v1/predict`, through the retrying
+/// client so a transient shed backs off and is counted instead of
+/// failing the run;
 /// returns `(p50_us, p99_us, qps, sheds)` from client-observed latencies
 /// of accepted (200) answers.
 fn load_phase(
     addr: &str,
-    path: &str,
     bodies: &[String],
     connections: usize,
     requests: usize,
@@ -761,7 +729,12 @@ fn load_phase(
                     let body = &bodies[(c * requests + r) % bodies.len()];
                     let t0 = Instant::now();
                     let resp = client
-                        .request_with_retry("POST", path, Some(body), RetryPolicy::default())
+                        .request_with_retry(
+                            "POST",
+                            "/v1/predict",
+                            Some(body),
+                            RetryPolicy::default(),
+                        )
                         .expect("load: predict I/O");
                     let dt = t0.elapsed();
                     match resp.status {
@@ -839,8 +812,8 @@ fn num_of(v: &Value, path: &[&str]) -> u64 {
 fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosReport {
     let mut client = Client::connect(addr).expect("chaos: connect");
 
-    // Pin the driven sample to lane 0 of whatever the server reports via
-    // `/v1/topology`: CI faults exactly lane 0 (`TSPN_SERVE_FAULT_LANE=0`)
+    // Pin the driven payload to lane 0 of whatever the server reports via
+    // `/v1/topology` (payloads shard on content): CI faults exactly lane 0 (`TSPN_SERVE_FAULT_LANE=0`)
     // and a self-hosted run faults every lane, so lane 0 is always a
     // faulted lane and the storm is guaranteed to meet the injected
     // panics rather than sailing past them on an unfaulted shard.
@@ -852,11 +825,10 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
         .and_then(|v| protocol::parse_topology(&v))
         .map(|t| t.lanes.max(1))
         .unwrap_or(1);
-    let s = *samples
-        .iter()
-        .find(|s| tspn_serve::shard::shard_of_user(s.user_index, lanes) == 0)
-        .unwrap_or(&samples[0]);
-    let body = predict_body(&s, 4, 10);
+    let ds = &reference.ctx().dataset;
+    let on_lane0 = |s: &&Sample| shard_of_content(s.user_index, &ds.sample_checkins(s), lanes) == 0;
+    let s = *samples.iter().find(on_lane0).unwrap_or(&samples[0]);
+    let body = v1_body(ds, &s);
 
     // Stage 1: storm drain.
     let mut consecutive_ok = 0usize;
@@ -868,7 +840,7 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
             "chaos: server never settled after its crash storm"
         );
         let resp = client
-            .request_full("POST", "/predict", Some(&body))
+            .request_full("POST", "/v1/predict", Some(&body))
             .expect("chaos: storm response must be typed, not a reset");
         match resp.status {
             200 => consecutive_ok += 1,
@@ -890,7 +862,7 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
         .map(|_| {
             let t0 = Instant::now();
             let resp = client
-                .request_full("POST", "/predict", Some(&body))
+                .request_full("POST", "/v1/predict", Some(&body))
                 .expect("chaos: calm I/O");
             assert_eq!(resp.status, 200, "calm predict shed: {}", resp.body);
             t0.elapsed().as_micros() as u64
@@ -911,7 +883,7 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
                 for _ in 0..3 {
                     if let Ok(mut stream) = std::net::TcpStream::connect(&addr) {
                         let head = format!(
-                            "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+                            "POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
                             body.len()
                         );
                         use std::io::Write;
@@ -939,7 +911,7 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
                         .expect("slow read timeout");
                     use std::io::{Read, Write};
                     let head = format!(
-                        "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                        "POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
                         body.len()
                     );
                     let bytes = head.as_bytes();
@@ -973,7 +945,7 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
                 for _ in 0..per_conn {
                     let t0 = Instant::now();
                     let resp = client
-                        .request_full("POST", "/predict", Some(&body))
+                        .request_full("POST", "/v1/predict", Some(&body))
                         .expect("chaos: blast response must be typed, not a reset");
                     let us = t0.elapsed().as_micros() as u64;
                     if resp.status != 200 {
@@ -1029,7 +1001,7 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
     // Stage 4: recovery.
     let recover_deadline = Instant::now() + Duration::from_secs(30);
     let stats = loop {
-        // The v2 aggregate sums every lane's queue/readiness, which is
+        // The stats aggregate sums every lane's queue/readiness, which is
         // exactly the fleet-wide recovery question being asked here.
         let (status, text) = client.get("/v1/stats").expect("chaos: stats I/O");
         assert_eq!(status, 200);
@@ -1049,7 +1021,9 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
     let restarts = num_of(&stats, &["overload", "restarts"]);
     let injected_panics = num_of(&stats, &["chaos", "injected_panics"]);
 
-    let (status, text) = client.post("/predict", &body).expect("chaos: recovery I/O");
+    let (status, text) = client
+        .post("/v1/predict", &body)
+        .expect("chaos: recovery I/O");
     assert_eq!(status, 200, "post-chaos predict failed: {text}");
     let v: Value = serde_json::from_str(&text).expect("recovery JSON");
     assert_eq!(
@@ -1071,9 +1045,9 @@ fn chaos_phase(addr: &str, reference: &Predictor, samples: &[Sample]) -> ChaosRe
     }
 }
 
-/// Reads the server's v2 stats and renders one `serve_lane<i>_*` metric
+/// Reads the server's stats and renders one `serve_lane<i>_*` metric
 /// group per lane (served/batches/shed_total/restarts). Best-effort: an
-/// unreachable server or a pre-v2 body just yields no lane metrics.
+/// unreachable server or a pre-lane body just yields no lane metrics.
 fn lane_metrics(addr: &str) -> Vec<(String, f64, &'static str)> {
     let mut out = Vec::new();
     let Ok(mut client) = Client::connect(addr) else {

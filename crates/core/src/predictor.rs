@@ -32,9 +32,7 @@ use crate::trainer::Trainer;
 /// selector's K, and how many results to keep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
-    /// What to predict for. Unlike evaluation samples, an indexed
-    /// subject's `prefix_len` may equal the trajectory length: serving
-    /// predicts the not-yet-observed *next* visit.
+    /// What to predict for.
     pub subject: Subject,
     /// Top-K tiles kept by the tile selector (step 1).
     pub k: usize,
@@ -164,25 +162,6 @@ impl Predictor {
         self.trainer.model.save()
     }
 
-    /// True when a sample addresses a real `(user, trajectory)` with a
-    /// servable prefix (`1 ≤ prefix_len ≤ len`; the upper bound is
-    /// inclusive because serving predicts the next, unseen visit).
-    pub fn sample_is_servable(&self, sample: &Sample) -> bool {
-        Subject::Indexed(*sample)
-            .validate(&self.trainer.ctx)
-            .is_ok()
-    }
-
-    /// Validates any subject against the served dataset — index bounds
-    /// for indexed subjects, vocabulary bounds and non-emptiness for
-    /// ad-hoc ones (see [`Subject::validate`]).
-    ///
-    /// # Errors
-    /// A client-facing message naming the first violation.
-    pub fn validate_subject(&self, subject: &Subject) -> Result<(), String> {
-        subject.validate(&self.trainer.ctx)
-    }
-
     /// Validates a checkpoint against this model without touching any
     /// parameter: every named parameter must be present with the exact
     /// shape, and every stored value must be finite.
@@ -307,37 +286,6 @@ mod tests {
         let cut = pred.predict_one(&Query::with_top(s, 4, 3));
         assert_eq!(cut.pois.as_slice(), &full.pois[..3.min(full.pois.len())]);
         assert_eq!(cut.candidate_count, full.candidate_count);
-    }
-
-    #[test]
-    fn next_visit_queries_are_servable() {
-        // prefix_len == trajectory length is the true online-serving case
-        // (no ground-truth target exists yet); it must predict fine.
-        let (pred, samples) = tiny_predictor();
-        let (user_index, traj_index) = (samples[0].user_index, samples[0].traj_index);
-        let len = pred.ctx().dataset.users[user_index].trajectories[traj_index]
-            .visits
-            .len();
-        let s = Sample {
-            user_index,
-            traj_index,
-            prefix_len: len,
-        };
-        assert!(pred.sample_is_servable(&s));
-        let top = pred.predict_one(&Query::with_top(s, 4, 5));
-        assert!(!top.pois.is_empty());
-        // One past the end is not servable.
-        let bad = Sample {
-            user_index,
-            traj_index,
-            prefix_len: len + 1,
-        };
-        assert!(!pred.sample_is_servable(&bad));
-        assert!(!pred.sample_is_servable(&Sample {
-            user_index: usize::MAX,
-            traj_index: 0,
-            prefix_len: 1
-        }));
     }
 
     #[test]

@@ -63,59 +63,6 @@ impl Subject {
             Subject::AdHoc(t) => !t.history.is_empty(),
         }
     }
-
-    /// Validates the subject against a context: indexed subjects must
-    /// address a real `(user, trajectory)` with a servable prefix
-    /// (`1 ≤ prefix_len ≤ len` — the upper bound is inclusive because
-    /// serving predicts the next, unseen visit); ad-hoc subjects must be
-    /// non-empty with every POI id inside the vocabulary.
-    ///
-    /// # Errors
-    /// A client-facing message naming the first violation.
-    pub fn validate(&self, ctx: &SpatialContext) -> Result<(), String> {
-        match self {
-            Subject::Indexed(s) => {
-                let servable = ctx
-                    .dataset
-                    .users
-                    .get(s.user_index)
-                    .and_then(|u| u.trajectories.get(s.traj_index))
-                    .is_some_and(|t| s.prefix_len >= 1 && s.prefix_len <= t.visits.len());
-                if servable {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "no servable history at user {} trajectory {} prefix {}",
-                        s.user_index, s.traj_index, s.prefix_len
-                    ))
-                }
-            }
-            Subject::AdHoc(t) => {
-                if t.current.is_empty() {
-                    return Err("check-in sequence has an empty current prefix".to_string());
-                }
-                let vocab = ctx.dataset.pois.len();
-                let bad = tspn_data::first_invalid_poi(&t.history, vocab).or_else(|| {
-                    tspn_data::first_invalid_poi(&t.current, vocab).map(|i| i + t.history.len())
-                });
-                match bad {
-                    Some(i) => {
-                        let v = t
-                            .history
-                            .iter()
-                            .chain(t.current.iter())
-                            .nth(i)
-                            .expect("index from the stream itself");
-                        Err(format!(
-                            "check-in {i} names POI {} outside the vocabulary (0..{vocab})",
-                            v.poi.0
-                        ))
-                    }
-                    None => Ok(()),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +71,7 @@ mod tests {
     use crate::config::{Partition, TspnConfig};
     use tspn_data::presets::nyc_mini;
     use tspn_data::synth::generate_dataset;
-    use tspn_data::{PoiId, UserId, DEFAULT_GAP_SECS};
+    use tspn_data::{UserId, DEFAULT_GAP_SECS};
 
     fn tiny_ctx() -> SpatialContext {
         let mut dcfg = nyc_mini(0.1);
@@ -154,36 +101,5 @@ mod tests {
         ));
         assert_eq!(indexed.prefix(&ctx), adhoc.prefix(&ctx));
         assert_eq!(indexed.has_history(), adhoc.has_history());
-        indexed.validate(&ctx).unwrap();
-        adhoc.validate(&ctx).unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_bad_subjects() {
-        let ctx = tiny_ctx();
-        let bad_index = Subject::Indexed(Sample {
-            user_index: usize::MAX,
-            traj_index: 0,
-            prefix_len: 1,
-        });
-        assert!(bad_index.validate(&ctx).unwrap_err().contains("servable"));
-
-        let vocab = ctx.dataset.pois.len();
-        let bad_poi = Subject::AdHoc(Arc::new(AdHocTrajectory {
-            user: UserId(0),
-            history: Vec::new(),
-            current: vec![Visit {
-                poi: PoiId(vocab),
-                time: 0,
-            }],
-        }));
-        assert!(bad_poi.validate(&ctx).unwrap_err().contains("vocabulary"));
-
-        let empty = Subject::AdHoc(Arc::new(AdHocTrajectory {
-            user: UserId(0),
-            history: Vec::new(),
-            current: Vec::new(),
-        }));
-        assert!(empty.validate(&ctx).unwrap_err().contains("empty"));
     }
 }

@@ -138,26 +138,6 @@ fn every_in_dataset_trajectory_predicts_identically_by_payload_and_index() {
     }
 }
 
-#[test]
-fn validation_accepts_all_payloads_and_rejects_corrupted_ones() {
-    let (pred, samples) = setup_predictor();
-    let ctx = pred.ctx();
-    for s in samples.iter().take(8) {
-        let subject = Subject::AdHoc(payload_subject(ctx, s));
-        pred.validate_subject(&subject).expect("valid payload");
-    }
-    let vocab = ctx.dataset.pois.len();
-    let bad = Subject::AdHoc(Arc::new(AdHocTrajectory {
-        user: UserId(0),
-        history: Vec::new(),
-        current: vec![Visit {
-            poi: tspn_data::PoiId(vocab + 3),
-            time: 0,
-        }],
-    }));
-    assert!(pred.validate_subject(&bad).is_err());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

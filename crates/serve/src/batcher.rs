@@ -1,5 +1,5 @@
 //! The request micro-batcher: a bounded queue that coalesces concurrent
-//! `/predict` requests into one batched `no_grad` forward.
+//! predict requests into one batched `no_grad` forward.
 //!
 //! Handler threads [`Batcher::try_submit`] queries and block on a
 //! per-request channel; the single batcher thread collects a batch and

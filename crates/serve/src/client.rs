@@ -460,7 +460,6 @@ mod tests {
     fn idempotency_is_decided_by_method_and_path() {
         assert!(is_idempotent("GET", "/v1/sessions"));
         assert!(is_idempotent("DELETE", "/v1/sessions/s1"));
-        assert!(is_idempotent("POST", "/predict"));
         assert!(is_idempotent("POST", "/v1/predict"));
         assert!(is_idempotent("POST", "/v1/sessions/s1/predict"));
         assert!(!is_idempotent("POST", "/v1/sessions"));

@@ -422,7 +422,7 @@ mod tests {
     #[test]
     fn incremental_parser_rejects_oversized_declarations_without_the_body() {
         // 413 fires the moment the headers complete, body unseen.
-        let mut buf = b"POST /predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n".to_vec();
+        let mut buf = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n".to_vec();
         let err = try_parse_request(&mut buf, 4096).expect_err("must refuse");
         let ReadError::Bad { status, .. } = err else {
             panic!("expected Bad");
@@ -520,7 +520,7 @@ mod tests {
     fn oversized_body_yields_413_without_buffering_it() {
         let (mut conn, mut client) = pair();
         client
-            .write_all(b"POST /predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n")
+            .write_all(b"POST /v1/predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n")
             .expect("w");
         let err = drive(&mut conn, 4096).expect_err("must refuse");
         let ReadError::Bad { status, .. } = err else {

@@ -11,9 +11,9 @@
 //! `POST /v1/predict` is *payload-addressed* (the request carries the raw
 //! check-in sequence), and the `POST /v1/sessions` family maintains
 //! per-user trajectory state server-side with incremental appends over a
-//! bounded, TTL-evicting [`session::SessionStore`]. The pre-v1
-//! index-addressed `POST /predict` survives as a thin adapter over the
-//! same batched prediction path. Errors are typed
+//! bounded, TTL-evicting [`session::SessionStore`]. Both feed the same
+//! batched prediction path; every prediction enters as a check-in
+//! stream. Errors are typed
 //! (`{"error":{"code":…,"message":…}}` with 400/404/405/410/422).
 //!
 //! See `crates/serve/README.md` for the full API reference, the batching

@@ -12,11 +12,14 @@
 //! | `DELETE /v1/sessions/{id}` | – | `{"ok":true}` |
 //! | `GET /v1/stats` | – | serving + session-store counters, build info (kernel tier, threads) |
 //!
-//! ## Legacy + admin
+//! Every prediction is addressed by a check-in stream: the payload of
+//! `/v1/predict` or a session's accumulated visits. There is no
+//! dataset-index dialect (the old `POST /predict` is a `404 not_found`).
+//!
+//! ## Health + admin
 //!
 //! | Endpoint | Body | Answer |
 //! |---|---|---|
-//! | `POST /predict` | `{"user":U,"traj":T,"prefix_len":P[,"k":K][,"top":N]}` | as `/v1/predict` |
 //! | `GET /healthz` | – | status + counters |
 //! | `POST /admin/reload` | `{"path":"ckpt.json"}` | `{"ok":true,"snapshot":V}` |
 //! | `POST /admin/shutdown` | – | `{"ok":true}` |
@@ -34,7 +37,7 @@
 
 use serde::Value;
 use tspn_core::TopK;
-use tspn_data::{PoiId, Sample, Visit};
+use tspn_data::{PoiId, Visit};
 
 // ---------------------------------------------------------------------
 // Typed errors
@@ -253,20 +256,6 @@ fn push_checkins(out: &mut String, visits: &[Visit]) {
     out.push(']');
 }
 
-// ---------------------------------------------------------------------
-// Legacy /predict (index-addressed)
-// ---------------------------------------------------------------------
-
-/// Renders a legacy `/predict` request body — the client-side counterpart
-/// of [`parse_predict`], shared by the load generator and the tests so
-/// the wire shape has exactly one definition on each side.
-pub fn predict_request_body(sample: &Sample, k: usize, top: usize) -> String {
-    format!(
-        "{{\"user\":{},\"traj\":{},\"prefix_len\":{},\"k\":{k},\"top\":{top}}}",
-        sample.user_index, sample.traj_index, sample.prefix_len
-    )
-}
-
 /// Extracts the POI ranking from a parsed predict answer.
 pub fn pois_of(answer: &Value) -> Option<Vec<tspn_data::PoiId>> {
     match answer.get("pois") {
@@ -276,46 +265,6 @@ pub fn pois_of(answer: &Value) -> Option<Vec<tspn_data::PoiId>> {
             .collect(),
         _ => None,
     }
-}
-
-/// A parsed legacy `/predict` body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictRequest {
-    /// The addressed sample.
-    pub sample: Sample,
-    /// Tile-selection K; `None` uses the server's configured `top_k`.
-    pub k: Option<usize>,
-    /// Result-list truncation; `None` uses the server default (10).
-    pub top: Option<usize>,
-}
-
-/// Parses a legacy `/predict` body.
-///
-/// # Errors
-/// `400 bad_request` on malformed JSON, missing required fields, or
-/// non-integer values (the legacy endpoint predates the 422 class and
-/// keeps its original status for compatibility).
-pub fn parse_predict(body: &[u8]) -> Result<PredictRequest, ApiError> {
-    let v = parse_json(body)?;
-    // The legacy dialect tolerated k=0/top=0 (server clamps); preserve
-    // that rather than retrofit the v1 rules onto old clients.
-    let optional = |name: &str| -> Result<Option<usize>, ApiError> {
-        match v.get(name) {
-            None | Some(Value::Null) => Ok(None),
-            Some(val) => val.as_usize().map(Some).ok_or_else(|| {
-                ApiError::bad_request(format!("field {name:?} must be a non-negative integer"))
-            }),
-        }
-    };
-    Ok(PredictRequest {
-        sample: Sample {
-            user_index: usize_field(&v, "user")?,
-            traj_index: usize_field(&v, "traj")?,
-            prefix_len: usize_field(&v, "prefix_len")?,
-        },
-        k: optional("k")?,
-        top: optional("top")?,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -475,8 +424,8 @@ pub fn parse_reload(body: &[u8]) -> Result<String, ApiError> {
         .ok_or_else(|| ApiError::bad_request("missing string field \"path\""))
 }
 
-/// Renders a predict answer (shared by the legacy, payload, and session
-/// endpoints — one response shape for every address mode).
+/// Renders a predict answer (shared by the payload and session endpoints
+/// — one response shape for both).
 pub fn predict_response(topk: &TopK, snapshot: u64, batch: u64) -> String {
     let mut out = String::with_capacity(64 + 8 * (topk.pois.len() + topk.tiles.len()));
     out.push_str("{\"pois\":[");
@@ -510,10 +459,9 @@ pub struct StatsSnapshot {
     pub snapshot: u64,
     /// Latest validated published version.
     pub published: u64,
-    /// Total successful predictions across all endpoints.
+    /// Total successful predictions across all endpoints
+    /// (`served_v1 + served_session`).
     pub served: u64,
-    /// Legacy `/predict` answers.
-    pub served_legacy: u64,
     /// `POST /v1/predict` answers.
     pub served_v1: u64,
     /// `POST /v1/sessions/{id}/predict` answers.
@@ -584,13 +532,13 @@ pub fn health_response(s: &StatsSnapshot) -> String {
     )
 }
 
-/// The v2 `aggregate` object: versions, queue, readiness, per-endpoint
+/// The stats `aggregate` object: versions, queue, readiness, per-endpoint
 /// served counts, session lifecycle, the overload/shedding ledger, and
 /// (always, zeros when inert) the fault-injection counters.
 fn aggregate_block(s: &StatsSnapshot) -> String {
     format!(
         "{{\"snapshot\":{},\"published\":{},\"batches\":{},\"queue\":{},\"ready\":{},\
-         \"served\":{{\"total\":{},\"legacy_predict\":{},\"v1_predict\":{},\"session_predict\":{}}},\
+         \"served\":{{\"total\":{},\"v1_predict\":{},\"session_predict\":{}}},\
          \"sessions\":{{\"live\":{},\"created\":{},\"appends\":{},\"expired\":{},\"evicted\":{},\
          \"ttl_ms\":{},\"capacity\":{}}},\
          \"overload\":{{\"queue_cap\":{},\"shed_queue_full\":{},\"shed_expired\":{},\
@@ -602,7 +550,6 @@ fn aggregate_block(s: &StatsSnapshot) -> String {
         s.queue,
         s.ready,
         s.served,
-        s.served_legacy,
         s.served_v1,
         s.served_session,
         s.sessions_live,
@@ -634,7 +581,7 @@ fn build_block() -> String {
     )
 }
 
-/// Per-lane counters for the stats v2 `lanes` array: each lane is an
+/// Per-lane counters for the stats `lanes` array: each lane is an
 /// independent admission queue + supervised batcher + session-store
 /// partition, so shedding, restarts, and breaker state are per-lane
 /// facts the aggregate view averages away.
@@ -668,7 +615,7 @@ pub struct LaneStats {
     pub injected_panics: u64,
 }
 
-/// Renders one entry of the stats v2 `lanes` array.
+/// Renders one entry of the stats `lanes` array.
 fn lane_block(l: &LaneStats) -> String {
     format!(
         "{{\"lane\":{},\"snapshot\":{},\"ready\":{},\"queue_depth\":{},\"queue_cap\":{},\
@@ -691,15 +638,16 @@ fn lane_block(l: &LaneStats) -> String {
     )
 }
 
-/// Renders the **schema v2** `GET /v1/stats` answer:
-/// `{"schema_version":2,"build":{…},"aggregate":{…},"lanes":[…]}`. The
+/// Renders the **schema v3** `GET /v1/stats` answer:
+/// `{"schema_version":3,"build":{…},"aggregate":{…},"lanes":[…]}`. The
 /// `aggregate` object carries the whole ledger summed across lanes (the
 /// `build` block is process-wide and lives at the top level); `lanes`
-/// breaks the same ledger down per lane.
-pub fn stats_response_v2(s: &StatsSnapshot, lanes: &[LaneStats]) -> String {
+/// breaks the same ledger down per lane. (v3 dropped v2's
+/// `served.legacy_predict` with the index-addressed endpoint.)
+pub fn stats_response(s: &StatsSnapshot, lanes: &[LaneStats]) -> String {
     let lanes_json: Vec<String> = lanes.iter().map(lane_block).collect();
     format!(
-        "{{\"schema_version\":2,{},\"aggregate\":{},\"lanes\":[{}]}}",
+        "{{\"schema_version\":3,{},\"aggregate\":{},\"lanes\":[{}]}}",
         build_block(),
         aggregate_block(s),
         lanes_json.join(","),
@@ -766,7 +714,7 @@ pub fn parse_topology(v: &Value) -> Option<Topology> {
     })
 }
 
-/// Parses the `aggregate` block of a v2 stats answer back into a
+/// Parses the `aggregate` block of a v3 stats answer back into a
 /// [`StatsSnapshot`]. The router uses this to merge backend ledgers into
 /// one fleet view.
 pub fn parse_stats(v: &Value) -> Option<StatsSnapshot> {
@@ -781,7 +729,6 @@ pub fn parse_stats(v: &Value) -> Option<StatsSnapshot> {
         snapshot: num(&["snapshot"])?,
         published: num(&["published"])?,
         served: num(&["served", "total"])?,
-        served_legacy: num(&["served", "legacy_predict"])?,
         served_v1: num(&["served", "v1_predict"])?,
         served_session: num(&["served", "session_predict"])?,
         batches: num(&["batches"])?,
@@ -805,7 +752,7 @@ pub fn parse_stats(v: &Value) -> Option<StatsSnapshot> {
     })
 }
 
-/// Parses one entry of a v2 `lanes` array back into [`LaneStats`] (the
+/// Parses one entry of a stats `lanes` array back into [`LaneStats`] (the
 /// router re-numbers and re-renders backend lanes into its fleet view).
 pub fn parse_lane_stats(v: &Value) -> Option<LaneStats> {
     let num = |path: &[&str]| -> Option<u64> {
@@ -841,7 +788,6 @@ pub fn merge_stats(a: &StatsSnapshot, b: &StatsSnapshot) -> StatsSnapshot {
         snapshot: a.snapshot.max(b.snapshot),
         published: a.published.max(b.published),
         served: a.served + b.served,
-        served_legacy: a.served_legacy + b.served_legacy,
         served_v1: a.served_v1 + b.served_v1,
         served_session: a.served_session + b.served_session,
         batches: a.batches + b.batches,
@@ -875,34 +821,6 @@ mod tests {
             poi: PoiId(poi),
             time: t,
         }
-    }
-
-    #[test]
-    fn predict_request_parses_required_and_optional_fields() {
-        let req = parse_predict(br#"{"user":3,"traj":1,"prefix_len":4,"k":6,"top":5}"#).unwrap();
-        assert_eq!(
-            req.sample,
-            Sample {
-                user_index: 3,
-                traj_index: 1,
-                prefix_len: 4
-            }
-        );
-        assert_eq!((req.k, req.top), (Some(6), Some(5)));
-
-        let req = parse_predict(br#"{"user":0,"traj":0,"prefix_len":1}"#).unwrap();
-        assert_eq!((req.k, req.top), (None, None));
-    }
-
-    #[test]
-    fn predict_request_rejects_bad_bodies() {
-        assert!(parse_predict(b"not json").is_err());
-        assert!(parse_predict(br#"{"user":1,"traj":0}"#).is_err());
-        assert!(parse_predict(br#"{"user":-1,"traj":0,"prefix_len":1}"#).is_err());
-        assert!(parse_predict(br#"{"user":1.5,"traj":0,"prefix_len":1}"#).is_err());
-        assert!(parse_predict(br#"{"user":1,"traj":0,"prefix_len":1,"k":"x"}"#).is_err());
-        // All of the above are protocol-shape violations → 400.
-        assert_eq!(parse_predict(b"not json").unwrap_err().status, 400);
     }
 
     #[test]
@@ -999,8 +917,7 @@ mod tests {
             snapshot: 1,
             published: 2,
             served: 10,
-            served_legacy: 4,
-            served_v1: 3,
+            served_v1: 7,
             served_session: 3,
             batches: 3,
             queue: 0,
@@ -1043,7 +960,7 @@ mod tests {
             Some("not_ready")
         );
 
-        // Stats v2: top-level schema_version/build, the ledger under
+        // Stats v3: top-level schema_version/build, the ledger under
         // `aggregate`, and a per-lane breakdown.
         let lanes = [
             LaneStats {
@@ -1071,18 +988,25 @@ mod tests {
                 ..LaneStats::default()
             },
         ];
-        let v2: Value = serde_json::from_str(&stats_response_v2(&stats, &lanes)).unwrap();
-        assert_eq!(v2.get("schema_version").and_then(Value::as_usize), Some(2));
-        let build = v2.get("build").expect("build object");
+        let v3: Value = serde_json::from_str(&stats_response(&stats, &lanes)).unwrap();
+        assert_eq!(v3.get("schema_version").and_then(Value::as_usize), Some(3));
+        let build = v3.get("build").expect("build object");
         assert_eq!(
             build.get("kernel_tier").and_then(Value::as_str),
             Some(tspn_tensor::kernel_tier())
         );
         assert!(build.get("threads").and_then(Value::as_usize).unwrap() >= 1);
-        let agg = v2.get("aggregate").expect("aggregate object");
+        let agg = v3.get("aggregate").expect("aggregate object");
         let served = agg.get("served").expect("served object");
         assert_eq!(served.get("total").and_then(Value::as_usize), Some(10));
-        assert_eq!(served.get("v1_predict").and_then(Value::as_usize), Some(3));
+        assert_eq!(served.get("v1_predict").and_then(Value::as_usize), Some(7));
+        assert_eq!(
+            served.get("session_predict").and_then(Value::as_usize),
+            Some(3)
+        );
+        // The endpoint counters partition the total; the v2
+        // index-addressed counter is gone.
+        assert!(served.get("legacy_predict").is_none());
         let sessions = agg.get("sessions").expect("sessions object");
         assert_eq!(sessions.get("live").and_then(Value::as_usize), Some(2));
         assert_eq!(
@@ -1104,8 +1028,8 @@ mod tests {
             chaos.get("injected_panics").and_then(Value::as_usize),
             Some(0)
         );
-        assert!(agg.get("build").is_none(), "build is top-level in v2");
-        let lanes_arr = v2.get("lanes").and_then(Value::as_array).expect("lanes");
+        assert!(agg.get("build").is_none(), "build is top-level in v3");
+        let lanes_arr = v3.get("lanes").and_then(Value::as_array).expect("lanes");
         assert_eq!(lanes_arr.len(), 2);
         assert_eq!(lanes_arr[0].get("lane").and_then(Value::as_usize), Some(0));
         assert_eq!(
@@ -1168,8 +1092,7 @@ mod tests {
             snapshot: 3,
             published: 4,
             served: 10,
-            served_legacy: 5,
-            served_v1: 3,
+            served_v1: 8,
             served_session: 2,
             batches: 7,
             queue: 1,
@@ -1190,7 +1113,7 @@ mod tests {
             chaos_injected_panics: 1,
             chaos_corrupted_publishes: 0,
         };
-        // Rendering the v2 aggregate block -> parse_stats is the identity.
+        // Rendering the v3 aggregate block -> parse_stats is the identity.
         let lane = LaneStats {
             lane: 1,
             snapshot: 3,
@@ -1206,16 +1129,24 @@ mod tests {
             sessions_live: 1,
             injected_panics: 2,
         };
-        let v2: Value = serde_json::from_str(&stats_response_v2(&s, &[lane])).unwrap();
-        let agg = parse_stats(v2.get("aggregate").unwrap()).expect("aggregate parse");
+        let v3: Value = serde_json::from_str(&stats_response(&s, &[lane])).unwrap();
+        let agg_json = v3.get("aggregate").unwrap();
+        assert!(agg_json
+            .get("served")
+            .unwrap()
+            .get("legacy_predict")
+            .is_none());
+        let agg = parse_stats(agg_json).expect("aggregate parse");
         assert_eq!(format!("{agg:?}"), format!("{s:?}"));
-        let lanes = v2.get("lanes").and_then(Value::as_array).unwrap();
+        assert_eq!(agg.served, agg.served_v1 + agg.served_session);
+        let lanes = v3.get("lanes").and_then(Value::as_array).unwrap();
         let lane_back = parse_lane_stats(&lanes[0]).expect("lane parse");
         assert_eq!(format!("{lane_back:?}"), format!("{lane:?}"));
 
         // Merging sums counters, ANDs readiness, keeps config from `a`.
         let merged = merge_stats(&s, &agg);
         assert_eq!(merged.served, 20);
+        assert_eq!(merged.served, merged.served_v1 + merged.served_session);
         assert_eq!(merged.shed_not_ready, 26);
         assert_eq!(merged.queue_cap, 1024);
         assert!(merged.ready);

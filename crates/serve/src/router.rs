@@ -4,7 +4,7 @@
 //!
 //! The router is deliberately *thin*: it owns no model, no sessions, and
 //! no batcher. It answers locally only where a fleet-wide view is the
-//! whole point — `GET /healthz` and `GET /v1/stats` (the backends' v2
+//! whole point — `GET /healthz` and `GET /v1/stats` (the backends'
 //! `aggregate` ledgers merged via [`protocol::merge_stats`]),
 //! `GET /v1/topology` (the fleet map), `POST /admin/shutdown`
 //! (stops the router itself), and `POST /admin/reload` (broadcast to
@@ -36,7 +36,7 @@ use crate::http::Request;
 use crate::mux::{self, MuxConfig, MuxResponse};
 use crate::protocol::{
     self, health_response, merge_stats, parse_lane_stats, parse_stats, parse_topology,
-    stats_response_v2, topology_response, ApiError, LaneStats, StatsSnapshot,
+    stats_response, topology_response, ApiError, LaneStats, StatsSnapshot,
 };
 use crate::shard::{backend_of_session_id, shard_of_content, shard_of_user, SHARD_FN_ID};
 
@@ -267,7 +267,7 @@ fn respond(state: &RouterState, req: &Request) -> MuxResponse {
             Err(resp) => resp,
         },
         ("GET", "/v1/stats") => match fleet_stats(state) {
-            Ok((s, lanes)) => ok(stats_response_v2(&s, &lanes)),
+            Ok((s, lanes)) => ok(stats_response(&s, &lanes)),
             Err(resp) => resp,
         },
         ("GET", "/v1/topology") => fleet_topology(state),
@@ -304,9 +304,6 @@ fn backend_index(state: &RouterState, method: &str, path: &str, body: &[u8]) -> 
         }
         ("POST", "/v1/predict") => {
             protocol::parse_v1_predict(body).map_or(0, |r| shard_of_content(r.user, &r.checkins, n))
-        }
-        ("POST", "/predict") => {
-            protocol::parse_predict(body).map_or(0, |r| shard_of_user(r.sample.user_index, n))
         }
         _ => 0,
     }
@@ -486,7 +483,15 @@ fn broadcast_reload(state: &RouterState, req: &Request) -> MuxResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::error_of;
+    use crate::protocol::{error_of, v1_predict_request_body};
+    use tspn_data::{PoiId, Visit};
+
+    fn visit(poi: usize) -> Visit {
+        Visit {
+            poi: PoiId(poi),
+            time: 0,
+        }
+    }
 
     /// A stub backend is just the real mux with a canned handler — the
     /// router cannot tell the difference, and keep-alive/framing come
@@ -562,17 +567,17 @@ mod tests {
         // User-keyed requests follow shard_of_user; payloads follow the
         // content hash. Check a handful against the hash directly.
         for user in 0..8usize {
-            let expect = shard_of_user(user, 2);
-            let body = format!("{{\"user\":{user},\"traj\":0,\"prefix_len\":2}}");
+            let checkins = [visit(user + 3)];
+            let body = v1_predict_request_body(user, &checkins, 4, 10);
             assert_eq!(
-                backend_of(&mut client, "POST", "/predict", Some(&body)),
-                expect,
-                "user {user}"
+                backend_of(&mut client, "POST", "/v1/predict", Some(&body)),
+                shard_of_content(user, &checkins, 2),
+                "payload {user}"
             );
             let create = format!("{{\"user\":{user}}}");
             assert_eq!(
                 backend_of(&mut client, "POST", "/v1/sessions", Some(&create)),
-                expect,
+                shard_of_user(user, 2),
                 "create {user}"
             );
         }
@@ -580,7 +585,7 @@ mod tests {
         // Unparseable bodies and unknown routes go to backend 0, whose
         // parsers own the typed error.
         assert_eq!(
-            backend_of(&mut client, "POST", "/predict", Some("not json")),
+            backend_of(&mut client, "POST", "/v1/predict", Some("not json")),
             0
         );
         assert_eq!(backend_of(&mut client, "GET", "/nope", None), 0);
@@ -599,7 +604,8 @@ mod tests {
             snapshot: i + 1,
             published: i + 1,
             served: 10 * (i + 1),
-            served_legacy: 10 * (i + 1),
+            served_v1: 6 * (i + 1),
+            served_session: 4 * (i + 1),
             batches: 3,
             queue: 1,
             ready: true,
@@ -624,7 +630,7 @@ mod tests {
                 ..LaneStats::default()
             };
             match req.path.as_str() {
-                "/v1/stats" => (200, stats_response_v2(&s, &[lane])),
+                "/v1/stats" => (200, stats_response(&s, &[lane])),
                 "/v1/topology" => (
                     200,
                     topology_response("backend", 2, SHARD_FN_ID, i as usize, 2, &[]),
@@ -641,7 +647,7 @@ mod tests {
         let router = start(vec![a0.clone(), a1.clone()]);
         let mut client = Client::connect(&router.local_addr().to_string()).expect("connect");
 
-        // /healthz and the v2 aggregate both report the two backends'
+        // /healthz and the stats aggregate both report the two backends'
         // aggregates summed.
         let (status, text) = client.get("/healthz").expect("healthz");
         assert_eq!(status, 200);
@@ -652,13 +658,18 @@ mod tests {
         assert_eq!(v.get("queue").and_then(Value::as_usize), Some(2));
         assert_eq!(v.get("ready").and_then(Value::as_bool), Some(true));
 
-        let (status, text) = client.get("/v1/stats").expect("v2 stats");
+        let (status, text) = client.get("/v1/stats").expect("v3 stats");
         assert_eq!(status, 200);
         let v = serde_json::from_str::<Value>(&text).expect("json");
-        assert_eq!(v.get("schema_version").and_then(Value::as_usize), Some(2));
-        let merged = parse_stats(v.get("aggregate").expect("aggregate")).expect("aggregate parse");
+        assert_eq!(v.get("schema_version").and_then(Value::as_usize), Some(3));
+        let aggregate = v.get("aggregate").expect("aggregate");
+        let served = aggregate.get("served").expect("served object");
+        assert!(served.get("legacy_predict").is_none());
+        let merged = parse_stats(aggregate).expect("aggregate parse");
         assert_eq!(merged.served, 30);
-        assert_eq!(merged.served_legacy, 30);
+        assert_eq!(merged.served_v1, 18);
+        assert_eq!(merged.served_session, 12);
+        assert_eq!(merged.served, merged.served_v1 + merged.served_session);
         assert_eq!(merged.batches, 6);
         assert_eq!(merged.queue, 2);
         assert_eq!(merged.snapshot, 2);
@@ -703,16 +714,20 @@ mod tests {
         let router = start(vec![a0, dead]);
         let mut client = Client::connect(&router.local_addr().to_string()).expect("connect");
 
-        let user_on_0 = (0..).find(|&u| shard_of_user(u, 2) == 0).unwrap();
-        let user_on_1 = (0..).find(|&u| shard_of_user(u, 2) == 1).unwrap();
+        let payload_on = |backend: usize| {
+            let poi = (0..)
+                .find(|&p| shard_of_content(0, &[visit(p)], 2) == backend)
+                .unwrap();
+            v1_predict_request_body(0, &[visit(poi)], 4, 10)
+        };
 
-        let body = format!("{{\"user\":{user_on_0},\"traj\":0,\"prefix_len\":2}}");
-        let (status, _) = client.post("/predict", &body).expect("live shard");
+        let (status, _) = client
+            .post("/v1/predict", &payload_on(0))
+            .expect("live shard");
         assert_eq!(status, 200, "live backend keeps serving");
 
-        let body = format!("{{\"user\":{user_on_1},\"traj\":0,\"prefix_len\":2}}");
         let resp = client
-            .request_full("POST", "/predict", Some(&body))
+            .request_full("POST", "/v1/predict", Some(&payload_on(1)))
             .expect("typed refusal, not a dropped connection");
         assert_eq!(resp.status, 503);
         assert_eq!(resp.retry_after, Some(1));

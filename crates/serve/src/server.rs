@@ -18,9 +18,8 @@
 //! ## Lanes and sharding
 //!
 //! Work is partitioned by user with the fleet-wide hash
-//! ([`crate::shard`]): session traffic and legacy index-addressed
-//! requests shard on the user index, ad-hoc `/v1/predict` payloads on
-//! request content. Every lane is an independent failure domain — its own
+//! ([`crate::shard`]): session traffic shards on the user index, ad-hoc
+//! `/v1/predict` payloads on request content. Every lane is an independent failure domain — its own
 //! bounded admission queue, supervisor, circuit breaker, chaos scope, and
 //! session-store partition (a user's session state never crosses lanes).
 //! Session ids are stride-partitioned (`first = shard + lane·shards + 1`,
@@ -213,15 +212,13 @@ const RETRY_AFTER_SECS: u64 = 1;
 const DRAIN_GRACE: Duration = Duration::from_secs(30);
 
 /// Process-wide serving counters surfaced by `/healthz` and `/v1/stats`.
-/// The served total is not stored — it is the sum of the three
-/// per-endpoint counters, computed at render time so the "counters
+/// The served total is not stored — it is the sum of the two
+/// per-endpoint predict counters, computed at render time so the "counters
 /// partition the total" invariant holds by construction. (Per-lane
 /// ledgers live on each [`Lane`]; these split the same totals by
 /// *endpoint* instead of by lane.)
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    /// Legacy `POST /predict` answers.
-    pub served_legacy: AtomicU64,
     /// `POST /v1/predict` answers.
     pub served_v1: AtomicU64,
     /// `POST /v1/sessions/{id}/predict` answers.
@@ -299,9 +296,6 @@ struct Shared {
     /// Reload-path fault injection (checkpoint poisoning is process-wide:
     /// there is one publication stream, not one per lane).
     publish_chaos: Chaos,
-    /// Visits per `(user, trajectory)` — legacy request validation without
-    /// touching the (thread-pinned) models.
-    traj_lens: Vec<Vec<usize>>,
     /// POI vocabulary size — payload validation without the model.
     num_pois: usize,
     /// Expected parameter names/shapes for reload validation; filled by
@@ -395,12 +389,6 @@ pub fn start(
 ) -> Result<ServerHandle, String> {
     let lanes_n = cfg.lanes.max(1);
     let shard_count = cfg.shard_count.max(1);
-    let traj_lens = ctx
-        .dataset
-        .users
-        .iter()
-        .map(|u| u.trajectories.iter().map(|t| t.visits.len()).collect())
-        .collect();
     let num_pois = ctx.dataset.pois.len();
     let lanes = (0..lanes_n)
         .map(|l| {
@@ -426,7 +414,6 @@ pub fn start(
         stats: ServeStats::default(),
         shed_draining: AtomicU64::new(0),
         publish_chaos: Chaos::new(cfg.chaos),
-        traj_lens,
         num_pois,
         expected_shapes: OnceLock::new(),
         default_k: model_cfg.top_k,
@@ -677,7 +664,6 @@ fn respond(shared: &Shared, req: &Request) -> MuxResponse {
 /// One resolved endpoint (routing decided; body not yet parsed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
-    LegacyPredict,
     Healthz,
     V1Predict,
     V1Stats,
@@ -711,7 +697,6 @@ fn route_of(method: &str, path: &str) -> Result<Route, ApiError> {
             })
     };
     match path {
-        "/predict" => return allow(&[("POST", LegacyPredict)]),
         "/healthz" => return allow(&[("GET", Healthz)]),
         "/v1/predict" => return allow(&[("POST", V1Predict)]),
         "/v1/stats" => return allow(&[("GET", V1Stats)]),
@@ -752,12 +737,11 @@ fn route(shared: &Shared, req: &Request) -> (u16, String) {
         .clamp(1, MAX_DEADLINE_MS);
     let deadline = Instant::now() + Duration::from_millis(budget_ms);
     match resolved {
-        Route::LegacyPredict => predict_legacy(shared, &req.body, deadline),
         Route::Healthz => (200, protocol::health_response(&stats_snapshot(shared))),
         Route::V1Predict => answer(v1_predict(shared, &req.body, deadline)),
         Route::V1Stats => (
             200,
-            protocol::stats_response_v2(&stats_snapshot(shared), &lane_stats(shared)),
+            protocol::stats_response(&stats_snapshot(shared), &lane_stats(shared)),
         ),
         Route::V1Topology => {
             let mode = if shared.shard_count > 1 {
@@ -800,7 +784,6 @@ fn answer(result: Result<(u16, String), ApiError>) -> (u16, String) {
 /// lane serves, `ready` only when **every** lane is (a tripped lane
 /// still sheds its own shard even while the aggregate reads not-ready).
 fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
-    let served_legacy = shared.stats.served_legacy.load(Ordering::Relaxed);
     let served_v1 = shared.stats.served_v1.load(Ordering::Relaxed);
     let served_session = shared.stats.served_session.load(Ordering::Relaxed);
     let mut snapshot = 0u64;
@@ -836,8 +819,7 @@ fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
     protocol::StatsSnapshot {
         snapshot,
         published: shared.snapshots.version(),
-        served: served_legacy + served_v1 + served_session,
-        served_legacy,
+        served: served_v1 + served_session,
         served_v1,
         served_session,
         batches,
@@ -886,9 +868,9 @@ fn lane_stats(shared: &Shared) -> Vec<LaneStats> {
 }
 
 /// The shared enqueue-and-await tail of every predict flavor: by the time
-/// a query reaches here the address mode is already resolved and its lane
-/// chosen, so legacy, payload, and session predictions ride the same
-/// batcher path (and mix freely within one flush of their lane).
+/// a query reaches here its check-in stream is already resolved and its
+/// lane chosen, so payload and session predictions ride the same batcher
+/// path (and mix freely within one flush of their lane).
 fn predict_common(
     shared: &Shared,
     lane: &Lane,
@@ -944,40 +926,8 @@ fn predict_common(
     }
 }
 
-/// `POST /predict` — the legacy index-addressed endpoint, now a thin
-/// adapter: it resolves its `(user, traj, prefix_len)` triple to an
-/// indexed [`Query`], pins the lane by user, and rides the same
-/// [`predict_common`] path as the v1 endpoints. Statuses keep the
-/// original contract (any violation is `400`, and `k`/`top` of 0 are
-/// clamped, not rejected).
-fn predict_legacy(shared: &Shared, body: &[u8], deadline: Instant) -> (u16, String) {
-    let parsed = match protocol::parse_predict(body) {
-        Ok(p) => p,
-        Err(e) => return e.render(),
-    };
-    let sample = parsed.sample;
-    let servable = shared
-        .traj_lens
-        .get(sample.user_index)
-        .and_then(|u| u.get(sample.traj_index))
-        .is_some_and(|&len| sample.prefix_len >= 1 && sample.prefix_len <= len);
-    if !servable {
-        return ApiError::bad_request(format!(
-            "no servable history at user {} trajectory {} prefix {}",
-            sample.user_index, sample.traj_index, sample.prefix_len
-        ))
-        .render();
-    }
-    let k = parsed.k.unwrap_or(shared.default_k).max(1);
-    let top = parsed.top.unwrap_or(shared.default_top).max(1);
-    let lane = shared.lane_for_user(sample.user_index);
-    let query = Query::with_top(sample, k, top);
-    predict_common(shared, lane, query, &shared.stats.served_legacy, deadline)
-}
-
 /// Validates every POI of a payload against the vocabulary (the bound
-/// check itself is [`tspn_data::first_invalid_poi`], shared with
-/// `Subject::validate` so the rule has one definition).
+/// check itself is [`tspn_data::first_invalid_poi`]).
 fn check_vocabulary(shared: &Shared, visits: &[Visit]) -> Result<(), ApiError> {
     match tspn_data::first_invalid_poi(visits, shared.num_pois) {
         Some(i) => Err(ApiError::unprocessable(format!(
@@ -1172,7 +1122,6 @@ mod tests {
     #[test]
     fn routing_distinguishes_unknown_paths_from_wrong_methods() {
         // Known paths with the right verb resolve.
-        assert_eq!(route_of("POST", "/predict"), Ok(Route::LegacyPredict));
         assert_eq!(route_of("GET", "/healthz"), Ok(Route::Healthz));
         assert_eq!(route_of("POST", "/v1/predict"), Ok(Route::V1Predict));
         assert_eq!(route_of("GET", "/v1/stats"), Ok(Route::V1Stats));
@@ -1182,7 +1131,6 @@ mod tests {
 
         // Known paths with the wrong verb are 405, never 404.
         for (method, path) in [
-            ("GET", "/predict"),
             ("POST", "/healthz"),
             ("DELETE", "/v1/predict"),
             ("POST", "/v1/stats"),
@@ -1201,6 +1149,9 @@ mod tests {
         // Unknown paths are 404 for any verb.
         for (method, path) in [
             ("GET", "/nope"),
+            // The retired index-addressed endpoint.
+            ("POST", "/predict"),
+            ("GET", "/predict"),
             ("POST", "/v1"),
             ("POST", "/v1/session"),
             ("POST", "/v1/sessions/"),

@@ -33,8 +33,8 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-/// Hash of a user id — the shard key for sessions and legacy
-/// index-addressed predictions.
+/// Hash of a user id — the shard key for sessions (creation pins a
+/// session's lane, and every later call follows the id).
 pub fn hash_user(user: usize) -> u64 {
     fnv1a(FNV_OFFSET, &(user as u64).to_le_bytes())
 }

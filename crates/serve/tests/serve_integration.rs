@@ -75,8 +75,10 @@ fn reference_predictor(seed: u64) -> (Predictor, Vec<Sample>) {
     (Predictor::new(cfg, ctx), samples)
 }
 
-fn predict_body(s: &Sample, k: usize, top: usize) -> String {
-    tspn_serve::protocol::predict_request_body(s, k, top)
+/// The `/v1/predict` body carrying sample `s`'s raw check-in stream. The
+/// server answers it bitwise like the offline `Query::with_top(s, k, top)`.
+fn v1_body(reference: &Predictor, s: &Sample, k: usize, top: usize) -> String {
+    v1_predict_request_body(s.user_index, &stream_of(reference, s), k, top)
 }
 
 fn pois_of(v: &Value) -> Vec<PoiId> {
@@ -111,23 +113,29 @@ fn concurrent_clients_get_bitwise_identical_answers() {
         samples.len() >= clients * per_client,
         "dataset too small for test"
     );
+    // Bodies are precomputed: the reference predictor is not Sync (the
+    // tape is Rc-based) and stays on this thread.
+    let bodies: Vec<String> = samples[..clients * per_client]
+        .iter()
+        .map(|s| v1_body(&reference, s, 4, 10))
+        .collect();
 
     let answers: Vec<(Sample, Vec<PoiId>)> = std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for c in 0..clients {
             let addr = addr.clone();
-            let samples = &samples;
+            let (samples, bodies) = (&samples, &bodies);
             joins.push(scope.spawn(move || {
                 let mut client = Client::connect(&addr).expect("connect");
                 let mut out = Vec::new();
                 for r in 0..per_client {
-                    let s = samples[(c * per_client + r) % samples.len()];
+                    let i = c * per_client + r;
                     let (status, v) = client
-                        .post_json("/predict", &predict_body(&s, 4, 10))
+                        .post_json("/v1/predict", &bodies[i])
                         .expect("predict I/O");
                     assert_eq!(status, 200, "predict failed: {v:?}");
                     assert_eq!(num_field(&v, "snapshot"), BOOT_VERSION);
-                    out.push((s, pois_of(&v)));
+                    out.push((samples[i], pois_of(&v)));
                 }
                 out
             }));
@@ -185,6 +193,7 @@ fn reload_swaps_checkpoints_without_mixing_a_batch() {
     );
     let addr = handle.local_addr().to_string();
     let q = Query::with_top(samples[0], 4, 8);
+    let body = v1_body(&ref_a, &samples[0], 4, 8);
     let expect_a = ref_a.predict_one(&q).pois;
     let expect_b = ref_b.predict_one(&q).pois;
     assert_ne!(
@@ -197,14 +206,12 @@ fn reload_swaps_checkpoints_without_mixing_a_batch() {
         let mut joins = Vec::new();
         for _ in 0..4 {
             let addr = addr.clone();
-            let (stop, s) = (&stop, samples[0]);
+            let (stop, body) = (&stop, &body);
             joins.push(scope.spawn(move || {
                 let mut client = Client::connect(&addr).expect("connect");
                 let mut seen = Vec::new();
                 while stop.load(Ordering::Acquire) == 0 {
-                    let (status, v) = client
-                        .post_json("/predict", &predict_body(&s, 4, 8))
-                        .expect("predict I/O");
+                    let (status, v) = client.post_json("/v1/predict", body).expect("predict I/O");
                     assert_eq!(status, 200, "{v:?}");
                     seen.push((
                         num_field(&v, "batch"),
@@ -295,9 +302,8 @@ fn corrupt_checkpoints_are_rejected_and_old_snapshot_keeps_serving() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let s = samples[1];
-    let (status, v) = client
-        .post_json("/predict", &predict_body(&s, 4, 10))
-        .unwrap();
+    let body = v1_body(&reference, &s, 4, 10);
+    let (status, v) = client.post_json("/v1/predict", &body).unwrap();
     assert_eq!(status, 200);
     let before = pois_of(&v);
     assert_eq!(
@@ -328,24 +334,34 @@ fn corrupt_checkpoints_are_rejected_and_old_snapshot_keeps_serving() {
     }
 
     // Still serving the boot snapshot, bitwise.
-    let (status, v) = client
-        .post_json("/predict", &predict_body(&s, 4, 10))
-        .unwrap();
+    let (status, v) = client.post_json("/v1/predict", &body).unwrap();
     assert_eq!(status, 200);
     assert_eq!(num_field(&v, "snapshot"), BOOT_VERSION);
     assert_eq!(pois_of(&v), before);
 
     // Malformed predict bodies and unknown routes answer without killing
     // the connection's session.
-    let (status, _) = client.post("/predict", "{\"user\":0}").unwrap();
+    let (status, _) = client.post("/v1/predict", "{\"user\":0,").unwrap();
     assert_eq!(status, 400);
+    let vocab = reference.ctx().dataset.pois.len();
     let (status, _) = client
-        .post("/predict", "{\"user\":99999,\"traj\":0,\"prefix_len\":1}")
+        .post(
+            "/v1/predict",
+            &format!("{{\"user\":0,\"checkins\":[{{\"poi\":{vocab},\"t\":0}}]}}"),
+        )
         .unwrap();
-    assert_eq!(status, 400);
+    assert_eq!(status, 422);
     let (status, _) = client.get("/nope").unwrap();
     assert_eq!(status, 404);
-    let (status, _) = client.post("/predict", &predict_body(&s, 4, 10)).unwrap();
+    // The retired index-addressed dialect is an unknown route too.
+    let (status, v) = client
+        .post_json("/predict", "{\"user\":0,\"traj\":0,\"prefix_len\":1}")
+        .unwrap();
+    assert_eq!(
+        (status, error_of(&v).unwrap().0.as_str()),
+        (404, "not_found")
+    );
+    let (status, _) = client.post("/v1/predict", &body).unwrap();
     assert_eq!(status, 200, "session survives rejected requests");
 
     handle.shutdown();
@@ -365,12 +381,12 @@ fn str_field<'a>(v: &'a Value, name: &str) -> &'a str {
 }
 
 #[test]
-fn mixed_legacy_payload_and_session_queries_are_bitwise_identical_under_load() {
-    // The acceptance contract: every address mode — legacy index triple,
-    // v1 raw payload, and a session built by incremental appends — must
-    // return the same ranking as the offline reference, bitwise, while
-    // all three hammer the server concurrently (so one micro-batch flush
-    // routinely mixes all three kinds).
+fn mixed_payload_and_session_queries_are_bitwise_identical_under_load() {
+    // The acceptance contract: both ways a check-in stream enters — a v1
+    // raw payload and a session built from the stream — must return the
+    // same ranking as the offline index-addressed reference, bitwise,
+    // while both hammer the server concurrently (so one micro-batch
+    // flush routinely mixes the two kinds).
     let handle = start_server(
         7,
         BatchConfig {
@@ -381,7 +397,7 @@ fn mixed_legacy_payload_and_session_queries_are_bitwise_identical_under_load() {
     let addr = handle.local_addr().to_string();
     let (reference, samples) = reference_predictor(7);
     let per_client = 6usize;
-    let clients = 6usize; // 2 per address mode
+    let clients = 4usize; // 2 per endpoint
     assert!(samples.len() >= clients * per_client, "dataset too small");
     // Streams are precomputed: the reference predictor itself is not
     // Sync (the tape is Rc-based) and stays on this thread.
@@ -398,17 +414,9 @@ fn mixed_legacy_payload_and_session_queries_are_bitwise_identical_under_load() {
                 for r in 0..per_client {
                     let i = (c * per_client + r) % samples.len();
                     let s = samples[i];
-                    let v = match c % 3 {
-                        // Legacy index-addressed.
-                        0 => {
-                            let (status, v) = client
-                                .post_json("/predict", &predict_body(&s, 4, 10))
-                                .expect("legacy predict I/O");
-                            assert_eq!(status, 200, "legacy predict failed: {v:?}");
-                            v
-                        }
+                    let v = match c % 2 {
                         // v1 payload-addressed.
-                        1 => {
+                        0 => {
                             let body = v1_predict_request_body(s.user_index, &streams[i], 4, 10);
                             let (status, v) = client
                                 .post_json("/v1/predict", &body)
@@ -448,27 +456,31 @@ fn mixed_legacy_payload_and_session_queries_are_bitwise_identical_under_load() {
     }
 
     // Per-endpoint stats partition the served total. `/v1/stats` is
-    // schema v2 now: the counters live under `aggregate`, with a `lanes`
-    // breakdown beside them.
+    // schema v3: the counters live under `aggregate`, with a `lanes`
+    // breakdown beside them, and v2's `legacy_predict` counter is gone.
     let mut client = Client::connect(&addr).expect("connect");
     let (status, text) = client.get("/v1/stats").expect("stats");
     assert_eq!(status, 200);
     let stats: Value = serde_json::from_str(&text).expect("stats JSON");
     assert_eq!(
         stats.get("schema_version").and_then(Value::as_usize),
-        Some(2)
+        Some(3)
     );
     let agg = stats.get("aggregate").expect("aggregate object");
     let served = agg.get("served").expect("served object");
     let total = num_field(served, "total");
     assert_eq!(total as usize, clients * per_client);
+    assert!(served.get("legacy_predict").is_none(), "{served:?}");
     assert_eq!(
-        num_field(served, "legacy_predict")
-            + num_field(served, "v1_predict")
-            + num_field(served, "session_predict"),
+        num_field(served, "v1_predict") + num_field(served, "session_predict"),
         total,
         "per-endpoint counters must partition the total"
     );
+    // /healthz reports the same total.
+    let (status, text) = client.get("/healthz").expect("healthz");
+    assert_eq!(status, 200);
+    let health: Value = serde_json::from_str(&text).expect("health JSON");
+    assert_eq!(num_field(&health, "served"), total);
     let sessions = agg.get("sessions").expect("sessions object");
     assert_eq!(num_field(sessions, "created") as usize, 2 * per_client);
     let lanes = stats
@@ -815,7 +827,7 @@ fn typed_errors_cover_the_v1_status_classes() {
     // The connection session survives every rejected request.
     let s = samples[0];
     let (status, v) = client
-        .post_json("/predict", &predict_body(&s, 4, 10))
+        .post_json("/v1/predict", &v1_body(&reference, &s, 4, 10))
         .expect("recovery I/O");
     assert_eq!(status, 200);
     assert_eq!(
@@ -855,7 +867,7 @@ fn start_server_overload(cfg: ServerConfig) -> ServerHandle {
     server::start(cfg, model_cfg, ctx, None).expect("server starts")
 }
 
-/// The v2 stats `aggregate` ledger (every lane's counters summed).
+/// The stats `aggregate` ledger (every lane's counters summed).
 fn stats_of(client: &mut Client) -> Value {
     let (status, text) = client.get("/v1/stats").expect("stats I/O");
     assert_eq!(status, 200);
@@ -888,6 +900,7 @@ fn overload_sheds_typed_429_and_accepted_latency_stays_bounded() {
     let addr = handle.local_addr().to_string();
     let (reference, samples) = reference_predictor(7);
     let s = samples[0];
+    let body = v1_body(&reference, &s, 4, 10);
 
     // Calm phase: one client, sequential — the p99 baseline.
     let mut client = Client::connect(&addr).expect("connect");
@@ -895,7 +908,7 @@ fn overload_sheds_typed_429_and_accepted_latency_stays_bounded() {
         .map(|_| {
             let t0 = std::time::Instant::now();
             let (status, v) = client
-                .post_json("/predict", &predict_body(&s, 4, 10))
+                .post_json("/v1/predict", &body)
                 .expect("calm predict I/O");
             assert_eq!(status, 200, "{v:?}");
             t0.elapsed()
@@ -910,14 +923,14 @@ fn overload_sheds_typed_429_and_accepted_latency_stays_bounded() {
     let results: Vec<(u16, Option<String>, Duration)> = std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for _ in 0..16 {
-            let addr = addr.clone();
+            let (addr, body) = (addr.clone(), &body);
             joins.push(scope.spawn(move || {
                 let mut client = Client::connect(&addr).expect("connect");
                 let mut out = Vec::new();
                 for _ in 0..per_client {
                     let t0 = std::time::Instant::now();
                     let resp = client
-                        .request_full("POST", "/predict", Some(&predict_body(&s, 4, 10)))
+                        .request_full("POST", "/v1/predict", Some(body))
                         .expect("overload predict I/O: typed shed expected, not a reset");
                     let v: Value = serde_json::from_str(&resp.body)
                         .unwrap_or_else(|e| panic!("untyped body {:?}: {e}", resp.body));
@@ -970,11 +983,11 @@ fn overload_sheds_typed_429_and_accepted_latency_stays_bounded() {
     let expired = std::thread::scope(|scope| {
         for _ in 0..4 {
             let addr = addr.clone();
-            let stop = &stop;
+            let (stop, body) = (&stop, &body);
             scope.spawn(move || {
                 let mut client = Client::connect(&addr).expect("connect");
                 while stop.load(Ordering::Acquire) == 0 {
-                    let _ = client.post("/predict", &predict_body(&s, 4, 10));
+                    let _ = client.post("/v1/predict", body);
                 }
             });
         }
@@ -984,7 +997,7 @@ fn overload_sheds_typed_429_and_accepted_latency_stays_bounded() {
         let mut expired = 0usize;
         for _ in 0..40 {
             let (status, v) = client
-                .post_json("/predict", &predict_body(&s, 4, 10))
+                .post_json("/v1/predict", &body)
                 .expect("deadline predict I/O");
             match status {
                 200 => {}
@@ -1025,7 +1038,7 @@ fn overload_sheds_typed_429_and_accepted_latency_stays_bounded() {
     assert!(health.get("shed").is_some(), "healthz lacks shed counters");
 
     let (status, v) = client
-        .post_json("/predict", &predict_body(&s, 4, 10))
+        .post_json("/v1/predict", &body)
         .expect("post-overload predict I/O");
     assert_eq!(status, 200);
     assert_eq!(
@@ -1059,6 +1072,7 @@ fn supervisor_restarts_from_last_published_checkpoint_and_breaker_recovers() {
     let addr = handle.local_addr().to_string();
     let (reference, samples) = reference_predictor(999);
     let s = samples[0];
+    let predict = v1_body(&reference, &s, 4, 10);
 
     // Publish the seed-999 parameters before any flush: the first flush
     // applies them, so they are the supervisor's restore point.
@@ -1082,7 +1096,7 @@ fn supervisor_restarts_from_last_published_checkpoint_and_breaker_recovers() {
     // typed 500, never a hang or a connection reset.
     for round in 1..=3 {
         let (status, v) = client
-            .post_json("/predict", &predict_body(&s, 4, 10))
+            .post_json("/v1/predict", &predict)
             .expect("crash-storm predict I/O");
         assert_eq!(status, 500, "round {round}: {v:?}");
         assert_eq!(error_of(&v).unwrap().0, "internal", "round {round}");
@@ -1109,7 +1123,7 @@ fn supervisor_restarts_from_last_published_checkpoint_and_breaker_recovers() {
 
     // While open, predictions shed with a typed 503 not_ready.
     let (status, v) = client
-        .post_json("/predict", &predict_body(&s, 4, 10))
+        .post_json("/v1/predict", &predict)
         .expect("breaker predict I/O");
     assert_eq!(status, 503, "{v:?}");
     assert_eq!(error_of(&v).unwrap().0, "not_ready");
@@ -1131,7 +1145,7 @@ fn supervisor_restarts_from_last_published_checkpoint_and_breaker_recovers() {
         );
     }
     let (status, v) = client
-        .post_json("/predict", &predict_body(&s, 4, 10))
+        .post_json("/v1/predict", &predict)
         .expect("recovered predict I/O");
     assert_eq!(status, 200, "{v:?}");
     assert_eq!(num_field(&v, "snapshot"), published_version);
@@ -1157,14 +1171,12 @@ fn supervisor_restarts_from_last_published_checkpoint_and_breaker_recovers() {
 fn draining_server_sheds_typed_503_instead_of_resetting() {
     let handle = start_server(7, BatchConfig::default());
     let addr = handle.local_addr().to_string();
-    let (_, samples) = reference_predictor(7);
-    let s = samples[0];
+    let (reference, samples) = reference_predictor(7);
+    let body = v1_body(&reference, &samples[0], 4, 10);
 
     // An established keep-alive connection with a completed request.
     let mut client = Client::connect(&addr).expect("connect");
-    let (status, _) = client
-        .post("/predict", &predict_body(&s, 4, 10))
-        .expect("warm-up predict");
+    let (status, _) = client.post("/v1/predict", &body).expect("warm-up predict");
     assert_eq!(status, 200);
 
     // Another connection triggers the drain; the first connection's next
@@ -1174,7 +1186,7 @@ fn draining_server_sheds_typed_503_instead_of_resetting() {
     let (status, _) = admin.post("/admin/shutdown", "").expect("shutdown I/O");
     assert_eq!(status, 200);
     let resp = client
-        .request_full("POST", "/predict", Some(&predict_body(&s, 4, 10)))
+        .request_full("POST", "/v1/predict", Some(&body))
         .expect("draining request should be answered, not reset");
     assert_eq!(resp.status, 503, "{resp:?}");
     let v: Value = serde_json::from_str(&resp.body).expect("typed body");
@@ -1188,7 +1200,7 @@ fn draining_server_sheds_typed_503_instead_of_resetting() {
 fn lane_partitioned_server_is_bitwise_identical_and_pins_sessions() {
     // Two lanes: every address mode must still answer bitwise like the
     // single offline reference, session ops must follow their session id
-    // to its lane from ANY connection, and the v2 stats lanes array must
+    // to its lane from ANY connection, and the stats lanes array must
     // account for all traffic.
     let cfg = tiny_model_cfg(7);
     let ctx = tiny_ctx(&cfg);
@@ -1210,11 +1222,13 @@ fn lane_partitioned_server_is_bitwise_identical_and_pins_sessions() {
     let (reference, samples) = reference_predictor(7);
     let streams: Vec<Vec<Visit>> = samples.iter().map(|s| stream_of(&reference, s)).collect();
 
-    // Pick legacy samples covering BOTH lanes so the per-lane counters
-    // are deterministic facts, not luck.
+    // Pick payloads covering BOTH lanes (payloads shard on content) so
+    // the per-lane counters are deterministic facts, not luck.
     let on_lane = |lane: usize| -> Vec<usize> {
         (0..samples.len())
-            .filter(|&i| tspn_serve::shard::shard_of_user(samples[i].user_index, 2) == lane)
+            .filter(|&i| {
+                tspn_serve::shard::shard_of_content(samples[i].user_index, &streams[i], 2) == lane
+            })
             .take(4)
             .collect()
     };
@@ -1236,15 +1250,8 @@ fn lane_partitioned_server_is_bitwise_identical_and_pins_sessions() {
                 for r in 0..6usize {
                     let i = picks[(c * 6 + r) % picks.len()];
                     let s = samples[i];
-                    let v = match c % 3 {
+                    let v = match c % 2 {
                         0 => {
-                            let (status, v) = client
-                                .post_json("/predict", &predict_body(&s, 4, 10))
-                                .expect("legacy predict I/O");
-                            assert_eq!(status, 200, "legacy predict failed: {v:?}");
-                            v
-                        }
-                        1 => {
                             let body = v1_predict_request_body(s.user_index, &streams[i], 4, 10);
                             let (status, v) = client
                                 .post_json("/v1/predict", &body)
@@ -1323,7 +1330,7 @@ fn lane_partitioned_server_is_bitwise_identical_and_pins_sessions() {
         assert_eq!(status, 200, "cross-connection session predict: {v:?}");
     }
 
-    // v2 stats: two lanes, both served traffic, and the lane counters sum
+    // Stats: two lanes, both served traffic, and the lane counters sum
     // to the aggregate.
     let mut client = Client::connect(&addr).expect("connect");
     let (status, text) = client.get("/v1/stats").expect("stats");
@@ -1378,20 +1385,30 @@ fn faulting_one_lane_sheds_only_that_shard_while_others_serve() {
     .expect("server starts");
     let addr = handle.local_addr().to_string();
     let (reference, samples) = reference_predictor(7);
-    let on_lane = |lane: usize| -> Sample {
+    // Payloads shard on content, sessions on user: the lane-1 sample must
+    // land on lane 1 both ways, so its session ops meet the healthy lane.
+    let on_lane = |lane: usize, by_user: bool| -> Sample {
         *samples
             .iter()
-            .find(|s| tspn_serve::shard::shard_of_user(s.user_index, 2) == lane)
+            .find(|s| {
+                let content = stream_of(&reference, s);
+                tspn_serve::shard::shard_of_content(s.user_index, &content, 2) == lane
+                    && (!by_user || tspn_serve::shard::shard_of_user(s.user_index, 2) == lane)
+            })
             .expect("dataset covers both lanes")
     };
-    let (s0, s1) = (on_lane(0), on_lane(1));
+    let (s0, s1) = (on_lane(0, false), on_lane(1, true));
+    let (body0, body1) = (
+        v1_body(&reference, &s0, 4, 10),
+        v1_body(&reference, &s1, 4, 10),
+    );
     let mut client = Client::connect(&addr).expect("connect");
 
     // Trip lane 0's breaker: two crashed flushes (typed 500s), then the
     // lane sheds 503 not_ready naming itself.
     for round in 1..=2 {
         let (status, v) = client
-            .post_json("/predict", &predict_body(&s0, 4, 10))
+            .post_json("/v1/predict", &body0)
             .expect("lane-0 predict I/O");
         assert_eq!(status, 500, "round {round}: {v:?}");
         assert_eq!(error_of(&v).unwrap().0, "internal");
@@ -1399,7 +1416,7 @@ fn faulting_one_lane_sheds_only_that_shard_while_others_serve() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         let (status, v) = client
-            .post_json("/predict", &predict_body(&s0, 4, 10))
+            .post_json("/v1/predict", &body0)
             .expect("lane-0 shed I/O");
         if status == 503 {
             let (code, msg) = error_of(&v).unwrap();
@@ -1418,7 +1435,7 @@ fn faulting_one_lane_sheds_only_that_shard_while_others_serve() {
     let expect = reference.predict_one(&Query::with_top(s1, 4, 10)).pois;
     for _ in 0..5 {
         let (status, v) = client
-            .post_json("/predict", &predict_body(&s1, 4, 10))
+            .post_json("/v1/predict", &body1)
             .expect("lane-1 predict I/O");
         assert_eq!(status, 200, "healthy lane shed: {v:?}");
         assert_eq!(pois_of(&v), expect, "healthy lane diverged");
