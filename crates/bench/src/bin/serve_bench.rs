@@ -24,7 +24,7 @@
 //! phases: a self-hosted run arms the chaos layer itself (25 ms flush
 //! delay, a 2-panic crash storm, an 8-deep admission queue); against
 //! `--addr` the server is expected to have been booted with matching
-//! `TSPN_SERVE_FAULT_*` / `TSPN_SERVE_MAX_QUEUE` knobs. The phase drives
+//! `TSPN_SERVE_FAULT_*` knobs and `--max-queue-depth`. The phase drives
 //! 4x-saturation load with slow-writer and kill-mid-flight connections
 //! and asserts: no hang, every response a typed answer or typed shed,
 //! accepted p99 <= 3x the calm p99, and post-chaos predictions bitwise

@@ -30,13 +30,14 @@ use std::time::Instant;
 
 use tspn_core::{Query, TopK};
 
-/// Micro-batching knobs.
+/// Micro-batching knobs (defaults 32 / 1024).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Largest batch one flush may take.
+    /// Largest batch one flush may take. A flush is one batched forward,
+    /// so this caps how much backlog one forward absorbs.
     pub max_batch: usize,
-    /// Bound on queued (not yet flushed) queries; `try_submit` sheds
-    /// beyond this.
+    /// Bound on queued (not yet flushed) queries: how far behind the
+    /// server may fall before `try_submit` sheds.
     pub queue_cap: usize,
 }
 
@@ -45,42 +46,6 @@ impl Default for BatchConfig {
         BatchConfig {
             max_batch: 32,
             queue_cap: 1024,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// Resolves the tunable knobs from CLI flags and the environment:
-    /// an explicit CLI value wins, then `TSPN_SERVE_MAX_BATCH` /
-    /// `TSPN_SERVE_MAX_QUEUE`, then the defaults (32 / 1024). A flush is
-    /// one batched forward, so `max_batch` caps how much backlog one
-    /// forward absorbs, while `queue_cap` bounds how far behind the server
-    /// may fall before it starts shedding. Unparseable (or zero)
-    /// environment values are ignored rather than fatal — a fleet-wide env
-    /// typo must not take serving down.
-    pub fn resolve(
-        cli_max_batch: Option<usize>,
-        cli_queue_cap: Option<usize>,
-        env: impl Fn(&str) -> Option<String>,
-    ) -> BatchConfig {
-        let default = BatchConfig::default();
-        let max_batch = cli_max_batch
-            .or_else(|| {
-                env("TSPN_SERVE_MAX_BATCH")
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-            })
-            .unwrap_or(default.max_batch);
-        let queue_cap = cli_queue_cap
-            .or_else(|| {
-                env("TSPN_SERVE_MAX_QUEUE")
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-            })
-            .unwrap_or(default.queue_cap);
-        BatchConfig {
-            max_batch,
-            queue_cap,
         }
     }
 }
@@ -516,38 +481,6 @@ mod tests {
             vec![vec![0], vec![1, 2, 3, 4], vec![5, 6]],
             "the next flush takes min(backlog, max_batch) in submission order"
         );
-    }
-
-    #[test]
-    fn batch_config_resolution_prefers_cli_then_env_then_default() {
-        let env = |k: &str| match k {
-            "TSPN_SERVE_MAX_BATCH" => Some("16".to_string()),
-            _ => None,
-        };
-        // Env only.
-        let r = BatchConfig::resolve(None, None, env);
-        assert_eq!(r.max_batch, 16);
-        assert_eq!(r.queue_cap, BatchConfig::default().queue_cap);
-        // CLI beats env.
-        let r = BatchConfig::resolve(Some(8), Some(64), env);
-        assert_eq!(r.max_batch, 8);
-        assert_eq!(r.queue_cap, 64);
-        // Nothing set: the documented 32 / 1024 defaults.
-        let r = BatchConfig::resolve(None, None, |_| None);
-        assert_eq!(r.max_batch, 32);
-        assert_eq!(r.queue_cap, 1024);
-        // Garbage or zero env values fall through to the defaults.
-        let bad = |k: &str| match k {
-            "TSPN_SERVE_MAX_BATCH" => Some("0".to_string()),
-            "TSPN_SERVE_MAX_QUEUE" => Some("0".to_string()),
-            _ => None,
-        };
-        let r = BatchConfig::resolve(None, None, bad);
-        assert_eq!(r.max_batch, 32);
-        assert_eq!(r.queue_cap, 1024);
-        // The queue-depth env knob is honoured when parseable.
-        let q = |k: &str| (k == "TSPN_SERVE_MAX_QUEUE").then(|| "7".to_string());
-        assert_eq!(BatchConfig::resolve(None, None, q).queue_cap, 7);
     }
 
     #[test]

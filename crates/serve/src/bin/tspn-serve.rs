@@ -3,9 +3,8 @@
 //! ```text
 //! tspn-serve --port 7878 --preset nyc --scale 0.15 --days 12 \
 //!            [--checkpoint model.json] [--dump-checkpoint boot.json] \
-//!            [--max-batch 32] [--top 10] \
-//!            [--session-ttl-ms 900000] [--max-sessions 4096] \
-//!            [--max-queue-depth 1024] [--request-timeout-ms 10000] \
+//!            [--max-batch 32] [--max-queue-depth 1024] \
+//!            [--session-ttl-ms 900000] \
 //!            [--lanes 2] [--shard-index 0 --shard-count 2]
 //! tspn-serve --port 7878 --route 127.0.0.1:7900,127.0.0.1:7901
 //! ```
@@ -24,28 +23,19 @@
 //!
 //! Micro-batching is work-conserving (an idle lane flushes at once, a busy
 //! one takes whatever queued during its last forward), so its one knob is
-//! the cap: `--max-batch`, else `TSPN_SERVE_MAX_BATCH`, else 32 queries
-//! per batched forward. The admission queue and per-request deadline
-//! budget resolve the same way, CLI → environment → default:
-//! `--max-queue-depth` / `TSPN_SERVE_MAX_QUEUE` (default 1024) bounds how
-//! many requests may wait for a flush before the server sheds with a
-//! typed `429 overloaded`, and `--request-timeout-ms` /
-//! `TSPN_SERVE_REQUEST_TIMEOUT_MS` (default 10 s) is the deadline applied
-//! when a request does not carry its own `x-tspn-deadline-ms` header. The
-//! v1 session store resolves the same way: `--session-ttl-ms` /
-//! `--max-sessions`, then `TSPN_SERVE_SESSION_TTL_MS` /
-//! `TSPN_SERVE_MAX_SESSIONS`, then the 15-minute / 4096-session defaults.
+//! the cap: `--max-batch` (default 32) queries per batched forward.
+//! `--max-queue-depth` (default 1024) bounds how many requests may wait
+//! for a flush before a lane sheds with a typed `429 overloaded`, and
+//! `--session-ttl-ms` (default 15 min) is the idle time after which a v1
+//! session expires. `--lanes` (default 1) splits the batcher into that
+//! many shard-partitioned lanes, each with its own model replica,
+//! admission queue, supervisor, and session-store partition. Every count
+//! and duration flag must be a positive integer; zero or garbage is a
+//! usage error (exit 2).
 //!
-//! `--lanes` / `TSPN_SERVE_LANES` (default 1) splits the batcher into
-//! that many shard-partitioned lanes, each with its own model replica,
-//! admission queue, supervisor, and session-store partition;
-//! `TSPN_SERVE_IO_WORKERS` sizes the connection multiplexer's worker
-//! pool.
-//!
-//! Supervision and fault injection are environment-only:
-//! `TSPN_SERVE_BREAKER_{THRESHOLD,WINDOW_MS,COOLDOWN_MS}` tune the
-//! batcher's crash circuit breaker, and the `TSPN_SERVE_FAULT_*` knobs
-//! (see [`tspn_serve::ChaosConfig`]) arm the chaos layer for drills.
+//! The flags are the only configuration, except for fault injection: the
+//! `TSPN_SERVE_FAULT_*` knobs (see [`tspn_serve::ChaosConfig`]) arm the
+//! chaos layer for drills.
 //!
 //! Shutdown: SIGTERM/SIGINT or `POST /admin/shutdown`; either way queued
 //! predictions flush before the process exits 0.
@@ -55,7 +45,7 @@ use std::time::Duration;
 
 use tspn_core::{SpatialContext, TspnConfig};
 use tspn_data::synth::{generate_dataset, SynthConfig};
-use tspn_serve::{server, BatchConfig, BreakerConfig, ChaosConfig, ServerConfig, SessionConfig};
+use tspn_serve::{server, BatchConfig, ChaosConfig, ServerConfig, SessionConfig};
 
 /// Set by the signal handler; polled by the main loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -64,16 +54,12 @@ struct Args {
     port: u16,
     preset: String,
     scale: f64,
-    days: Option<usize>,
+    days: usize,
     checkpoint: Option<String>,
     dump_checkpoint: Option<String>,
-    max_batch: Option<usize>,
-    session_ttl_ms: Option<u64>,
-    max_sessions: Option<usize>,
-    max_queue_depth: Option<usize>,
-    request_timeout_ms: Option<u64>,
-    top: usize,
-    lanes: Option<usize>,
+    batch: BatchConfig,
+    session: SessionConfig,
+    lanes: usize,
     shard_index: usize,
     shard_count: usize,
     route: Option<String>,
@@ -83,11 +69,22 @@ fn usage() -> ! {
     eprintln!(
         "usage: tspn-serve [--port N] [--preset nyc|tky|california|florida] [--scale F] \
          [--days N] [--checkpoint FILE] [--dump-checkpoint FILE] [--max-batch N] \
-         [--session-ttl-ms N] [--max-sessions N] \
-         [--max-queue-depth N] [--request-timeout-ms N] [--top N] [--lanes N] \
+         [--max-queue-depth N] [--session-ttl-ms N] [--lanes N] \
          [--shard-index N --shard-count N] [--route ADDR,ADDR,…]"
     );
     std::process::exit(2);
+}
+
+/// Parses a flag value, exiting with the usage text on garbage.
+fn parse<T: std::str::FromStr>(v: &str) -> T {
+    v.parse().unwrap_or_else(|_| usage())
+}
+
+/// Parses a count or duration flag: zero is a usage error too.
+fn positive(v: &str) -> usize {
+    Some(parse(v))
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| usage())
 }
 
 fn parse_args() -> Args {
@@ -96,58 +93,37 @@ fn parse_args() -> Args {
         port: 7878,
         preset: "nyc".into(),
         scale: 0.15,
-        days: Some(12),
+        days: 12,
         checkpoint: None,
         dump_checkpoint: None,
-        max_batch: None,
-        session_ttl_ms: None,
-        max_sessions: None,
-        max_queue_depth: None,
-        request_timeout_ms: None,
-        top: 10,
-        lanes: None,
+        batch: BatchConfig::default(),
+        session: SessionConfig::default(),
+        lanes: 1,
         shard_index: 0,
         shard_count: 1,
         route: None,
     };
     let mut i = 0;
     while i < argv.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--port" => args.port = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--preset" => args.preset = value(&mut i),
-            "--scale" => args.scale = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--days" => args.days = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--full-days" => args.days = None,
-            "--checkpoint" => args.checkpoint = Some(value(&mut i)),
-            "--dump-checkpoint" => args.dump_checkpoint = Some(value(&mut i)),
-            "--max-batch" => {
-                args.max_batch = Some(value(&mut i).parse().unwrap_or_else(|_| usage()));
-            }
+        let flag = argv[i].as_str();
+        i += 1;
+        let Some(v) = argv.get(i) else { usage() };
+        match flag {
+            "--port" => args.port = parse(v),
+            "--preset" => args.preset = v.clone(),
+            "--scale" => args.scale = parse(v),
+            "--days" => args.days = positive(v),
+            "--checkpoint" => args.checkpoint = Some(v.clone()),
+            "--dump-checkpoint" => args.dump_checkpoint = Some(v.clone()),
+            "--max-batch" => args.batch.max_batch = positive(v),
+            "--max-queue-depth" => args.batch.queue_cap = positive(v),
             "--session-ttl-ms" => {
-                args.session_ttl_ms = Some(value(&mut i).parse().unwrap_or_else(|_| usage()));
+                args.session.ttl = Duration::from_millis(positive(v) as u64);
             }
-            "--max-sessions" => {
-                args.max_sessions = Some(value(&mut i).parse().unwrap_or_else(|_| usage()));
-            }
-            "--max-queue-depth" => {
-                args.max_queue_depth = Some(value(&mut i).parse().unwrap_or_else(|_| usage()));
-            }
-            "--request-timeout-ms" => {
-                args.request_timeout_ms = Some(value(&mut i).parse().unwrap_or_else(|_| usage()));
-            }
-            "--top" => args.top = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--lanes" => args.lanes = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--shard-index" => {
-                args.shard_index = value(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--shard-count" => {
-                args.shard_count = value(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--route" => args.route = Some(value(&mut i)),
+            "--lanes" => args.lanes = positive(v),
+            "--shard-index" => args.shard_index = parse(v),
+            "--shard-count" => args.shard_count = positive(v),
+            "--route" => args.route = Some(v.clone()),
             _ => usage(),
         }
         i += 1;
@@ -202,7 +178,6 @@ fn run_router(port: u16, route: &str) -> ! {
     let cfg = tspn_serve::RouterConfig {
         addr: format!("127.0.0.1:{port}"),
         backends: backends.clone(),
-        ..tspn_serve::RouterConfig::default()
     };
     let handle = match tspn_serve::start_router(cfg) {
         Ok(h) => h,
@@ -233,9 +208,7 @@ fn main() {
         run_router(args.port, route);
     }
     let mut dcfg = preset_config(&args.preset, args.scale);
-    if let Some(days) = args.days {
-        dcfg.days = days;
-    }
+    dcfg.days = args.days;
     let model_cfg = model_config();
 
     eprintln!(
@@ -286,42 +259,15 @@ fn main() {
         })
     });
 
-    let batch = BatchConfig::resolve(args.max_batch, args.max_queue_depth, |key| {
-        std::env::var(key).ok()
-    });
-    let session = SessionConfig::resolve(args.session_ttl_ms, args.max_sessions, |key| {
-        std::env::var(key).ok()
-    });
-    let breaker = BreakerConfig::resolve(|key| std::env::var(key).ok());
     let chaos = ChaosConfig::resolve(|key| std::env::var(key).ok());
-    let request_timeout = args
-        .request_timeout_ms
-        .or_else(|| {
-            std::env::var("TSPN_SERVE_REQUEST_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-        })
-        .filter(|&ms| ms >= 1)
-        .map(Duration::from_millis)
-        .unwrap_or(ServerConfig::default().request_timeout);
     eprintln!(
-        "tspn-serve: micro-batcher max_batch={} queue_cap={}; \
-         request timeout {:?}; sessions ttl={:?} cap={}",
-        batch.max_batch, batch.queue_cap, request_timeout, session.ttl, session.max_sessions
+        "tspn-serve: micro-batcher max_batch={} queue_cap={}; sessions ttl={:?}",
+        args.batch.max_batch, args.batch.queue_cap, args.session.ttl
     );
     if chaos.is_active() {
         eprintln!("tspn-serve: CHAOS ACTIVE: {chaos:?}");
     }
-    let lanes = args
-        .lanes
-        .or_else(|| {
-            std::env::var("TSPN_SERVE_LANES")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-        })
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    if args.shard_index >= args.shard_count.max(1) {
+    if args.shard_index >= args.shard_count {
         eprintln!(
             "tspn-serve: --shard-index {} out of range for --shard-count {}",
             args.shard_index, args.shard_count
@@ -329,23 +275,17 @@ fn main() {
         std::process::exit(2);
     }
     eprintln!(
-        "tspn-serve: {lanes} lane(s), shard {}/{}",
-        args.shard_index,
-        args.shard_count.max(1)
+        "tspn-serve: {} lane(s), shard {}/{}",
+        args.lanes, args.shard_index, args.shard_count
     );
     let server_cfg = ServerConfig {
         addr: format!("127.0.0.1:{}", args.port),
-        batch,
-        session,
-        default_top: args.top,
-        request_timeout,
-        breaker,
+        batch: args.batch,
+        session: args.session,
         chaos,
-        lanes,
+        lanes: args.lanes,
         shard_index: args.shard_index,
-        shard_count: args.shard_count.max(1),
-        io_workers: tspn_serve::MuxConfig::resolve_workers(|key| std::env::var(key).ok()),
-        ..ServerConfig::default()
+        shard_count: args.shard_count,
     };
 
     install_signal_handlers();

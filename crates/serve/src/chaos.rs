@@ -1,7 +1,7 @@
 //! Fault injection for overload and crash-recovery testing.
 //!
 //! The chaos layer is compiled unconditionally but inert unless activated
-//! through `TSPN_SERVE_FAULT_*` environment knobs (or CLI flags / direct
+//! through `TSPN_SERVE_FAULT_*` environment knobs (or direct
 //! [`ChaosConfig`] construction in tests). It can make a flush panic on a
 //! schedule, stretch every flush by a fixed latency (a deterministic way
 //! to pin serving capacity for saturation tests), and corrupt checkpoints

@@ -6,16 +6,13 @@
 //! whatever bytes have arrived so far and either produces a complete
 //! [`Request`] (consuming exactly its bytes, preserving pipelined
 //! read-ahead), asks for more data, or reports a protocol violation with
-//! the status to reject with (`400`/`413`/`431`). Two I/O drivers share
-//! it: the blocking [`HttpConn`] (the client side of tests and the bench
-//! driver's stub loops) and the non-blocking state machine in
-//! [`crate::mux`], which multiplexes thousands of keep-alive connections
-//! over one `poll(2)` event loop. [`render_response`] is the matching
-//! serialiser, so both drivers emit byte-identical responses.
+//! the status to reject with (`400`/`413`/`431`). The socket I/O around
+//! it is the non-blocking state machine in [`crate::mux`], which
+//! multiplexes thousands of keep-alive connections over one `poll(2)`
+//! event loop.
+//! [`render_response`] is the matching serialiser.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -34,28 +31,13 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
 }
 
-/// Outcome of waiting for the next request on a connection.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request arrived.
-    Request(Request),
-    /// The peer closed the connection between requests.
-    Closed,
-    /// The read timeout elapsed with no bytes pending — the caller should
-    /// check its shutdown flag and wait again.
-    Idle,
-}
-
 /// Why reading the next request failed.
 #[derive(Debug)]
 pub enum ReadError {
-    /// Transport failure (peer vanished, stalled transfer): nothing can
-    /// usefully be written back; just close.
-    Io(std::io::Error),
     /// Protocol violation with a status worth telling the client about
     /// (`400` malformed, `413` body too large, `431` headers too large).
-    /// The caller should [`HttpConn::reject`] with these and close —
-    /// request framing can no longer be trusted, so keep-alive is over.
+    /// The caller should answer with these and close — request framing
+    /// can no longer be trusted, so keep-alive is over.
     Bad {
         /// Response status to write.
         status: u16,
@@ -73,12 +55,6 @@ impl ReadError {
     }
 }
 
-impl From<std::io::Error> for ReadError {
-    fn from(e: std::io::Error) -> Self {
-        ReadError::Io(e)
-    }
-}
-
 /// How long a *partially received* request may dribble in before the
 /// connection is dropped as dead.
 pub(crate) const PARTIAL_DEADLINE: Duration = Duration::from_secs(5);
@@ -87,108 +63,6 @@ pub(crate) const PARTIAL_DEADLINE: Duration = Duration::from_secs(5);
 /// needs long headers; a peer that exceeds this gets `431` and the
 /// connection closed instead of growing the buffer without bound.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
-
-/// A persistent connection with its read-ahead buffer (pipelined bytes
-/// beyond the current request survive into the next call).
-pub struct HttpConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl HttpConn {
-    /// Wraps a connected stream.
-    pub fn new(stream: TcpStream) -> Self {
-        HttpConn {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Reads the next request, honouring the stream's read timeout for
-    /// idle detection (see [`ReadOutcome::Idle`]).
-    ///
-    /// # Errors
-    /// [`ReadError::Io`] for transport failures (close silently);
-    /// [`ReadError::Bad`] for protocol violations — `400` malformed,
-    /// `413` body above `max_body`, `431` headers above
-    /// [`MAX_HEADER_BYTES`] — which the caller should write with
-    /// [`HttpConn::reject`] before closing.
-    pub fn read_request(&mut self, max_body: usize) -> Result<ReadOutcome, ReadError> {
-        let mut chunk = [0u8; 4096];
-        let mut partial_since: Option<Instant> = None;
-        loop {
-            if let Some(req) = try_parse_request(&mut self.buf, max_body)? {
-                return Ok(ReadOutcome::Request(req));
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(ReadOutcome::Closed)
-                    } else {
-                        Err(ReadError::Io(std::io::Error::new(
-                            ErrorKind::UnexpectedEof,
-                            "connection closed mid-request",
-                        )))
-                    };
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    partial_since.get_or_insert_with(Instant::now);
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if self.buf.is_empty() {
-                        return Ok(ReadOutcome::Idle);
-                    }
-                    // A half-received request (headers or body) may only
-                    // dribble in a bounded while: a stalled transfer must
-                    // not pin this handler (and clean shutdown) forever.
-                    let since = *partial_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() > PARTIAL_DEADLINE {
-                        return Err(ReadError::Io(std::io::Error::new(
-                            ErrorKind::TimedOut,
-                            "request stalled mid-transfer",
-                        )));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ReadError::Io(e)),
-            }
-        }
-    }
-
-    /// Writes a JSON response.
-    ///
-    /// # Errors
-    /// Propagates stream write failures.
-    pub fn respond(&mut self, status: u16, body: &str, keep_alive: bool) -> std::io::Result<()> {
-        self.respond_ex(status, body, keep_alive, None)
-    }
-
-    /// Writes a JSON response with an optional `Retry-After` hint
-    /// (seconds) — attached to shed responses (429/503) so well-behaved
-    /// clients back off instead of hammering an overloaded server.
-    ///
-    /// # Errors
-    /// Propagates stream write failures.
-    pub fn respond_ex(
-        &mut self,
-        status: u16,
-        body: &str,
-        keep_alive: bool,
-        retry_after: Option<u64>,
-    ) -> std::io::Result<()> {
-        self.stream
-            .write_all(&render_response(status, body, keep_alive, retry_after))?;
-        self.stream.flush()
-    }
-
-    /// Best-effort typed-error response before closing a broken
-    /// connection (the error code follows from the status).
-    pub fn reject(&mut self, status: u16, message: &str) {
-        let body = crate::protocol::error_response(error_code(status), message);
-        let _ = self.respond(status, &body, false);
-    }
-}
 
 /// Tries to parse one complete request from the front of `buf`.
 ///
@@ -206,7 +80,7 @@ impl HttpConn {
 ///   (never buffering it).
 ///
 /// # Errors
-/// [`ReadError::Bad`] as described above; never [`ReadError::Io`].
+/// [`ReadError::Bad`] as described above.
 pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Request>, ReadError> {
     let Some(end) = find_header_end(buf) else {
         if buf.len() > MAX_HEADER_BYTES {
@@ -288,8 +162,7 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
 /// Serialises one JSON response to wire bytes: status line,
 /// `Content-Type`/`Content-Length`, an optional `Retry-After` hint
 /// (seconds, attached to 429/503 sheds so well-behaved clients back off),
-/// and the `Connection` disposition. Shared by the blocking writer and
-/// the mux's buffered writer so both emit byte-identical responses.
+/// and the `Connection` disposition.
 pub fn render_response(
     status: u16,
     body: &str,
@@ -423,19 +296,15 @@ mod tests {
     fn incremental_parser_rejects_oversized_declarations_without_the_body() {
         // 413 fires the moment the headers complete, body unseen.
         let mut buf = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n".to_vec();
-        let err = try_parse_request(&mut buf, 4096).expect_err("must refuse");
-        let ReadError::Bad { status, .. } = err else {
-            panic!("expected Bad");
-        };
+        let ReadError::Bad { status, .. } =
+            try_parse_request(&mut buf, 4096).expect_err("must refuse");
         assert_eq!(status, 413);
 
         // 431 fires as soon as a terminator-free header block exceeds the
         // cap — no request line needed.
         let mut buf = vec![b'a'; MAX_HEADER_BYTES + 1];
-        let err = try_parse_request(&mut buf, 4096).expect_err("must refuse");
-        let ReadError::Bad { status, .. } = err else {
-            panic!("expected Bad");
-        };
+        let ReadError::Bad { status, .. } =
+            try_parse_request(&mut buf, 4096).expect_err("must refuse");
         assert_eq!(status, 431);
     }
 
@@ -457,157 +326,42 @@ mod tests {
         assert!(!text.contains("Retry-After"), "{text}");
     }
 
-    // ----- socket-level behaviour -------------------------------------
-    //
-    // Each test stands up a real loopback pair: the "server" side wraps
-    // the accepted stream in HttpConn (exactly as handle_connection
-    // does), the "client" side writes raw bytes.
-
-    use std::net::{TcpListener, TcpStream};
-
-    fn pair() -> (HttpConn, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let client = TcpStream::connect(addr).expect("connect");
-        let (server, _) = listener.accept().expect("accept");
-        server
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .expect("timeout");
-        (HttpConn::new(server), client)
-    }
-
-    fn drive(conn: &mut HttpConn, max_body: usize) -> Result<ReadOutcome, ReadError> {
-        // Skip Idle ticks so tests only see terminal outcomes.
-        loop {
-            match conn.read_request(max_body) {
-                Ok(ReadOutcome::Idle) => continue,
-                other => return other,
-            }
-        }
-    }
-
-    fn read_all(mut stream: &TcpStream) -> String {
-        let mut out = Vec::new();
-        let _ = stream.read_to_end(&mut out);
-        String::from_utf8_lossy(&out).into_owned()
-    }
-
-    #[test]
-    fn oversized_header_block_yields_431_and_a_closed_connection() {
-        let (mut conn, mut client) = pair();
-        // A header line that never ends: the buffer must not grow past
-        // MAX_HEADER_BYTES before the connection is refused.
-        client
-            .write_all(b"GET / HTTP/1.1\r\nx-filler: ")
-            .expect("w");
-        client
-            .write_all(&vec![b'a'; MAX_HEADER_BYTES + 64])
-            .expect("w");
-        let err = drive(&mut conn, 1 << 20).expect_err("must refuse");
-        let ReadError::Bad { status, .. } = err else {
-            panic!("expected Bad, got {err:?}");
-        };
-        assert_eq!(status, 431);
-        conn.reject(status, "too big");
-        drop(conn);
-        let answer = read_all(&client);
-        assert!(answer.starts_with("HTTP/1.1 431 "), "{answer}");
-        assert!(answer.contains("headers_too_large"), "{answer}");
-        assert!(answer.contains("Connection: close"), "{answer}");
-    }
-
-    #[test]
-    fn oversized_body_yields_413_without_buffering_it() {
-        let (mut conn, mut client) = pair();
-        client
-            .write_all(b"POST /v1/predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n")
-            .expect("w");
-        let err = drive(&mut conn, 4096).expect_err("must refuse");
-        let ReadError::Bad { status, .. } = err else {
-            panic!("expected Bad, got {err:?}");
-        };
-        assert_eq!(status, 413);
-        conn.reject(status, "body too large");
-        drop(conn);
-        let answer = read_all(&client);
-        assert!(answer.starts_with("HTTP/1.1 413 "), "{answer}");
-        assert!(answer.contains("payload_too_large"), "{answer}");
-    }
-
-    #[test]
-    fn connection_close_is_honoured_after_the_response() {
-        let (mut conn, mut client) = pair();
-        client
-            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-            .expect("w");
-        let outcome = drive(&mut conn, 4096).expect("request parses");
-        let ReadOutcome::Request(req) = outcome else {
-            panic!("expected a request");
-        };
-        assert!(!req.keep_alive, "Connection: close noted");
-        conn.respond(200, "{}", req.keep_alive).expect("respond");
-        drop(conn);
-        let answer = read_all(&client);
-        assert!(answer.contains("Connection: close"), "{answer}");
-        assert!(
-            answer.ends_with("{}"),
-            "clean close after the body: {answer}"
-        );
-    }
-
-    #[test]
-    fn parse_error_yields_400_then_close() {
-        let (mut conn, mut client) = pair();
-        client.write_all(b"NOT-HTTP\r\n\r\n").expect("w");
-        let err = drive(&mut conn, 4096).expect_err("must refuse");
-        let ReadError::Bad { status, .. } = err else {
-            panic!("expected Bad, got {err:?}");
-        };
-        assert_eq!(status, 400);
-        conn.reject(status, "malformed");
-        drop(conn);
-        let answer = read_all(&client);
-        assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
-        assert!(answer.contains("Connection: close"), "{answer}");
-    }
-
-    #[test]
-    fn deadline_header_is_parsed_and_garbage_ignored() {
-        let (mut conn, mut client) = pair();
-        client
-            .write_all(
-                b"POST /v1/predict HTTP/1.1\r\nx-tspn-deadline-ms: 250\r\n\
-                  Content-Length: 2\r\n\r\n{}",
-            )
-            .expect("w");
-        let ReadOutcome::Request(req) = drive(&mut conn, 4096).expect("parses") else {
-            panic!("expected a request");
-        };
-        assert_eq!(req.deadline_ms, Some(250));
-
-        client
-            .write_all(
-                b"POST /v1/predict HTTP/1.1\r\nX-TSPN-Deadline-Ms: never\r\n\
-                  Content-Length: 2\r\n\r\n{}",
-            )
-            .expect("w");
-        let ReadOutcome::Request(req) = drive(&mut conn, 4096).expect("parses") else {
-            panic!("expected a request");
-        };
-        assert_eq!(req.deadline_ms, None, "garbage deadline → server default");
-    }
-
     #[test]
     fn retry_after_header_is_emitted_on_shed_responses() {
-        let (mut conn, client) = pair();
-        conn.respond_ex(429, "{\"error\":{}}", false, Some(2))
-            .expect("respond");
-        drop(conn);
-        let answer = read_all(&client);
+        let bytes = render_response(429, "{\"error\":{}}", false, Some(2));
+        let answer = String::from_utf8(bytes).unwrap();
         assert!(
             answer.starts_with("HTTP/1.1 429 Too Many Requests"),
             "{answer}"
         );
         assert!(answer.contains("Retry-After: 2\r\n"), "{answer}");
+        assert!(answer.contains("Connection: close\r\n"), "{answer}");
+    }
+
+    #[test]
+    fn parse_error_yields_400_then_close() {
+        // The status the caller answers with before closing (the mux
+        // test of the same request checks the close on a real socket).
+        let mut buf = b"NOT-HTTP\r\n\r\n".to_vec();
+        let ReadError::Bad { status, .. } =
+            try_parse_request(&mut buf, 4096).expect_err("must refuse");
+        assert_eq!(status, 400);
+    }
+
+    #[test]
+    fn deadline_header_is_parsed_and_garbage_ignored() {
+        let mut buf = b"POST /v1/predict HTTP/1.1\r\nx-tspn-deadline-ms: 250\r\n\
+                        Content-Length: 2\r\n\r\n{}\
+                        POST /v1/predict HTTP/1.1\r\nX-TSPN-Deadline-Ms: never\r\n\
+                        Content-Length: 2\r\n\r\n{}"
+            .to_vec();
+        let req = try_parse_request(&mut buf, 4096)
+            .expect("parses")
+            .expect("complete");
+        assert_eq!(req.deadline_ms, Some(250));
+        let req = try_parse_request(&mut buf, 4096)
+            .expect("parses")
+            .expect("complete");
+        assert_eq!(req.deadline_ms, None, "garbage deadline → server default");
     }
 }

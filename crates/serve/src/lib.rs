@@ -37,12 +37,11 @@ pub mod snapshot;
 pub use batcher::{Answered, BatchConfig, Batcher, SubmitError, Verdict};
 pub use chaos::{Chaos, ChaosConfig};
 pub use client::{Client, Response, RetryPolicy};
-pub use mux::MuxConfig;
 pub use protocol::{ApiError, LaneStats, StatsSnapshot, Topology};
 pub use router::{start_router, RouterConfig, RouterHandle};
 pub use server::{
-    default_model_config, preset_dataset_config, start, BreakerConfig, ServeStats, ServerConfig,
-    ServerHandle, MAX_DEADLINE_MS,
+    default_model_config, preset_dataset_config, start, ServeStats, ServerConfig, ServerHandle,
+    MAX_DEADLINE_MS,
 };
 pub use session::{SessionConfig, SessionError, SessionInfo, SessionStats, SessionStore};
 pub use shard::SHARD_FN_ID;

@@ -121,7 +121,8 @@ use sys::{fd_of, poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 // Public surface
 // ---------------------------------------------------------------------
 
-/// Multiplexer knobs, resolved once at server start.
+/// Multiplexer limits. The server and the router both run with
+/// [`MuxConfig::default`]; tests shrink the pool and the drain grace.
 #[derive(Debug, Clone, Copy)]
 pub struct MuxConfig {
     /// Request-body cap (bytes); above it the parser rejects with `413`.
@@ -141,22 +142,15 @@ pub struct MuxConfig {
 impl Default for MuxConfig {
     fn default() -> Self {
         MuxConfig {
+            // The protocol's bodies are tiny.
             max_body: 64 * 1024,
             workers: 32,
             write_timeout: Duration::from_secs(10),
+            // Covers the worst-case in-flight wait: the deadline clamp
+            // plus the flush grace is minutes only for abusive header
+            // values; real traffic drains in seconds.
             drain_grace: Duration::from_secs(30),
         }
-    }
-}
-
-impl MuxConfig {
-    /// Resolves the worker-pool size: `TSPN_SERVE_IO_WORKERS`, else 32.
-    /// Zero or garbage falls through to the default.
-    pub fn resolve_workers(env: impl Fn(&str) -> Option<String>) -> usize {
-        env("TSPN_SERVE_IO_WORKERS")
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(MuxConfig::default().workers)
     }
 }
 
@@ -597,18 +591,6 @@ fn advance(conn: &mut Conn, id: u64, max_body: usize, pool: &Pool) {
             conn.phase = Phase::Processing;
             conn.partial_since = None;
         }
-        Err(ReadError::Io(_)) => {
-            // The pure parser never produces Io today; if it ever does,
-            // tear the connection down instead of aborting the mux thread.
-            conn.queue_response(
-                400,
-                &crate::protocol::error_response("bad_request", "unreadable request"),
-                false,
-                None,
-            );
-            conn.phase = Phase::Processing;
-            conn.partial_since = None;
-        }
     }
 }
 
@@ -680,6 +662,22 @@ mod tests {
         (addr, shutdown, h)
     }
 
+    /// Writes raw bytes on a fresh connection and reads until the mux
+    /// closes it (a read timeout turns a connection left open into a
+    /// failure instead of a hang).
+    fn exchange(addr: &str, wire: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.write_all(wire).expect("write");
+        let mut out = Vec::new();
+        stream
+            .read_to_end(&mut out)
+            .expect("the mux closes the connection");
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
     #[test]
     fn serves_keep_alive_sequences_and_rejects_bad_framing() {
         let (addr, shutdown, mux) = start_echo(2);
@@ -693,12 +691,10 @@ mod tests {
         }
         // A second, malformed connection gets a typed 400 and a close —
         // the first connection keeps serving afterwards.
-        let mut bad = TcpStream::connect(&addr).expect("connect bad");
-        bad.write_all(b"NOT-HTTP\r\n\r\n").expect("write");
-        let mut answer = String::new();
-        let _ = bad.read_to_string(&mut answer);
+        let answer = exchange(&addr, b"NOT-HTTP\r\n\r\n");
         assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
         assert!(answer.contains("bad_request"), "{answer}");
+        assert!(answer.contains("Connection: close"), "{answer}");
         let (status, _) = c.get("/healthz").expect("still serving");
         assert_eq!(status, 200);
         drop(c);
@@ -741,16 +737,47 @@ mod tests {
     }
 
     #[test]
-    fn worker_knob_resolves_from_env() {
-        assert_eq!(MuxConfig::resolve_workers(|_| None), 32);
-        assert_eq!(
-            MuxConfig::resolve_workers(|k| (k == "TSPN_SERVE_IO_WORKERS").then(|| "7".to_string())),
-            7
+    fn oversized_header_block_yields_431_and_a_closed_connection() {
+        let (addr, shutdown, mux) = start_echo(1);
+        // A header line that never ends, one byte past the cap: the
+        // buffer must not grow further before the connection is refused.
+        let mut wire = b"GET / HTTP/1.1\r\nx-filler: ".to_vec();
+        wire.resize(http::MAX_HEADER_BYTES + 1, b'a');
+        let answer = exchange(&addr, &wire);
+        assert!(answer.starts_with("HTTP/1.1 431 "), "{answer}");
+        assert!(answer.contains("headers_too_large"), "{answer}");
+        assert!(answer.contains("Connection: close"), "{answer}");
+        shutdown.store(true, Ordering::Release);
+        mux.join().expect("mux thread").expect("clean exit");
+    }
+
+    #[test]
+    fn oversized_body_yields_413_without_buffering_it() {
+        let (addr, shutdown, mux) = start_echo(1);
+        // Only the headers are sent: the refusal must not wait for the
+        // declared body.
+        let answer = exchange(
+            &addr,
+            b"POST /v1/predict HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
         );
-        assert_eq!(
-            MuxConfig::resolve_workers(|_| Some("0".to_string())),
-            32,
-            "zero workers would deadlock; ignored"
+        assert!(answer.starts_with("HTTP/1.1 413 "), "{answer}");
+        assert!(answer.contains("payload_too_large"), "{answer}");
+        assert!(answer.contains("Connection: close"), "{answer}");
+        shutdown.store(true, Ordering::Release);
+        mux.join().expect("mux thread").expect("clean exit");
+    }
+
+    #[test]
+    fn connection_close_is_honoured_after_the_response() {
+        let (addr, shutdown, mux) = start_echo(1);
+        let answer = exchange(&addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+        assert!(answer.contains("Connection: close"), "{answer}");
+        assert!(
+            answer.ends_with("{\"path\":\"/healthz\",\"len\":0}"),
+            "clean close after the body: {answer}"
         );
+        shutdown.store(true, Ordering::Release);
+        mux.join().expect("mux thread").expect("clean exit");
     }
 }

@@ -27,7 +27,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use serde::Value;
 
@@ -50,21 +49,6 @@ pub struct RouterConfig {
     pub addr: String,
     /// Backend addresses, in shard order: backend `i` of `backends.len()`.
     pub backends: Vec<String>,
-    /// Write-stall deadline on router client connections.
-    pub write_timeout: Duration,
-    /// Multiplexer worker threads (each blocks on one backend call).
-    pub io_workers: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            addr: "127.0.0.1:0".to_string(),
-            backends: Vec::new(),
-            write_timeout: MuxConfig::default().write_timeout,
-            io_workers: MuxConfig::default().workers,
-        }
-    }
 }
 
 /// A running router: its address and the thread driving its mux.
@@ -206,11 +190,6 @@ pub fn start_router(cfg: RouterConfig) -> Result<RouterHandle, String> {
         backends: cfg.backends.iter().map(|a| Backend::new(a)).collect(),
         shutdown: Arc::clone(&shutdown),
     });
-    let mux_cfg = MuxConfig {
-        workers: cfg.io_workers.max(1),
-        write_timeout: cfg.write_timeout,
-        ..MuxConfig::default()
-    };
     let handler: Arc<mux::Handler> = {
         let state = Arc::clone(&state);
         Arc::new(move |req| respond(&state, req))
@@ -219,7 +198,7 @@ pub fn start_router(cfg: RouterConfig) -> Result<RouterHandle, String> {
     let mux_thread = std::thread::Builder::new()
         .name("tspn-route-mux".to_string())
         .spawn(move || {
-            if let Err(e) = mux::run(listener, mux_cfg, flag, handler) {
+            if let Err(e) = mux::run(listener, MuxConfig::default(), flag, handler) {
                 eprintln!("tspn-serve: router mux error: {e}");
             }
         })
@@ -536,8 +515,8 @@ mod tests {
 
     fn start(backends: Vec<String>) -> RouterHandle {
         start_router(RouterConfig {
+            addr: "127.0.0.1:0".to_string(),
             backends,
-            ..RouterConfig::default()
         })
         .expect("router starts")
     }

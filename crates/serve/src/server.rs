@@ -50,55 +50,22 @@ use crate::session::{SessionConfig, SessionError, SessionStore};
 use crate::shard::{self, IdPartition, SHARD_FN_ID};
 use crate::snapshot::{validate_shapes, SnapshotHandle};
 
-/// Circuit-breaker policy for a lane's batcher supervisor: `threshold`
-/// panics within `window` flip that lane not-ready; it recovers
-/// `cooldown` after the trip. Each lane trips independently — one broken
-/// lane sheds only its own shard of users.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Panics within the window that open the breaker.
-    pub threshold: u32,
-    /// Sliding window over which panics are counted.
-    pub window: Duration,
-    /// How long the breaker stays open once tripped.
-    pub cooldown: Duration,
-}
+/// Circuit breaker for a lane's batcher supervisor: this many panics
+/// within [`BREAKER_WINDOW`] flip that lane not-ready until
+/// [`BREAKER_COOLDOWN`] after the trip. Each lane trips independently —
+/// one broken lane sheds only its own shard of users.
+const BREAKER_THRESHOLD: u32 = 3;
+/// Sliding window over which a lane's flush panics are counted.
+const BREAKER_WINDOW: Duration = Duration::from_secs(30);
+/// How long a tripped breaker keeps its lane not-ready.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(5);
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 3,
-            window: Duration::from_secs(30),
-            cooldown: Duration::from_secs(5),
-        }
-    }
-}
+/// Deadline budget for a request without an `x-tspn-deadline-ms` header
+/// (a header may set its own, clamped to [`MAX_DEADLINE_MS`]).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
-impl BreakerConfig {
-    /// Resolves the breaker knobs from `TSPN_SERVE_BREAKER_THRESHOLD`,
-    /// `TSPN_SERVE_BREAKER_WINDOW_MS`, and
-    /// `TSPN_SERVE_BREAKER_COOLDOWN_MS`; unparseable (or zero) values
-    /// keep their defaults.
-    pub fn resolve(env: impl Fn(&str) -> Option<String>) -> BreakerConfig {
-        let default = BreakerConfig::default();
-        let num = |key: &str| {
-            env(key)
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&n| n >= 1)
-        };
-        BreakerConfig {
-            threshold: num("TSPN_SERVE_BREAKER_THRESHOLD")
-                .map(|n| n as u32)
-                .unwrap_or(default.threshold),
-            window: num("TSPN_SERVE_BREAKER_WINDOW_MS")
-                .map(Duration::from_millis)
-                .unwrap_or(default.window),
-            cooldown: num("TSPN_SERVE_BREAKER_COOLDOWN_MS")
-                .map(Duration::from_millis)
-                .unwrap_or(default.cooldown),
-        }
-    }
-}
+/// Result-list truncation when a request omits `top`.
+const DEFAULT_TOP: usize = 10;
 
 /// Serving configuration.
 #[derive(Debug, Clone)]
@@ -111,17 +78,6 @@ pub struct ServerConfig {
     /// Session-store knobs, applied **per lane** (capacity is per
     /// partition).
     pub session: SessionConfig,
-    /// A buffered response making no write progress for this long means a
-    /// dead or malicious peer; the connection is dropped.
-    pub write_timeout: Duration,
-    /// Default per-request deadline budget (requests may override per
-    /// call with the `x-tspn-deadline-ms` header, clamped to
-    /// [`MAX_DEADLINE_MS`]).
-    pub request_timeout: Duration,
-    /// Default result-list truncation when a request omits `top`.
-    pub default_top: usize,
-    /// Per-lane batcher-supervisor circuit-breaker policy.
-    pub breaker: BreakerConfig,
     /// Fault injection (inert by default); flush faults can be scoped to
     /// one lane via [`ChaosConfig::fault_lane`].
     pub chaos: ChaosConfig,
@@ -132,8 +88,6 @@ pub struct ServerConfig {
     pub shard_index: usize,
     /// Fleet size when running behind the router (1 standalone).
     pub shard_count: usize,
-    /// Multiplexer worker threads (the handler-side concurrency bound).
-    pub io_workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -142,21 +96,13 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             batch: BatchConfig::default(),
             session: SessionConfig::default(),
-            write_timeout: Duration::from_secs(10),
-            request_timeout: Duration::from_secs(10),
-            default_top: 10,
-            breaker: BreakerConfig::default(),
             chaos: ChaosConfig::default(),
             lanes: 1,
             shard_index: 0,
             shard_count: 1,
-            io_workers: MuxConfig::default().workers,
         }
     }
 }
-
-/// Largest accepted request body (the protocol's bodies are tiny).
-const MAX_BODY: usize = 64 * 1024;
 
 /// The stock serving model configuration (perf-snapshot scale, so a
 /// default server boots in seconds on one CPU). The `tspn-serve` binary
@@ -205,12 +151,6 @@ const FLUSH_GRACE: Duration = Duration::from_secs(5);
 /// `Retry-After` seconds attached to shed responses (429/503).
 const RETRY_AFTER_SECS: u64 = 1;
 
-/// How long the multiplexer keeps draining open connections after
-/// shutdown before dropping them (covers the worst-case in-flight wait:
-/// the deadline clamp plus the flush grace is minutes only for abusive
-/// header values; real traffic drains in seconds).
-const DRAIN_GRACE: Duration = Duration::from_secs(30);
-
 /// Process-wide serving counters surfaced by `/healthz` and `/v1/stats`.
 /// The served total is not stored — it is the sum of the two
 /// per-endpoint predict counters, computed at render time so the "counters
@@ -258,8 +198,8 @@ impl Overload {
         until != 0 && (self.epoch.elapsed().as_millis() as u64) < until
     }
 
-    fn trip_breaker(&self, cooldown: Duration) {
-        let until = (self.epoch.elapsed() + cooldown).as_millis() as u64;
+    fn trip_breaker(&self) {
+        let until = (self.epoch.elapsed() + BREAKER_COOLDOWN).as_millis() as u64;
         self.breaker_until_ms.store(until.max(1), Ordering::Release);
     }
 }
@@ -302,9 +242,6 @@ struct Shared {
     /// the first lane thread to build its model (replicas agree).
     expected_shapes: OnceLock<Vec<(String, Vec<usize>)>>,
     default_k: usize,
-    default_top: usize,
-    /// Default per-request deadline budget.
-    request_timeout: Duration,
     /// Configured per-lane admission-queue depth (for stats).
     queue_cap: usize,
     shard_index: usize,
@@ -417,8 +354,6 @@ pub fn start(
         num_pois,
         expected_shapes: OnceLock::new(),
         default_k: model_cfg.top_k,
-        default_top: cfg.default_top,
-        request_timeout: cfg.request_timeout,
         queue_cap: cfg.batch.queue_cap,
         shard_index: cfg.shard_index,
         shard_count,
@@ -445,13 +380,10 @@ pub fn start(
         let shared = Arc::clone(&shared);
         let model_cfg = model_cfg.clone();
         let initial = initial.clone();
-        let breaker = cfg.breaker;
         lane_threads.push(
             std::thread::Builder::new()
                 .name(format!("tspn-serve-lane-{l}"))
-                .spawn(move || {
-                    lane_main(shared, l, model_cfg, lane_ctx, initial, ready_tx, breaker)
-                })
+                .spawn(move || lane_main(shared, l, model_cfg, lane_ctx, initial, ready_tx))
                 .map_err(|e| format!("spawn lane {l}: {e}"))?,
         );
         readies.push(ready_rx);
@@ -481,12 +413,6 @@ pub fn start(
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
 
-    let mux_cfg = MuxConfig {
-        max_body: MAX_BODY,
-        workers: cfg.io_workers.max(1),
-        write_timeout: cfg.write_timeout,
-        drain_grace: DRAIN_GRACE,
-    };
     let handler: Arc<mux::Handler> = {
         let shared = Arc::clone(&shared);
         Arc::new(move |req: &Request| respond(&shared, req))
@@ -497,7 +423,7 @@ pub fn start(
         std::thread::Builder::new()
             .name("tspn-serve-mux".to_string())
             .spawn(move || {
-                if let Err(e) = mux::run(listener, mux_cfg, flag, handler) {
+                if let Err(e) = mux::run(listener, MuxConfig::default(), flag, handler) {
                     eprintln!("tspn-serve: multiplexer failed: {e}");
                     shared.shutdown.store(true, Ordering::Release);
                 }
@@ -532,7 +458,6 @@ fn lane_main(
     ctx: SpatialContext,
     initial: Option<Checkpoint>,
     ready_tx: mpsc::SyncSender<Result<(), String>>,
-    breaker: BreakerConfig,
 ) {
     let lane = &shared.lanes[lane_idx];
     let mut predictor = Predictor::new(model_cfg, ctx);
@@ -610,17 +535,17 @@ fn lane_main(
                 panic_times.push_back(now);
                 while panic_times
                     .front()
-                    .is_some_and(|&t| now.duration_since(t) > breaker.window)
+                    .is_some_and(|&t| now.duration_since(t) > BREAKER_WINDOW)
                 {
                     panic_times.pop_front();
                 }
-                if panic_times.len() as u32 >= breaker.threshold {
-                    lane.overload.trip_breaker(breaker.cooldown);
+                if panic_times.len() as u32 >= BREAKER_THRESHOLD {
+                    lane.overload.trip_breaker();
                     panic_times.clear();
                     eprintln!(
                         "tspn-serve: lane {lane_idx}: circuit breaker open for {:?} \
                          after {} crashes in {:?}",
-                        breaker.cooldown, breaker.threshold, breaker.window
+                        BREAKER_COOLDOWN, BREAKER_THRESHOLD, BREAKER_WINDOW
                     );
                 }
             }
@@ -733,7 +658,7 @@ fn route(shared: &Shared, req: &Request) -> (u16, String) {
     };
     let budget_ms = req
         .deadline_ms
-        .unwrap_or(shared.request_timeout.as_millis() as u64)
+        .unwrap_or(REQUEST_TIMEOUT.as_millis() as u64)
         .clamp(1, MAX_DEADLINE_MS);
     let deadline = Instant::now() + Duration::from_millis(budget_ms);
     match resolved {
@@ -830,7 +755,7 @@ fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
         shed_expired,
         shed_not_ready,
         batcher_restarts: restarts,
-        request_timeout_ms: shared.request_timeout.as_millis() as u64,
+        request_timeout_ms: REQUEST_TIMEOUT.as_millis() as u64,
         chaos_injected_panics: injected_panics,
         chaos_corrupted_publishes: shared.publish_chaos.corrupted_publishes(),
         sessions_live: live,
@@ -843,7 +768,7 @@ fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
     }
 }
 
-/// The per-lane rows of the v2 stats answer.
+/// The per-lane rows of the v3 stats answer.
 fn lane_stats(shared: &Shared) -> Vec<LaneStats> {
     let draining = shared.draining();
     shared
@@ -954,7 +879,7 @@ fn adhoc_query(
     Ok(Query::adhoc(
         Arc::new(trajectory),
         k.unwrap_or(shared.default_k),
-        top.unwrap_or(shared.default_top),
+        top.unwrap_or(DEFAULT_TOP),
     ))
 }
 

@@ -53,45 +53,6 @@ impl Default for SessionConfig {
     }
 }
 
-impl SessionConfig {
-    /// Resolves the tunable knobs CLI → environment → default, mirroring
-    /// [`crate::BatchConfig::resolve`]: an explicit CLI value wins, then
-    /// `TSPN_SERVE_SESSION_TTL_MS` / `TSPN_SERVE_MAX_SESSIONS`, then the
-    /// defaults (15 min / 4096). Unparseable or zero values — from either
-    /// source — are ignored rather than fatal (a zero TTL would make
-    /// every session instantly gone, and a zero capacity would fail the
-    /// store's constructor).
-    pub fn resolve(
-        cli_ttl_ms: Option<u64>,
-        cli_max_sessions: Option<usize>,
-        env: impl Fn(&str) -> Option<String>,
-    ) -> SessionConfig {
-        let default = SessionConfig::default();
-        let ttl = cli_ttl_ms
-            .filter(|&n| n >= 1)
-            .or_else(|| {
-                env("TSPN_SERVE_SESSION_TTL_MS")
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .filter(|&n| n >= 1)
-            })
-            .map(Duration::from_millis)
-            .unwrap_or(default.ttl);
-        let max_sessions = cli_max_sessions
-            .filter(|&n| n >= 1)
-            .or_else(|| {
-                env("TSPN_SERVE_MAX_SESSIONS")
-                    .and_then(|v| v.trim().parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-            })
-            .unwrap_or(default.max_sessions);
-        SessionConfig {
-            ttl,
-            max_sessions,
-            ..default
-        }
-    }
-}
-
 /// Why a session operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
@@ -565,38 +526,6 @@ mod tests {
         assert_eq!(s.append(id, &run).unwrap(), 4);
         let (_, visits) = s.snapshot(id).unwrap();
         assert_eq!(visits, run[2..].to_vec());
-    }
-
-    #[test]
-    fn config_resolution_prefers_cli_then_env_then_default() {
-        let env = |k: &str| match k {
-            "TSPN_SERVE_SESSION_TTL_MS" => Some("250".to_string()),
-            "TSPN_SERVE_MAX_SESSIONS" => Some("9".to_string()),
-            _ => None,
-        };
-        let r = SessionConfig::resolve(None, None, env);
-        assert_eq!(r.ttl, Duration::from_millis(250));
-        assert_eq!(r.max_sessions, 9);
-        let r = SessionConfig::resolve(Some(1_000), Some(3), env);
-        assert_eq!(r.ttl, Duration::from_millis(1_000));
-        assert_eq!(r.max_sessions, 3);
-        // Zero CLI values are ignored like zero env values (a zero TTL
-        // or capacity would break the store), falling through to env.
-        let r = SessionConfig::resolve(Some(0), Some(0), env);
-        assert_eq!(r.ttl, Duration::from_millis(250));
-        assert_eq!(r.max_sessions, 9);
-        let r = SessionConfig::resolve(None, None, |_| None);
-        assert_eq!(r.ttl, SessionConfig::default().ttl);
-        assert_eq!(r.max_sessions, SessionConfig::default().max_sessions);
-        // Garbage or zero env values fall back to defaults.
-        let bad = |k: &str| match k {
-            "TSPN_SERVE_SESSION_TTL_MS" => Some("0".to_string()),
-            "TSPN_SERVE_MAX_SESSIONS" => Some("many".to_string()),
-            _ => None,
-        };
-        let r = SessionConfig::resolve(None, None, bad);
-        assert_eq!(r.ttl, SessionConfig::default().ttl);
-        assert_eq!(r.max_sessions, SessionConfig::default().max_sessions);
     }
 
     #[test]

@@ -1062,11 +1062,6 @@ fn supervisor_restarts_from_last_published_checkpoint_and_breaker_recovers() {
             flush_panic_budget: Some(3),
             ..Default::default()
         },
-        breaker: tspn_serve::BreakerConfig {
-            threshold: 3,
-            window: Duration::from_secs(30),
-            cooldown: Duration::from_millis(1500),
-        },
         ..ServerConfig::default()
     });
     let addr = handle.local_addr().to_string();
@@ -1371,11 +1366,6 @@ fn faulting_one_lane_sheds_only_that_shard_while_others_serve() {
                 fault_lane: Some(0),
                 ..Default::default()
             },
-            breaker: tspn_serve::BreakerConfig {
-                threshold: 2,
-                window: Duration::from_secs(30),
-                cooldown: Duration::from_secs(30),
-            },
             ..ServerConfig::default()
         },
         cfg,
@@ -1404,9 +1394,11 @@ fn faulting_one_lane_sheds_only_that_shard_while_others_serve() {
     );
     let mut client = Client::connect(&addr).expect("connect");
 
-    // Trip lane 0's breaker: two crashed flushes (typed 500s), then the
-    // lane sheds 503 not_ready naming itself.
-    for round in 1..=2 {
+    // Trip lane 0's breaker: three crashed flushes (typed 500s), then the
+    // lane sheds 503 not_ready naming itself. The breaker closes again 5 s
+    // after the trip; the closing stats check that lane 0 is still down
+    // proves every check below ran inside that window.
+    for round in 1..=3 {
         let (status, v) = client
             .post_json("/v1/predict", &body0)
             .expect("lane-0 predict I/O");
@@ -1469,10 +1461,47 @@ fn faulting_one_lane_sheds_only_that_shard_while_others_serve() {
     assert_eq!(lanes.len(), 2);
     assert_eq!(lanes[0].get("ready").and_then(Value::as_bool), Some(false));
     assert_eq!(lanes[1].get("ready").and_then(Value::as_bool), Some(true));
-    assert!(num_field(&lanes[0], "injected_panics") >= 2);
+    assert!(num_field(&lanes[0], "injected_panics") >= 3);
     assert_eq!(num_field(&lanes[1], "injected_panics"), 0);
     assert_eq!(num_field(&lanes[1], "restarts"), 0);
 
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn zero_counts_and_deleted_flags_are_usage_errors() {
+    // Argument parsing runs before dataset generation, so each refusal is
+    // immediate; a process still running after the wait is a failure.
+    let cases: [&[&str]; 7] = [
+        &["--days", "0"],
+        &["--max-batch", "0"],
+        &["--max-queue-depth", "0"],
+        &["--session-ttl-ms", "0"],
+        &["--lanes", "0"],
+        &["--shard-count", "0"],
+        &["--top", "5"],
+    ];
+    for args in cases {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_tspn-serve"))
+            .args(["--port", "0"])
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn tspn-serve");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("wait").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("{args:?}: tspn-serve did not exit");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

@@ -113,8 +113,9 @@ struct PoolInner {
     misses: AtomicU64,
     returned: AtomicU64,
     discarded: AtomicU64,
-    /// Total floats currently retained across all buckets (approximate —
-    /// relaxed updates — but bounded).
+    /// Total floats currently retained across all shard buckets. Every
+    /// update happens under the lock of the shard whose bucket changed, so
+    /// with every shard locked it equals the shards' contents exactly.
     retained_floats: AtomicU64,
 }
 
@@ -187,9 +188,15 @@ pub fn reset_stats() {
 pub fn clear() {
     let p = pool();
     for shard in &p.shards {
-        shard.lock().expect("pool shard").buckets.clear();
+        let mut shard = shard.lock().expect("pool shard");
+        // tspn-lint: allow(hash-order) — the sum is commutative, order cannot matter
+        let held: usize = shard.buckets.iter().map(|(len, b)| len * b.len()).sum();
+        shard.buckets.clear();
+        // Subtract what this shard held: storing 0 would also erase
+        // concurrent updates to the other shards, and a later checkout
+        // could then wrap the counter.
+        p.retained_floats.fetch_sub(held as u64, Ordering::Relaxed);
     }
-    p.retained_floats.store(0, Ordering::Relaxed);
     TL_CACHE.with(|cell| {
         let mut tl = cell.borrow_mut();
         tl.buckets.clear();
@@ -220,17 +227,18 @@ pub fn take_uninit(len: usize) -> Vec<f32> {
         }
     }
     let p = pool();
-    let recycled = p.shards[shard_for(len)]
-        .lock()
-        .expect("pool shard")
-        .buckets
-        .get_mut(&len)
-        .and_then(Vec::pop);
+    let recycled = {
+        let mut shard = p.shards[shard_for(len)].lock().expect("pool shard");
+        let buf = shard.buckets.get_mut(&len).and_then(Vec::pop);
+        if buf.is_some() {
+            p.retained_floats.fetch_sub(len as u64, Ordering::Relaxed);
+        }
+        buf
+    };
     match recycled {
         Some(buf) => {
             debug_assert_eq!(buf.len(), len);
             p.hits.fetch_add(1, Ordering::Relaxed);
-            p.retained_floats.fetch_sub(len as u64, Ordering::Relaxed);
             buf
         }
         None => {
@@ -535,5 +543,52 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn retained_counter_survives_clear_racing_checkouts() {
+        // Lengths above the thread-local cap, so every take/give goes
+        // through the shared shards that clear() empties. Workers cycle
+        // while clear() loops, then once more after it stops, so the
+        // shards end non-empty and any drift the races caused remains.
+        // The lock keeps the clear() loop away from the budget test.
+        let _guard = counter_lock();
+        let clearing = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|s| {
+            for w in 0..3usize {
+                let clearing = &clearing;
+                s.spawn(move || {
+                    for i in 0usize.. {
+                        let last = !clearing.load(Ordering::Relaxed);
+                        let len = TL_MAX_LEN + 1 + (w * 7 + i % 5) * 3;
+                        let held: Vec<_> = (0..3).map(|_| take_uninit(len)).collect();
+                        held.into_iter().for_each(give);
+                        if last {
+                            break;
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                for _ in 0..5_000 {
+                    clear();
+                }
+                clearing.store(false, Ordering::Relaxed);
+            });
+        });
+        // With every shard locked no update can land, so the counter must
+        // equal exactly what the shards hold.
+        let p = pool();
+        let shards: Vec<_> = p
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("pool shard"))
+            .collect();
+        let held: usize = shards
+            .iter()
+            .flat_map(|s| s.buckets.iter())
+            .map(|(len, b)| len * b.len())
+            .sum();
+        assert_eq!(p.retained_floats.load(Ordering::Relaxed), held as u64);
     }
 }
