@@ -52,7 +52,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "serve-index",
-        severity: Severity::Warn,
+        severity: Severity::Deny,
         summary: "direct `[...]` indexing in the serve request path can \
                   panic; prefer get()/get_mut() or a checked slice",
     },

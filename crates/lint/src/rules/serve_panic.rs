@@ -1,15 +1,14 @@
-//! Rules `serve-panic` (deny) and `serve-index` (warn): the serve request
+//! Rules `serve-panic` and `serve-index` (both deny): the serve request
 //! path must not be able to panic.
 //!
-//! A panic in a batcher flush or connection handler takes down an entire
-//! lane of in-flight requests (the PR 6 supervisor can rebuild, but every
-//! queued request on that lane is lost). Request-path modules must return
+//! A panic in a batcher flush takes down a lane's batch, and the mux
+//! thread runs routing and protocol parsing for every connection, so a
+//! panic there would reach all of them. Request-path modules must return
 //! typed `ApiError`/`ReadError` values instead.
 //!
-//! `serve-index` is a separate warn-tier rule: indexing/slicing can panic
-//! too, but the HTTP parser's bounds-checked-by-construction slices would
-//! drown the deny tier in suppressions — so slices get flagged softly and
-//! reviewed, while `unwrap`/`expect`/`panic!` stay hard errors.
+//! `serve-index` covers indexing and slicing (`buf[i]`, `buf[a..b]`),
+//! which panic out of range just like `unwrap`; use `get()`/`get_mut()`
+//! or a checked slice.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::TokenKind;
@@ -90,15 +89,14 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 ),
             });
         }
-        // `name[` / `)[` / `][` — indexing or slicing expression. Warn
-        // tier: panics on out-of-range, but parser slices are often
-        // bounds-checked by construction.
+        // `name[` — indexing or slicing expression: panics on
+        // out-of-range.
         if i + 1 < toks.len() && is_punct(&toks[i + 1], '[') {
             let indexee_ok = t.kind == TokenKind::Ident && !is_keyword_before_bracket(&t.text);
             if indexee_ok && !is_attr_or_decl_context(toks, i) {
                 out.push(Diagnostic {
                     rule: "serve-index",
-                    severity: Severity::Warn,
+                    severity: Severity::Deny,
                     file: file.rel.clone(),
                     line: t.line,
                     message: format!(
@@ -171,11 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn indexing_is_warn_tier() {
+    fn indexing_is_deny_tier() {
         let d = run("fn f(buf: &[u8]) -> u8 { buf[0] }");
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "serve-index");
-        assert_eq!(d[0].severity, Severity::Warn);
+        assert_eq!(d[0].severity, Severity::Deny);
     }
 
     #[test]

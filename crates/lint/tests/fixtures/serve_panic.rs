@@ -1,6 +1,6 @@
 //@ path: crates/serve/src/http.rs
 // Fixture: serve-panic on a request-path file. unwrap/expect/panic-family
-// are deny; slice indexing is the warn-tier serve-index rule; poison
+// are deny, and so is slice indexing (the serve-index rule); poison
 // recovery and ?-propagation pass.
 
 pub fn bad_unwrap(body: Option<&str>) -> &str {
@@ -18,7 +18,7 @@ pub fn bad_macro(route: &str) -> u16 {
     }
 }
 
-pub fn warn_indexing(buf: &[u8]) -> u8 {
+pub fn bad_indexing(buf: &[u8]) -> u8 {
     buf[0]
 }
 

@@ -1,26 +1,32 @@
 //! The request micro-batcher: a bounded queue that coalesces concurrent
 //! predict requests into one batched `no_grad` forward.
 //!
-//! Handler threads [`Batcher::try_submit`] queries and block on a
-//! per-request channel; the single batcher thread collects a batch and
-//! answers it with one `Predictor::predict_batch` call (which shards across
-//! the persistent worker pool). Batching is **work-conserving**: there is
-//! no flush timer. An idle batcher flushes a query the moment it arrives,
-//! and a busy one's next flush takes whatever queued during the current
+//! Callers [`Batcher::submit`] a query together with its **completion**:
+//! a callback the batcher thread calls once with the query's
+//! [`Verdict`]. Nobody blocks waiting for it — the server's completion
+//! renders the answer and hands it to the connection's reply, so a
+//! prediction crosses from the mux thread to the lane and back, and no
+//! thread in between. [`Batcher::try_submit`] is the channel-shaped
+//! adapter over the same queue for callers that do want to block. The
+//! single batcher thread collects a batch and answers it with one
+//! `Predictor::predict_batch` call (which shards across the persistent
+//! worker pool). Batching is **work-conserving**: there is no flush
+//! timer. An idle batcher flushes a query the moment it arrives, and a
+//! busy one's next flush takes whatever queued during the current
 //! forward, up to `max_batch` — so batch size grows with load by itself,
 //! amortising the per-flush costs (parameter checks, table reuse, pool
 //! dispatch) exactly when there is a backlog to amortise them over.
 //!
 //! The queue is bounded (`queue_cap`) and is the server's **admission
-//! control** point: [`Batcher::try_submit`] refuses immediately with
+//! control** point: a submission is refused immediately with
 //! [`SubmitError::QueueFull`] when the server is `queue_cap` requests
 //! behind, so overload is shed as a typed `429` instead of growing memory
-//! (or blocked handler threads) without limit.
+//! without limit.
 //!
 //! Every queued query may carry a **deadline**: entries whose deadline
-//! passes while they wait are swept out *before* the flush and answered
-//! [`Verdict::Expired`] — the model never spends a forward pass on an
-//! answer nobody is waiting for.
+//! passes while they wait are swept out *before* the flush and completed
+//! with [`Verdict::Expired`] — the model never spends a forward pass on
+//! an answer nobody is waiting for.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +56,7 @@ impl Default for BatchConfig {
     }
 }
 
-/// The answer a waiting handler receives.
+/// The answer a completion receives for a served query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answered {
     /// The prediction.
@@ -61,7 +67,7 @@ pub struct Answered {
     pub batch: u64,
 }
 
-/// What a waiting handler's channel ultimately delivers.
+/// What a query's completion is called with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// The query ran in a flush and this is its prediction.
@@ -98,15 +104,29 @@ pub enum SubmitError {
 pub enum LoopExit {
     /// The batcher was closed and the queue fully drained.
     Drained,
-    /// `serve` panicked. That batch's waiters were failed (channels
-    /// dropped → each handler answers 500); the queue and any later
-    /// submissions are intact. The caller may rebuild state and re-enter.
+    /// `serve` panicked. That batch's completions were dropped uncalled
+    /// (each request answers 500); the queue and any later submissions
+    /// are intact. The caller may rebuild state and re-enter.
     Panicked,
+}
+
+/// Where a queued query's verdict goes: the batcher thread calls
+/// [`Completion::complete`] once, or drops the completion uncalled when
+/// the query's batch panics. Any `FnOnce(Verdict)` closure is one.
+pub trait Completion: Send + 'static {
+    /// Delivers the verdict.
+    fn complete(self: Box<Self>, verdict: Verdict);
+}
+
+impl<F: FnOnce(Verdict) + Send + 'static> Completion for F {
+    fn complete(self: Box<Self>, verdict: Verdict) {
+        (*self)(verdict);
+    }
 }
 
 struct Waiting {
     query: Query,
-    tx: mpsc::SyncSender<Verdict>,
+    done: Box<dyn Completion>,
     /// Hard per-request deadline; entries past it are swept pre-flush.
     deadline: Option<Instant>,
 }
@@ -131,18 +151,27 @@ struct State {
     batch_stride: u64,
 }
 
-/// Drops every queued entry whose deadline has passed, answering each
-/// with [`Verdict::Expired`]. Called with the queue lock held.
-fn sweep_expired(state: &mut State, shed: &AtomicU64) {
+/// Takes every queued entry whose deadline has passed out of the queue.
+/// Called with the queue lock held; the caller completes them with
+/// [`Verdict::Expired`] after releasing it, so no completion runs under
+/// the lock.
+fn sweep_expired(state: &mut State, shed: &AtomicU64) -> VecDeque<Waiting> {
     let now = Instant::now();
-    state.waiting.retain(|w| {
-        let expired = w.deadline.is_some_and(|d| d <= now);
-        if expired {
-            let _ = w.tx.send(Verdict::Expired);
-            shed.fetch_add(1, Ordering::Relaxed);
-        }
-        !expired
-    });
+    let expired = |w: &Waiting| w.deadline.is_some_and(|d| d <= now);
+    if !state.waiting.iter().any(expired) {
+        return VecDeque::new();
+    }
+    let (dead, live): (VecDeque<Waiting>, VecDeque<Waiting>) =
+        state.waiting.drain(..).partition(expired);
+    state.waiting = live;
+    shed.fetch_add(dead.len() as u64, Ordering::Relaxed);
+    dead
+}
+
+fn complete_expired(expired: VecDeque<Waiting>) {
+    for w in expired {
+        w.done.complete(Verdict::Expired);
+    }
 }
 
 /// Handle to the shared batching queue (clone-cheap).
@@ -186,36 +215,65 @@ impl Batcher {
     /// Admission-controlled enqueue: never blocks. Refuses immediately
     /// when the queue is at `queue_cap` (after sweeping entries whose
     /// deadline already passed — a queue full of dead requests must not
-    /// shed live ones). An entry still queued at `deadline` is dropped
-    /// before the flush and resolves to [`Verdict::Expired`].
+    /// shed live ones). The batcher thread calls `done` once with the
+    /// query's verdict: its answer, or [`Verdict::Expired`] when it was
+    /// still queued at `deadline`. A panicking flush drops `done` uncalled.
     ///
     /// # Errors
     /// [`SubmitError::Closed`] after [`Batcher::close`];
-    /// [`SubmitError::QueueFull`] when at capacity.
+    /// [`SubmitError::QueueFull`] when at capacity. Either way `done` is
+    /// handed back uncalled, so the caller can answer the refusal itself.
+    pub fn submit<C: Completion>(
+        &self,
+        query: Query,
+        deadline: Option<Instant>,
+        done: C,
+    ) -> Result<(), (SubmitError, C)> {
+        let mut state = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
+        if !state.open {
+            return Err((SubmitError::Closed, done));
+        }
+        let expired = if state.waiting.len() >= self.cfg.queue_cap {
+            sweep_expired(&mut state, &self.shared.shed_expired)
+        } else {
+            VecDeque::new()
+        };
+        let admitted = state.waiting.len() < self.cfg.queue_cap;
+        let result = if admitted {
+            state.waiting.push_back(Waiting {
+                query,
+                done: Box::new(done),
+                deadline,
+            });
+            Ok(())
+        } else {
+            Err((SubmitError::QueueFull, done))
+        };
+        drop(state);
+        if admitted {
+            self.shared.nonempty.notify_all();
+        }
+        complete_expired(expired);
+        result
+    }
+
+    /// [`Batcher::submit`] with a channel for a completion: the returned
+    /// receiver yields the verdict, or disconnects if the query's batch
+    /// panics.
+    ///
+    /// # Errors
+    /// As [`Batcher::submit`].
     pub fn try_submit(
         &self,
         query: Query,
         deadline: Option<Instant>,
     ) -> Result<mpsc::Receiver<Verdict>, SubmitError> {
         let (tx, rx) = mpsc::sync_channel(1);
-        let mut state = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-        if !state.open {
-            return Err(SubmitError::Closed);
-        }
-        if state.waiting.len() >= self.cfg.queue_cap {
-            sweep_expired(&mut state, &self.shared.shed_expired);
-            if state.waiting.len() >= self.cfg.queue_cap {
-                return Err(SubmitError::QueueFull);
-            }
-        }
-        state.waiting.push_back(Waiting {
-            query,
-            tx,
-            deadline,
-        });
-        drop(state);
-        self.shared.nonempty.notify_all();
-        Ok(rx)
+        self.submit(query, deadline, move |verdict| {
+            let _ = tx.send(verdict);
+        })
+        .map(|()| rx)
+        .map_err(|(e, _)| e)
     }
 
     /// Number of queries currently queued (diagnostics only).
@@ -250,8 +308,8 @@ impl Batcher {
     /// never observe two snapshots. Returns when the batcher is closed and
     /// the queue has drained.
     ///
-    /// A panicking `serve` call fails only its own batch (the waiters'
-    /// channels drop, surfacing an error to each handler); the loop keeps
+    /// A panicking `serve` call fails only its own batch (its completions
+    /// are dropped uncalled, surfacing an error to each request); the loop keeps
     /// serving subsequent batches. Callers that need to *repair* state
     /// after a panic (rebuild the model, count crashes) should use
     /// [`Batcher::run_supervised`] directly — this is the unsupervised
@@ -262,7 +320,7 @@ impl Batcher {
 
     /// Runs the serve loop until the batcher drains ([`LoopExit::Drained`])
     /// or one `serve` call panics ([`LoopExit::Panicked`]). On a panic the
-    /// poisoned batch's waiters have already been failed and the queue is
+    /// poisoned batch's completions have already been dropped and the queue is
     /// otherwise intact, so a supervisor can rebuild whatever the panic may
     /// have corrupted (e.g. the model, from the last good checkpoint) and
     /// call this again; queued requests keep their places.
@@ -278,8 +336,7 @@ impl Batcher {
                 Ok((answers, snapshot)) => {
                     debug_assert_eq!(answers.len(), pending.len());
                     for (w, topk) in pending.into_iter().zip(answers) {
-                        // A handler that timed out and left is fine to miss.
-                        let _ = w.tx.send(Verdict::Answered(Answered {
+                        w.done.complete(Verdict::Answered(Answered {
                             topk,
                             snapshot,
                             batch: batch_id,
@@ -287,8 +344,8 @@ impl Batcher {
                     }
                 }
                 Err(_) => {
-                    // Dropping the waiters closes their channels; each
-                    // handler answers 500 for exactly this batch.
+                    // Dropping the completions uncalled answers 500 for
+                    // exactly this batch.
                     drop(pending);
                     return LoopExit::Panicked;
                 }
@@ -303,7 +360,13 @@ impl Batcher {
     fn collect_batch(&self) -> Option<(u64, Vec<Waiting>)> {
         let mut state = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            sweep_expired(&mut state, &self.shared.shed_expired);
+            let expired = sweep_expired(&mut state, &self.shared.shed_expired);
+            if !expired.is_empty() {
+                drop(state);
+                complete_expired(expired);
+                state = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
+                continue;
+            }
             if !state.waiting.is_empty() {
                 break;
             }
@@ -360,6 +423,22 @@ mod tests {
         (answers, 7)
     }
 
+    /// Submits through the completion API; the channel stands in for the
+    /// connection reply a server completion would send to.
+    fn submit(
+        batcher: &Batcher,
+        q: Query,
+        deadline: Option<Instant>,
+    ) -> Result<mpsc::Receiver<Verdict>, SubmitError> {
+        let (tx, rx) = mpsc::channel();
+        batcher
+            .submit(q, deadline, move |verdict| {
+                let _ = tx.send(verdict);
+            })
+            .map(|()| rx)
+            .map_err(|(e, _)| e)
+    }
+
     #[test]
     fn queued_backlog_flushes_in_max_batch_chunks_in_order() {
         let batcher = Batcher::new(BatchConfig {
@@ -367,7 +446,7 @@ mod tests {
             queue_cap: 64,
         });
         let receivers: Vec<_> = (0..10)
-            .map(|i| batcher.try_submit(query(i), None).expect("open"))
+            .map(|i| submit(&batcher, query(i), None).expect("open"))
             .collect();
         batcher.close();
         let mut sizes = Vec::new();
@@ -394,7 +473,7 @@ mod tests {
             queue_cap: 64,
         });
         let receivers: Vec<_> = (0..7)
-            .map(|i| batcher.try_submit(query(i), None).expect("open"))
+            .map(|i| submit(&batcher, query(i), None).expect("open"))
             .collect();
         batcher.close();
         batcher.run_loop(echo);
@@ -422,7 +501,7 @@ mod tests {
                 sizes
             });
             // No companion is ever sent: the lone query must flush alone.
-            let rx = batcher.try_submit(query(42), None).expect("open");
+            let rx = submit(&batcher, query(42), None).expect("open");
             let answered = rx
                 .recv_timeout(Duration::from_secs(30))
                 .expect("an idle batcher flushes a lone query")
@@ -464,10 +543,10 @@ mod tests {
                 });
                 flushes
             });
-            let first = batcher.try_submit(query(0), None).expect("open");
+            let first = submit(&batcher, query(0), None).expect("open");
             entered_rx.recv().expect("first flush starts");
             let backlog: Vec<_> = (1..=6)
-                .map(|i| batcher.try_submit(query(i), None).expect("open"))
+                .map(|i| submit(&batcher, query(i), None).expect("open"))
                 .collect();
             release_tx.send(()).expect("flush is waiting");
             for rx in std::iter::once(first).chain(backlog) {
@@ -488,7 +567,7 @@ mod tests {
         let batcher = Batcher::new(BatchConfig::default());
         batcher.close();
         assert_eq!(
-            batcher.try_submit(query(0), None).unwrap_err(),
+            submit(&batcher, query(0), None).unwrap_err(),
             SubmitError::Closed
         );
     }
@@ -500,10 +579,10 @@ mod tests {
             queue_cap: 64,
         });
         let rx_bad: Vec<_> = (0..2)
-            .map(|i| batcher.try_submit(query(i), None).unwrap())
+            .map(|i| submit(&batcher, query(i), None).unwrap())
             .collect();
         let rx_good: Vec<_> = (10..12)
-            .map(|i| batcher.try_submit(query(i), None).unwrap())
+            .map(|i| submit(&batcher, query(i), None).unwrap())
             .collect();
         batcher.close();
         let mut first = true;
@@ -563,6 +642,29 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_submission_hands_its_completion_back_uncalled() {
+        let batcher = Batcher::new(BatchConfig {
+            max_batch: 8,
+            queue_cap: 1,
+        });
+        let (tx, rx) = mpsc::channel::<Verdict>();
+        let _seat = submit(&batcher, query(0), None).expect("admitted");
+        let (err, done) = batcher
+            .submit(query(1), None, move |v| {
+                let _ = tx.send(v);
+            })
+            .expect_err("over capacity");
+        assert_eq!(err, SubmitError::QueueFull);
+        assert!(
+            rx.try_recv().is_err(),
+            "refusal does not call the completion"
+        );
+        // The caller still owns it and can complete the request itself.
+        done(Verdict::Expired);
+        assert_eq!(rx.recv().unwrap(), Verdict::Expired);
+    }
+
+    #[test]
     fn expired_entries_are_dropped_before_the_flush() {
         let batcher = Batcher::new(BatchConfig {
             max_batch: 8,
@@ -570,9 +672,9 @@ mod tests {
         });
         let past = Instant::now() - Duration::from_millis(1);
         let future = Instant::now() + Duration::from_secs(60);
-        let rx_dead = batcher.try_submit(query(0), Some(past)).unwrap();
-        let rx_live = batcher.try_submit(query(1), Some(future)).unwrap();
-        let rx_open = batcher.try_submit(query(2), None).unwrap();
+        let rx_dead = submit(&batcher, query(0), Some(past)).unwrap();
+        let rx_live = submit(&batcher, query(1), Some(future)).unwrap();
+        let rx_open = submit(&batcher, query(2), None).unwrap();
         batcher.close();
         let mut seen: Vec<usize> = Vec::new();
         batcher.run_loop(|qs| {
@@ -602,10 +704,10 @@ mod tests {
             queue_cap: 64,
         });
         let rx_bad: Vec<_> = (0..2)
-            .map(|i| batcher.try_submit(query(i), None).unwrap())
+            .map(|i| submit(&batcher, query(i), None).unwrap())
             .collect();
         let rx_good: Vec<_> = (10..12)
-            .map(|i| batcher.try_submit(query(i), None).unwrap())
+            .map(|i| submit(&batcher, query(i), None).unwrap())
             .collect();
         batcher.close();
         // First supervised run: the first flush panics, control returns.
@@ -636,7 +738,7 @@ mod tests {
             3,
         );
         let rxs: Vec<_> = (0..3)
-            .map(|i| batcher.try_submit(query(i), None).unwrap())
+            .map(|i| submit(&batcher, query(i), None).unwrap())
             .collect();
         batcher.close();
         assert_eq!(batcher.run_supervised(echo), LoopExit::Drained);

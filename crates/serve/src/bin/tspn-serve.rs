@@ -33,6 +33,11 @@
 //! and duration flag must be a positive integer; zero or garbage is a
 //! usage error (exit 2).
 //!
+//! A server runs one multiplexer thread, which owns every socket and
+//! answers non-prediction routes inline, plus one thread per lane, which
+//! runs the batched forward and sends each answer back to its connection.
+//! A router runs the multiplexer plus a fixed pool of forwarding threads.
+//!
 //! The flags are the only configuration, except for fault injection: the
 //! `TSPN_SERVE_FAULT_*` knobs (see [`tspn_serve::ChaosConfig`]) arm the
 //! chaos layer for drills.

@@ -91,7 +91,7 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
         }
         return Ok(None);
     };
-    let head = String::from_utf8_lossy(&buf[..end]).into_owned();
+    let head = String::from_utf8_lossy(buf.get(..end).unwrap_or_default()).into_owned();
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -144,10 +144,10 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
         ));
     }
     let body_start = end + 4;
-    if buf.len() < body_start + content_length {
+    let Some(body) = buf.get(body_start..body_start + content_length) else {
         return Ok(None);
-    }
-    let body = buf[body_start..body_start + content_length].to_vec();
+    };
+    let body = body.to_vec();
     // Keep any pipelined bytes for the next request.
     buf.drain(..body_start + content_length);
     Ok(Some(Request {

@@ -1,11 +1,12 @@
 //! # tspn-serve
 //!
 //! The long-lived online serving layer for the TSPN-RA next-POI model:
-//! a thread-per-connection HTTP/1.1 loop (no tokio — the offline build
-//! vendors everything), a request micro-batcher that coalesces concurrent
-//! predictions into single batched `no_grad` forwards over the persistent
-//! worker pool, and an atomic checkpoint hot-swap path (`/admin/reload`)
-//! that can never mix parameters within one batch.
+//! a single-threaded `poll(2)` HTTP/1.1 multiplexer (no tokio — the
+//! offline build vendors everything), a request micro-batcher that
+//! coalesces concurrent predictions into single batched `no_grad`
+//! forwards over the persistent worker pool, and an atomic checkpoint
+//! hot-swap path (`/admin/reload`) that can never mix parameters within
+//! one batch.
 //!
 //! The client-facing surface is the versioned **`/v1` API**:
 //! `POST /v1/predict` is *payload-addressed* (the request carries the raw
@@ -34,7 +35,7 @@ pub mod session;
 pub mod shard;
 pub mod snapshot;
 
-pub use batcher::{Answered, BatchConfig, Batcher, SubmitError, Verdict};
+pub use batcher::{Answered, BatchConfig, Batcher, Completion, SubmitError, Verdict};
 pub use chaos::{Chaos, ChaosConfig};
 pub use client::{Client, Response, RetryPolicy};
 pub use protocol::{ApiError, LaneStats, StatsSnapshot, Topology};

@@ -1,24 +1,42 @@
 //! Event-driven connection multiplexer: one `poll(2)` loop owns every
-//! client socket, a small fixed worker pool runs the route handlers.
+//! client socket and calls the route handler inline.
 //!
 //! The pre-scale-out server spent a thread per connection; a thousand
 //! idle keep-alive clients cost a thousand parked threads. Here they cost
 //! one `pollfd` each: the mux thread is the **only** reader and writer of
 //! client sockets, driving each connection through a small state machine
 //! — accumulate bytes and feed them to the incremental parser
-//! ([`crate::http::try_parse_request`]); on a complete request, hand it
-//! to the worker pool (workers may block — the micro-batcher wait happens
-//! there); buffer the worker's response and drain it on `POLLOUT`. All
-//! of PR 6's protocol protections survive unchanged because they live in
-//! the shared parser and renderer: `431`/`413` limits, malformed-request
-//! `400`s, the partial-transfer deadline (enforced here by sweeping
-//! half-read connections on poll ticks), and typed `Retry-After` sheds.
+//! ([`crate::http::try_parse_request`]); on a complete request, call the
+//! [`Handler`] on this thread with the request and a [`Reply`]; write the
+//! reply's bytes as soon as it is completed, falling back to `POLLOUT`
+//! only when the socket is full. All of PR 6's protocol protections
+//! survive unchanged because they live in the shared parser and renderer:
+//! `431`/`413` limits, malformed-request `400`s, the partial-transfer
+//! deadline (enforced here by sweeping half-read connections on poll
+//! ticks), and typed `Retry-After` sheds.
 //!
-//! Workers finish a request by pushing the response over a channel and
-//! writing one byte to a loopback **wake** socket the mux polls, so a
-//! completion interrupts the poll wait exactly like client traffic
-//! (std-only; no pipe/eventfd FFI — the only syscall shim is `poll`
-//! itself, following the `signal` precedent in the `tspn-serve` binary).
+//! A handler never blocks. It answers at once (`Reply::send` on this
+//! thread, written in the same loop iteration) or moves the [`Reply`] to
+//! the thread that will produce the answer: a batcher lane, a
+//! per-request thread, the router's forwarding pool. The reply contract:
+//!
+//! * A [`Reply`] is completed at most once, from any thread. Dropped
+//!   unsent, it answers a typed `500 internal`.
+//! * Each connection numbers its requests, so a late reply can never
+//!   answer the connection's next request.
+//! * The handler returns a **give-up instant** for a deferred reply. If
+//!   the reply has not arrived by then, the mux answers `503
+//!   deadline_exceeded` itself and drops the reply when it comes.
+//! * The call runs under `catch_unwind`: a panicking handler costs its
+//!   request one `500`, and the mux thread carries on.
+//!
+//! A reply completed on another thread lands in a shared outbox. If the
+//! loop may be asleep in `poll`, the sender also writes one byte to a
+//! loopback **wake** socket the mux polls, so the completion interrupts
+//! the poll wait exactly like client traffic (std-only; no pipe/eventfd
+//! FFI — the only syscall shim is `poll` itself, following the `signal`
+//! precedent in the `tspn-serve` binary). Replies sent while the loop is
+//! awake, inline ones included, write no wake byte.
 //!
 //! Shutdown/draining: once the shutdown flag is up the listener closes,
 //! idle connections are dropped, in-flight requests finish (handlers
@@ -26,14 +44,16 @@
 //! byte is flushed with `Connection: close`, and the loop exits when no
 //! connections remain (bounded by a drain grace).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::http::{self, render_response, try_parse_request, ReadError, Request};
+use crate::protocol::ApiError;
 
 // ---------------------------------------------------------------------
 // poll(2) shim
@@ -122,15 +142,11 @@ use sys::{fd_of, poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 // ---------------------------------------------------------------------
 
 /// Multiplexer limits. The server and the router both run with
-/// [`MuxConfig::default`]; tests shrink the pool and the drain grace.
+/// [`MuxConfig::default`]; tests shrink the drain grace.
 #[derive(Debug, Clone, Copy)]
 pub struct MuxConfig {
     /// Request-body cap (bytes); above it the parser rejects with `413`.
     pub max_body: usize,
-    /// Worker threads running route handlers. Workers may block on the
-    /// micro-batcher, so this bounds concurrently *processed* requests —
-    /// connections themselves are unbounded by threads.
-    pub workers: usize,
     /// A buffered response making no write progress for this long means a
     /// dead or malicious peer; the connection is dropped.
     pub write_timeout: Duration,
@@ -144,7 +160,6 @@ impl Default for MuxConfig {
         MuxConfig {
             // The protocol's bodies are tiny.
             max_body: 64 * 1024,
-            workers: 32,
             write_timeout: Duration::from_secs(10),
             // Covers the worst-case in-flight wait: the deadline clamp
             // plus the flush grace is minutes only for abusive header
@@ -167,110 +182,119 @@ pub struct MuxResponse {
     pub close: bool,
 }
 
-/// A route handler: runs on a worker thread, may block (e.g. on the
-/// micro-batcher), must be shutdown-aware itself (the mux hands it every
-/// completed request, including during draining).
-pub type Handler = dyn Fn(&Request) -> MuxResponse + Send + Sync;
+impl MuxResponse {
+    /// A keep-alive answer. The typed sheds (429/503) carry `Retry-After`,
+    /// so well-behaved clients back off instead of hammering a full
+    /// queue.
+    pub fn new(status: u16, body: String) -> MuxResponse {
+        MuxResponse {
+            status,
+            body,
+            retry_after: (status == 429 || status == 503).then_some(RETRY_AFTER_SECS),
+            close: false,
+        }
+    }
 
-// ---------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------
-
-struct Job {
-    conn: u64,
-    req: Request,
+    /// A typed error answer.
+    pub fn error(err: &ApiError) -> MuxResponse {
+        let (status, body) = err.render();
+        MuxResponse::new(status, body)
+    }
 }
+
+/// `Retry-After` seconds on the typed sheds.
+const RETRY_AFTER_SECS: u64 = 1;
+
+/// A route handler. It runs **inline on the mux thread** and must not
+/// block: it answers through `reply` at once, or moves `reply` to the
+/// thread that will answer. It returns the give-up instant for a deferred
+/// reply (`None`: wait for it, bounded only by the drain grace at
+/// shutdown). Handlers are shutdown-aware themselves: the mux hands them
+/// every completed request, including during draining.
+pub type Handler = dyn Fn(Request, Reply) -> Option<Instant> + Send;
+
+/// The answer slot of one request. Any thread may complete it, once, with
+/// [`Reply::send`]; dropping it unsent answers a typed `500 internal`.
+pub struct Reply {
+    conn: u64,
+    seq: u64,
+    /// `None` once the reply has been sent.
+    outbox: Option<Arc<Outbox>>,
+}
+
+impl Reply {
+    /// Completes the request with `resp`.
+    pub fn send(mut self, resp: MuxResponse) {
+        self.complete(resp);
+    }
+
+    fn complete(&mut self, resp: MuxResponse) {
+        if let Some(outbox) = self.outbox.take() {
+            outbox.push(Completion {
+                conn: self.conn,
+                seq: self.seq,
+                resp,
+            });
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if self.outbox.is_some() {
+            self.complete(MuxResponse::error(&ApiError::internal(
+                "the request failed before it was answered (e.g. its prediction batch \
+                 crashed); retry",
+            )));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Completions
+// ---------------------------------------------------------------------
 
 struct Completion {
     conn: u64,
-    keep_alive: bool,
+    seq: u64,
     resp: MuxResponse,
 }
 
-#[derive(Default)]
-struct PoolQueue {
-    jobs: VecDeque<Job>,
-    closed: bool,
+/// Replies completed but not yet queued on their connection, and the
+/// wake channel that tells a sleeping loop about them.
+struct Outbox {
+    done: Mutex<Vec<Completion>>,
+    /// Up while the loop may be blocked in `poll`: the next sender writes
+    /// one wake byte and lowers it, so a burst of completions costs one
+    /// byte and completions sent while the loop is awake cost none.
+    asleep: AtomicBool,
+    wake: TcpStream,
 }
 
-struct Pool {
-    queue: Arc<(Mutex<PoolQueue>, Condvar)>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pool {
-    fn spawn(
-        workers: usize,
-        handler: Arc<Handler>,
-        done_tx: mpsc::Sender<Completion>,
-        wake: &TcpStream,
-    ) -> std::io::Result<Pool> {
-        let queue: Arc<(Mutex<PoolQueue>, Condvar)> = Arc::default();
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let queue = Arc::clone(&queue);
-            let handler = Arc::clone(&handler);
-            let done_tx = done_tx.clone();
-            let mut wake = wake.try_clone()?;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mux-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let (lock, cv) = &*queue;
-                            // Poison-recover: the queue is a VecDeque plus
-                            // a bool, both structurally valid after any
-                            // panic mid-hold, so a poisoned worker must
-                            // not cascade into the rest of the pool.
-                            let mut q = lock.lock().unwrap_or_else(|p| p.into_inner());
-                            loop {
-                                if let Some(job) = q.jobs.pop_front() {
-                                    break job;
-                                }
-                                if q.closed {
-                                    return;
-                                }
-                                q = cv.wait(q).unwrap_or_else(|p| p.into_inner());
-                            }
-                        };
-                        let resp = handler(&job.req);
-                        let keep_alive = job.req.keep_alive;
-                        if done_tx
-                            .send(Completion {
-                                conn: job.conn,
-                                keep_alive,
-                                resp,
-                            })
-                            .is_ok()
-                        {
-                            // Nudge the poll loop; a failed wake is fine —
-                            // the loop re-checks completions every tick.
-                            let _ = wake.write_all(&[1]);
-                        }
-                    })?,
-            );
-        }
-        Ok(Pool { queue, handles })
-    }
-
-    fn dispatch(&self, job: Job) {
-        let (lock, cv) = &*self.queue;
-        lock.lock()
+impl Outbox {
+    fn push(&self, done: Completion) {
+        // Poison-recover: a Vec of completions is structurally valid
+        // after any panic mid-hold.
+        self.done
+            .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .jobs
-            .push_back(job);
-        cv.notify_one();
+            .push(done);
+        if self.asleep.swap(false, Ordering::SeqCst) {
+            // A failed wake is fine — the loop re-checks the outbox every
+            // tick.
+            let _ = (&self.wake).write_all(&[1]);
+        }
     }
 
-    fn close_and_join(self) {
-        {
-            let (lock, cv) = &*self.queue;
-            lock.lock().unwrap_or_else(|p| p.into_inner()).closed = true;
-            cv.notify_all();
-        }
-        for h in self.handles {
-            let _ = h.join();
-        }
+    fn take(&self) -> Vec<Completion> {
+        std::mem::take(&mut *self.done.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.done
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .is_empty()
     }
 }
 
@@ -281,10 +305,16 @@ impl Pool {
 enum Phase {
     /// Accumulating request bytes; the parser is fed after every read.
     Reading,
-    /// A request is with the worker pool (or a terminal reject response
-    /// is queued); no further parsing until its response is queued, so
-    /// pipelined responses keep request order.
-    Processing,
+    /// Request `seq` is with its handler; no further parsing until its
+    /// reply is queued, so pipelined responses keep request order.
+    Awaiting {
+        seq: u64,
+        keep_alive: bool,
+        give_up: Option<Instant>,
+    },
+    /// A terminal reject is queued; the connection closes once it is
+    /// written.
+    Rejected,
 }
 
 struct Conn {
@@ -293,6 +323,8 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     phase: Phase,
+    /// Sequence number of the next request parsed on this connection.
+    next_seq: u64,
     /// First byte of a partially buffered request arrived then.
     partial_since: Option<Instant>,
     /// Last moment the queued response made write progress.
@@ -308,6 +340,7 @@ impl Conn {
             out: Vec::new(),
             out_pos: 0,
             phase: Phase::Reading,
+            next_seq: 0,
             partial_since: None,
             write_since: None,
             close_after_write: false,
@@ -318,17 +351,62 @@ impl Conn {
         self.out_pos < self.out.len()
     }
 
-    fn queue_response(&mut self, status: u16, body: &str, keep: bool, retry_after: Option<u64>) {
+    /// True when the connection can parse its next request now.
+    fn ready_to_parse(&self) -> bool {
+        matches!(self.phase, Phase::Reading) && !self.has_pending_out()
+    }
+
+    /// Queues a response and writes as much of it as the socket takes
+    /// right away; the rest waits for `POLLOUT`. Returns false when the
+    /// connection is finished: a write failed, or a closing response is
+    /// fully written.
+    fn answer(&mut self, status: u16, body: &str, keep: bool, retry_after: Option<u64>) -> bool {
         self.out
             .extend_from_slice(&render_response(status, body, keep, retry_after));
         self.write_since.get_or_insert_with(Instant::now);
         self.close_after_write = !keep;
+        self.flush_out().is_ok() && !self.closing_done()
+    }
+
+    /// True once a closing response has been written in full.
+    fn closing_done(&self) -> bool {
+        self.close_after_write && !self.has_pending_out()
+    }
+
+    /// Writes as much pending response as the socket accepts right now.
+    fn flush_out(&mut self) -> std::io::Result<()> {
+        while let Some(pending) = self.out.get(self.out_pos..).filter(|p| !p.is_empty()) {
+            match self.stream.write(pending) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        ErrorKind::WriteZero,
+                        "peer stopped accepting",
+                    ))
+                }
+                Ok(n) => {
+                    self.out_pos += n;
+                    self.write_since = Some(Instant::now());
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+        self.write_since = None;
+        Ok(())
     }
 }
 
 /// Per-tick read cap per connection, so one firehose peer cannot starve
 /// the rest of the loop.
 const READ_BURST: usize = 256 * 1024;
+
+/// Per-tick cap on pipelined requests served from one connection's read
+/// buffer, for the same reason; the rest wait for the next (immediate)
+/// tick.
+const PIPELINE_BURST: usize = 16;
 
 /// Poll timeout: bounds the latency of shutdown checks and partial/write
 /// deadline sweeps when no traffic flows.
@@ -343,22 +421,43 @@ const DRAIN_NOTIFY: Duration = Duration::from_millis(1000);
 // The event loop
 // ---------------------------------------------------------------------
 
+/// Everything one loop iteration needs besides the connection table.
+struct Loop<'a> {
+    cfg: MuxConfig,
+    handler: &'a Handler,
+    outbox: &'a Arc<Outbox>,
+    draining: bool,
+    /// A connection may hold a complete request in its read buffer: poll
+    /// again without waiting.
+    busy: bool,
+}
+
 /// Runs the multiplexer until `shutdown` goes up and every connection has
-/// drained. Call on a dedicated thread; `handler` runs on pool workers.
+/// drained. Call on a dedicated thread; `handler` runs on it.
 ///
 /// # Errors
-/// Only setup failures (wake-channel plumbing, worker spawn); once the
-/// loop is running, per-connection I/O errors just drop that connection.
+/// Only setup failures (the wake-channel plumbing); once the loop is
+/// running, per-connection I/O errors just drop that connection.
 pub fn run(
     listener: TcpListener,
     cfg: MuxConfig,
     shutdown: Arc<AtomicBool>,
-    handler: Arc<Handler>,
+    handler: Box<Handler>,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     let (wake_tx, mut wake_rx) = wake_pair()?;
-    let (done_tx, done_rx) = mpsc::channel::<Completion>();
-    let pool = Pool::spawn(cfg.workers.max(1), handler, done_tx, &wake_tx)?;
+    let outbox = Arc::new(Outbox {
+        done: Mutex::new(Vec::new()),
+        asleep: AtomicBool::new(false),
+        wake: wake_tx,
+    });
+    let mut lp = Loop {
+        cfg,
+        handler: &*handler,
+        outbox: &outbox,
+        draining: false,
+        busy: false,
+    };
 
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
@@ -375,6 +474,7 @@ pub fn run(
             listener = None;
         }
         if let Some(since) = draining_since {
+            lp.draining = true;
             // Established keep-alive connections get a short notify window:
             // one last request can still arrive and be answered with the
             // handler's typed `503 shutting_down` (+ `Connection: close`)
@@ -384,7 +484,7 @@ pub fn run(
             let notify = since.elapsed() <= DRAIN_NOTIFY;
             conns.retain(|_, c| {
                 notify
-                    || matches!(c.phase, Phase::Processing)
+                    || !matches!(c.phase, Phase::Reading)
                     || c.has_pending_out()
                     || !c.buf.is_empty()
             });
@@ -394,6 +494,8 @@ pub fn run(
         }
 
         // --- build the poll set ---------------------------------------
+        let now = Instant::now();
+        let mut timeout = TICK;
         fds.clear();
         fd_ids.clear();
         fds.push(PollFd {
@@ -411,11 +513,17 @@ pub fn run(
         let base = fds.len();
         for (&id, conn) in &conns {
             let mut events = 0i16;
-            if matches!(conn.phase, Phase::Reading) && !conn.has_pending_out() {
+            if conn.ready_to_parse() {
                 events |= POLLIN;
             }
             if conn.has_pending_out() {
                 events |= POLLOUT;
+            }
+            if let Phase::Awaiting {
+                give_up: Some(t), ..
+            } = conn.phase
+            {
+                timeout = timeout.min(t.saturating_duration_since(now));
             }
             fds.push(PollFd {
                 fd: fd_of(&conn.stream),
@@ -425,17 +533,29 @@ pub fn run(
             fd_ids.push(id);
         }
 
-        poll_fds(&mut fds, TICK.as_millis() as i32);
+        // Raise `asleep` *before* the last outbox check: a reply pushed
+        // after the check sees the flag and writes a wake byte.
+        outbox.asleep.store(true, Ordering::SeqCst);
+        if lp.busy || !outbox.is_empty() {
+            timeout = Duration::ZERO;
+        }
+        // Round up, so a give-up instant less than a millisecond away
+        // does not spin the loop.
+        let timeout_ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+        poll_fds(&mut fds, timeout_ms);
+        outbox.asleep.store(false, Ordering::SeqCst);
+
+        let mut revents = fds.iter().map(|f| f.revents);
 
         // --- wake channel: drain the nudge bytes ----------------------
-        if fds[0].revents & POLLIN != 0 {
+        if revents.next().unwrap_or(0) & POLLIN != 0 {
             let mut sink = [0u8; 64];
             while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
         }
 
         // --- accept new connections -----------------------------------
         if let Some(l) = &listener {
-            if fds[base - 1].revents & POLLIN != 0 {
+            if revents.next().unwrap_or(0) & POLLIN != 0 {
                 for _ in 0..128 {
                     match l.accept() {
                         Ok((stream, _)) => {
@@ -454,96 +574,194 @@ pub fn run(
             }
         }
 
-        // --- worker completions: queue response bytes -----------------
-        let draining = draining_since.is_some();
-        while let Ok(done) = done_rx.try_recv() {
-            let Some(conn) = conns.get_mut(&done.conn) else {
-                continue; // connection died while the worker ran
-            };
-            let keep = done.keep_alive && !done.resp.close && !draining;
-            conn.queue_response(
-                done.resp.status,
-                &done.resp.body,
-                keep,
-                done.resp.retry_after,
-            );
-            conn.phase = Phase::Reading;
-            // Pipelined read-ahead may already hold the next request; it
-            // is parsed once this response finishes writing (ordering),
-            // or on the next readable tick.
-        }
+        // --- replies completed on other threads -----------------------
+        lp.busy = false;
+        lp.complete(&mut conns);
 
         // --- per-connection I/O ---------------------------------------
         let now = Instant::now();
-        let mut dead: Vec<u64> = Vec::new();
-        for (i, &id) in fd_ids.iter().enumerate() {
-            let revents = fds[base + i].revents;
-            let Some(conn) = conns.get_mut(&id) else {
-                // Bookkeeping drift between fd_ids and the conn map is a
-                // bug, but retiring the orphaned fd beats aborting the mux
-                // thread with every live connection on it.
-                dead.push(id);
-                continue;
-            };
-            if revents & (POLLERR | POLLNVAL) != 0 {
-                dead.push(id);
-                continue;
-            }
-            if revents & POLLHUP != 0 && !matches!(conn.phase, Phase::Reading) {
-                // Peer hung up while its request is in flight (or while a
-                // terminal response drains): kill-mid-flight, drop. A
-                // Reading conn handles HUP through read() → EOF below.
-                dead.push(id);
-                continue;
-            }
-            if revents & POLLOUT != 0 && conn.has_pending_out() {
-                if flush_out(conn).is_err() {
-                    dead.push(id);
-                    continue;
-                }
-                if !conn.has_pending_out() && conn.close_after_write {
-                    dead.push(id);
-                    continue;
-                }
-            }
-            if revents & (POLLIN | POLLHUP) != 0 && matches!(conn.phase, Phase::Reading) {
-                match read_burst(conn) {
-                    Ok(true) => {}
-                    Ok(false) | Err(_) => {
-                        // EOF between requests is a clean close; EOF with
-                        // a partial request buffered cannot complete.
-                        dead.push(id);
-                        continue;
-                    }
-                }
-            }
-            // Parse/dispatch whenever the conn is idle-reading with no
-            // response in flight or pending.
-            if matches!(conn.phase, Phase::Reading) && !conn.has_pending_out() {
-                advance(conn, id, cfg.max_body, &pool);
-            }
-            // Deadline sweeps.
-            if conn
-                .partial_since
-                .is_some_and(|t| now.duration_since(t) > http::PARTIAL_DEADLINE)
-            {
-                dead.push(id);
-                continue;
-            }
-            if conn
-                .write_since
-                .is_some_and(|t| now.duration_since(t) > cfg.write_timeout)
-            {
-                dead.push(id);
+        for (&id, pfd) in fd_ids.iter().zip(fds.get(base..).unwrap_or(&[])) {
+            if !lp.turn(&mut conns, id, pfd.revents, now) {
+                conns.remove(&id);
             }
         }
-        for id in dead {
-            conns.remove(&id);
+    }
+    Ok(())
+}
+
+impl Loop<'_> {
+    /// Queues every completed reply on its connection and writes it. A
+    /// reply whose connection is gone, or which the mux already gave up
+    /// on, is dropped.
+    fn complete(&mut self, conns: &mut HashMap<u64, Conn>) {
+        for done in self.outbox.take() {
+            let Some(conn) = conns.get_mut(&done.conn) else {
+                continue; // the connection died while its reply was pending
+            };
+            let keep_alive = match conn.phase {
+                Phase::Awaiting {
+                    seq, keep_alive, ..
+                } if seq == done.seq => keep_alive,
+                _ => continue, // a late reply: the mux answered 503 already
+            };
+            conn.phase = Phase::Reading;
+            let keep = keep_alive && !done.resp.close && !self.draining;
+            let resp = &done.resp;
+            if conn.answer(resp.status, &resp.body, keep, resp.retry_after) {
+                // Pipelined read-ahead parses on the next (immediate) tick.
+                self.busy |= conn.ready_to_parse() && !conn.buf.is_empty();
+            } else {
+                conns.remove(&done.conn);
+            }
         }
     }
 
-    pool.close_and_join();
-    Ok(())
+    /// One connection's turn: socket I/O on its poll events, the give-up
+    /// sweep, then parse and dispatch buffered requests, then the socket
+    /// deadline sweeps. Returns false when the connection is finished.
+    fn turn(
+        &mut self,
+        conns: &mut HashMap<u64, Conn>,
+        id: u64,
+        revents: i16,
+        now: Instant,
+    ) -> bool {
+        let Some(conn) = conns.get_mut(&id) else {
+            return false; // a completion already retired it
+        };
+        if revents & (POLLERR | POLLNVAL) != 0 {
+            return false;
+        }
+        if revents & POLLHUP != 0 && !matches!(conn.phase, Phase::Reading) {
+            // Peer hung up while its request is in flight (or while a
+            // terminal response drains): kill-mid-flight, drop. A
+            // Reading conn handles HUP through read() → EOF below.
+            return false;
+        }
+        if revents & POLLOUT != 0
+            && conn.has_pending_out()
+            && (conn.flush_out().is_err() || conn.closing_done())
+        {
+            return false;
+        }
+        // EOF between requests is a clean close; EOF with a partial
+        // request buffered cannot complete.
+        if revents & (POLLIN | POLLHUP) != 0
+            && matches!(conn.phase, Phase::Reading)
+            && !matches!(read_burst(conn), Ok(true))
+        {
+            return false;
+        }
+        if let Phase::Awaiting {
+            keep_alive,
+            give_up: Some(t),
+            ..
+        } = conn.phase
+        {
+            if now >= t {
+                // Answer for the handler; its reply is dropped on arrival
+                // because the phase no longer awaits its sequence number.
+                conn.phase = Phase::Reading;
+                let gone = MuxResponse::error(&ApiError::deadline_exceeded(
+                    "request deadline exceeded before the batch ran",
+                ));
+                let keep = keep_alive && !self.draining;
+                if !conn.answer(gone.status, &gone.body, keep, gone.retry_after) {
+                    return false;
+                }
+            }
+        }
+
+        // Parse and dispatch while the connection is free to; an inline
+        // reply is written before the next request is parsed. A burst cut
+        // short by the cap leaves read-ahead for the next tick.
+        let mut parsed = 0;
+        loop {
+            let Some(conn) = conns.get_mut(&id) else {
+                return false;
+            };
+            if !conn.ready_to_parse() {
+                break;
+            }
+            if parsed == PIPELINE_BURST {
+                self.busy = true;
+                break;
+            }
+            match self.dispatch(conn, id) {
+                Parsed::Request => self.complete(conns),
+                Parsed::Incomplete => break,
+                Parsed::Finished => return false,
+            }
+            parsed += 1;
+        }
+
+        let Some(conn) = conns.get_mut(&id) else {
+            return false;
+        };
+        let partial_expired = conn
+            .partial_since
+            .is_some_and(|t| now.duration_since(t) > http::PARTIAL_DEADLINE);
+        let write_stalled = conn
+            .write_since
+            .is_some_and(|t| now.duration_since(t) > self.cfg.write_timeout);
+        !partial_expired && !write_stalled
+    }
+
+    /// Feeds buffered bytes to the parser. A complete request goes to the
+    /// handler, inline and under `catch_unwind`; a protocol violation
+    /// queues the typed reject, which closes the connection once written.
+    fn dispatch(&mut self, conn: &mut Conn, id: u64) -> Parsed {
+        match try_parse_request(&mut conn.buf, self.cfg.max_body) {
+            Ok(Some(req)) => {
+                conn.partial_since = None;
+                let seq = conn.next_seq;
+                conn.next_seq += 1;
+                let keep_alive = req.keep_alive;
+                let reply = Reply {
+                    conn: id,
+                    seq,
+                    outbox: Some(Arc::clone(self.outbox)),
+                };
+                // A panic drops `reply` while unwinding, which answers
+                // 500; the loop carries on.
+                let handler = self.handler;
+                let give_up =
+                    catch_unwind(AssertUnwindSafe(|| handler(req, reply))).unwrap_or(None);
+                conn.phase = Phase::Awaiting {
+                    seq,
+                    keep_alive,
+                    give_up,
+                };
+                Parsed::Request
+            }
+            Ok(None) => {
+                if conn.buf.is_empty() {
+                    conn.partial_since = None;
+                }
+                Parsed::Incomplete
+            }
+            Err(ReadError::Bad { status, message }) => {
+                let body = crate::protocol::error_response(http::error_code(status), &message);
+                conn.phase = Phase::Rejected;
+                conn.partial_since = None;
+                if conn.answer(status, &body, false, None) {
+                    Parsed::Request
+                } else {
+                    Parsed::Finished
+                }
+            }
+        }
+    }
+}
+
+/// What [`Loop::dispatch`] made of a connection's read buffer.
+enum Parsed {
+    /// A request went to the handler, or a reject is queued.
+    Request,
+    /// The buffer holds no complete request yet.
+    Incomplete,
+    /// A reject was written in full; the connection is done.
+    Finished,
 }
 
 /// Reads until `WouldBlock` (capped at [`READ_BURST`] per call). Returns
@@ -555,7 +773,7 @@ fn read_burst(conn: &mut Conn) -> std::io::Result<bool> {
         match conn.stream.read(&mut chunk) {
             Ok(0) => return Ok(false),
             Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
+                conn.buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
                 conn.partial_since.get_or_insert_with(Instant::now);
                 total += n;
                 if total >= READ_BURST {
@@ -569,58 +787,8 @@ fn read_burst(conn: &mut Conn) -> std::io::Result<bool> {
     }
 }
 
-/// Feeds buffered bytes to the parser; on a complete request hands it to
-/// the pool (entering [`Phase::Processing`]), on a protocol violation
-/// queues the typed reject and closes after writing it.
-fn advance(conn: &mut Conn, id: u64, max_body: usize, pool: &Pool) {
-    match try_parse_request(&mut conn.buf, max_body) {
-        Ok(Some(req)) => {
-            conn.partial_since = None;
-            conn.phase = Phase::Processing;
-            pool.dispatch(Job { conn: id, req });
-        }
-        Ok(None) => {
-            if conn.buf.is_empty() {
-                conn.partial_since = None;
-            }
-        }
-        Err(ReadError::Bad { status, message }) => {
-            let body = crate::protocol::error_response(http::error_code(status), &message);
-            conn.queue_response(status, &body, false, None);
-            // No worker owns this conn; Processing just blocks parsing.
-            conn.phase = Phase::Processing;
-            conn.partial_since = None;
-        }
-    }
-}
-
-/// Writes as much pending response as the socket accepts right now.
-fn flush_out(conn: &mut Conn) -> std::io::Result<()> {
-    while conn.has_pending_out() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::WriteZero,
-                    "peer stopped accepting",
-                ))
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.write_since = Some(Instant::now());
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    conn.out.clear();
-    conn.out_pos = 0;
-    conn.write_since = None;
-    Ok(())
-}
-
-/// A loopback socket pair used as the worker→mux wake channel (std-only;
-/// avoids pipe/eventfd FFI). The write end is cloned per worker; the read
+/// A loopback socket pair used as the reply→mux wake channel (std-only;
+/// avoids pipe/eventfd FFI). The write end lives in the outbox; the read
 /// end sits in the poll set.
 fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     let gate = TcpListener::bind("127.0.0.1:0")?;
@@ -635,9 +803,19 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 mod tests {
     use super::*;
     use std::net::TcpStream;
+    use std::sync::mpsc;
 
-    fn start_echo(
-        workers: usize,
+    fn echo(req: &Request) -> MuxResponse {
+        MuxResponse {
+            status: 200,
+            body: format!("{{\"path\":{:?},\"len\":{}}}", req.path, req.body.len()),
+            retry_after: None,
+            close: false,
+        }
+    }
+
+    fn start(
+        handler: Box<Handler>,
     ) -> (
         String,
         Arc<AtomicBool>,
@@ -647,19 +825,28 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        let handler: Arc<Handler> = Arc::new(|req: &Request| MuxResponse {
-            status: 200,
-            body: format!("{{\"path\":{:?},\"len\":{}}}", req.path, req.body.len()),
-            retry_after: None,
-            close: false,
-        });
         let cfg = MuxConfig {
-            workers,
             drain_grace: Duration::from_secs(2),
             ..MuxConfig::default()
         };
         let h = std::thread::spawn(move || run(listener, cfg, flag, handler));
         (addr, shutdown, h)
+    }
+
+    fn start_echo() -> (
+        String,
+        Arc<AtomicBool>,
+        std::thread::JoinHandle<std::io::Result<()>>,
+    ) {
+        start(Box::new(|req: Request, reply: Reply| {
+            reply.send(echo(&req));
+            None
+        }))
+    }
+
+    fn stop(shutdown: Arc<AtomicBool>, mux: std::thread::JoinHandle<std::io::Result<()>>) {
+        shutdown.store(true, Ordering::Release);
+        mux.join().expect("mux thread").expect("clean exit");
     }
 
     /// Writes raw bytes on a fresh connection and reads until the mux
@@ -678,9 +865,14 @@ mod tests {
         String::from_utf8_lossy(&out).into_owned()
     }
 
+    fn code_of(body: &str) -> String {
+        let v: serde::Value = serde_json::from_str(body).expect("typed JSON body");
+        crate::protocol::error_of(&v).expect("typed error").0
+    }
+
     #[test]
     fn serves_keep_alive_sequences_and_rejects_bad_framing() {
-        let (addr, shutdown, mux) = start_echo(2);
+        let (addr, shutdown, mux) = start_echo();
         let mut c = crate::client::Client::connect(&addr).expect("connect");
         for i in 0..5 {
             let (status, body) = c
@@ -698,15 +890,34 @@ mod tests {
         let (status, _) = c.get("/healthz").expect("still serving");
         assert_eq!(status, 200);
         drop(c);
-        shutdown.store(true, Ordering::Release);
-        mux.join().expect("mux thread").expect("clean exit");
+        stop(shutdown, mux);
     }
 
     #[test]
-    fn concurrent_connections_outnumber_workers() {
-        // 8 concurrent clients over 2 workers: connections are poll
-        // entries, not threads, so all of them complete.
-        let (addr, shutdown, mux) = start_echo(2);
+    fn a_pending_deferred_reply_does_not_delay_inline_answers_elsewhere() {
+        // `/park` hands its reply to the test, which sits on it; every
+        // other path answers inline. Eight connections are answered while
+        // the parked one waits, then the parked reply completes from the
+        // test thread.
+        let (parked_tx, parked_rx) = mpsc::channel::<(Request, Reply)>();
+        let (addr, shutdown, mux) = start(Box::new(move |req: Request, reply: Reply| {
+            if req.path == "/park" {
+                let _ = parked_tx.send((req, reply));
+            } else {
+                reply.send(echo(&req));
+            }
+            None
+        }));
+        let parked = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut c = crate::client::Client::connect(&addr).expect("connect");
+                c.post("/park", "{}").expect("parked request")
+            })
+        };
+        let (req, reply) = parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the parked request reaches the handler");
         let mut joins = Vec::new();
         for i in 0..8 {
             let addr = addr.clone();
@@ -720,25 +931,161 @@ mod tests {
         for j in joins {
             j.join().expect("client");
         }
-        shutdown.store(true, Ordering::Release);
-        mux.join().expect("mux thread").expect("clean exit");
+        assert!(
+            !parked.is_finished(),
+            "the parked request was answered early"
+        );
+        reply.send(echo(&req));
+        let (status, body) = parked.join().expect("parked client");
+        assert_eq!(status, 200);
+        assert!(body.contains("/park"), "{body}");
+        stop(shutdown, mux);
+    }
+
+    #[test]
+    fn a_dropped_reply_answers_500_and_the_connection_keeps_serving() {
+        let (addr, shutdown, mux) = start(Box::new(|req: Request, reply: Reply| {
+            if req.path == "/drop" {
+                // Dropped on another thread, as a crashed batch does.
+                std::thread::spawn(move || drop(reply));
+            } else {
+                reply.send(echo(&req));
+            }
+            None
+        }));
+        let mut c = crate::client::Client::connect(&addr).expect("connect");
+        let (status, body) = c.post("/drop", "{}").expect("typed answer");
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(code_of(&body), "internal");
+        let (status, body) = c.get("/after").expect("same connection");
+        assert_eq!(status, 200);
+        assert!(body.contains("/after"), "{body}");
+        drop(c);
+        stop(shutdown, mux);
+    }
+
+    #[test]
+    fn a_reply_after_the_give_up_instant_is_discarded_for_one_503() {
+        let (late_tx, late_rx) = mpsc::channel::<()>();
+        let (addr, shutdown, mux) = start(Box::new(move |req: Request, reply: Reply| {
+            if req.path == "/slow" {
+                let late_tx = late_tx.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(300));
+                    reply.send(echo(&req));
+                    let _ = late_tx.send(());
+                });
+                Some(Instant::now() + Duration::from_millis(50))
+            } else {
+                reply.send(echo(&req));
+                None
+            }
+        }));
+        let mut c = crate::client::Client::connect(&addr).expect("connect");
+        let resp = c
+            .request_full("POST", "/slow", Some("{}"))
+            .expect("typed answer");
+        assert_eq!(resp.status, 503, "{}", resp.body);
+        assert_eq!(code_of(&resp.body), "deadline_exceeded");
+        assert_eq!(resp.retry_after, Some(1));
+        // The late reply is completed, then discarded: the next request
+        // on the connection gets its own answer, not the stale one.
+        late_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the late reply was sent");
+        let (status, body) = c.get("/next").expect("same connection");
+        assert_eq!(status, 200);
+        assert!(body.contains("/next"), "{body}");
+        drop(c);
+        // On a raw socket: exactly one response for the slow request,
+        // nothing after it.
+        let wire = b"POST /slow HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.write_all(wire).expect("write");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(800)))
+            .expect("timeout");
+        let mut out = Vec::new();
+        let mut chunk = [0u8; 1024];
+        while let Ok(n) = stream.read(&mut chunk) {
+            if n == 0 {
+                break;
+            }
+            out.extend_from_slice(&chunk[..n]);
+        }
+        let text = String::from_utf8_lossy(&out);
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+        assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
+        drop(stream);
+        stop(shutdown, mux);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_across_threads() {
+        // Each reply completes on its own thread, the earliest request
+        // slowest: order must still follow the requests.
+        let (addr, shutdown, mux) = start(Box::new(|req: Request, reply: Reply| {
+            let i: u64 = req.path.trim_start_matches("/r").parse().unwrap_or(0);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(10 * (5 - i.min(5))));
+                reply.send(echo(&req));
+            });
+            None
+        }));
+        let mut wire = Vec::new();
+        for i in 0..5 {
+            let close = if i == 4 { "Connection: close\r\n" } else { "" };
+            wire.extend_from_slice(format!("GET /r{i} HTTP/1.1\r\n{close}\r\n").as_bytes());
+        }
+        let answer = exchange(&addr, &wire);
+        let order: Vec<usize> = (0..5)
+            .map(|i| {
+                answer
+                    .find(&format!("\"/r{i}\""))
+                    .expect("every request answered")
+            })
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{answer}");
+        assert_eq!(answer.matches("HTTP/1.1 200 ").count(), 5, "{answer}");
+        stop(shutdown, mux);
+    }
+
+    #[test]
+    fn a_panicking_inline_handler_answers_500_and_the_mux_keeps_serving() {
+        let (addr, shutdown, mux) = start(Box::new(|req: Request, reply: Reply| {
+            if req.path == "/panic" {
+                panic!("handler bug");
+            }
+            reply.send(echo(&req));
+            None
+        }));
+        let mut c = crate::client::Client::connect(&addr).expect("connect");
+        let (status, body) = c.get("/panic").expect("typed answer");
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(code_of(&body), "internal");
+        let (status, _) = c.get("/healthz").expect("same connection");
+        assert_eq!(status, 200);
+        let mut other = crate::client::Client::connect(&addr).expect("new connection");
+        let (status, _) = other.get("/healthz").expect("mux still serving");
+        assert_eq!(status, 200);
+        drop((c, other));
+        stop(shutdown, mux);
     }
 
     #[test]
     fn draining_closes_idle_connections_and_exits() {
-        let (addr, shutdown, mux) = start_echo(1);
+        let (addr, shutdown, mux) = start_echo();
         // An idle keep-alive connection holds no thread and must not
         // block shutdown.
         let idle = TcpStream::connect(&addr).expect("connect idle");
         std::thread::sleep(Duration::from_millis(50));
-        shutdown.store(true, Ordering::Release);
-        mux.join().expect("mux thread").expect("clean exit");
+        stop(shutdown, mux);
         drop(idle);
     }
 
     #[test]
     fn oversized_header_block_yields_431_and_a_closed_connection() {
-        let (addr, shutdown, mux) = start_echo(1);
+        let (addr, shutdown, mux) = start_echo();
         // A header line that never ends, one byte past the cap: the
         // buffer must not grow further before the connection is refused.
         let mut wire = b"GET / HTTP/1.1\r\nx-filler: ".to_vec();
@@ -747,13 +1094,12 @@ mod tests {
         assert!(answer.starts_with("HTTP/1.1 431 "), "{answer}");
         assert!(answer.contains("headers_too_large"), "{answer}");
         assert!(answer.contains("Connection: close"), "{answer}");
-        shutdown.store(true, Ordering::Release);
-        mux.join().expect("mux thread").expect("clean exit");
+        stop(shutdown, mux);
     }
 
     #[test]
     fn oversized_body_yields_413_without_buffering_it() {
-        let (addr, shutdown, mux) = start_echo(1);
+        let (addr, shutdown, mux) = start_echo();
         // Only the headers are sent: the refusal must not wait for the
         // declared body.
         let answer = exchange(
@@ -763,13 +1109,12 @@ mod tests {
         assert!(answer.starts_with("HTTP/1.1 413 "), "{answer}");
         assert!(answer.contains("payload_too_large"), "{answer}");
         assert!(answer.contains("Connection: close"), "{answer}");
-        shutdown.store(true, Ordering::Release);
-        mux.join().expect("mux thread").expect("clean exit");
+        stop(shutdown, mux);
     }
 
     #[test]
     fn connection_close_is_honoured_after_the_response() {
-        let (addr, shutdown, mux) = start_echo(1);
+        let (addr, shutdown, mux) = start_echo();
         let answer = exchange(&addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
         assert!(answer.contains("Connection: close"), "{answer}");
@@ -777,7 +1122,6 @@ mod tests {
             answer.ends_with("{\"path\":\"/healthz\",\"len\":0}"),
             "clean close after the body: {answer}"
         );
-        shutdown.store(true, Ordering::Release);
-        mux.join().expect("mux thread").expect("clean exit");
+        stop(shutdown, mux);
     }
 }

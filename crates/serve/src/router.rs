@@ -17,6 +17,11 @@
 //! error a standalone server would — the router duplicates no error
 //! logic.
 //!
+//! Every route handler here blocks on a backend socket, so the mux thread
+//! does not run them: it queues each request with its reply for a fixed
+//! pool of 32 forwarding threads, which bounds how many requests are in
+//! flight to the backends at once.
+//!
 //! Transport faults map onto the protocol's retry contract: a failure to
 //! even connect (nothing sent) or a failed **idempotent** request yields
 //! a retryable `503 not_ready`; a non-idempotent request (session create
@@ -25,14 +30,14 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 use serde::Value;
 
 use crate::client::{is_idempotent, Client, Response};
 use crate::http::Request;
-use crate::mux::{self, MuxConfig, MuxResponse};
+use crate::mux::{self, MuxConfig, MuxResponse, Reply};
 use crate::protocol::{
     self, health_response, merge_stats, parse_lane_stats, parse_stats, parse_topology,
     stats_response, topology_response, ApiError, LaneStats, StatsSnapshot,
@@ -41,6 +46,10 @@ use crate::shard::{backend_of_session_id, shard_of_content, shard_of_user, SHARD
 
 /// How many idle keep-alive connections the router retains per backend.
 const POOL_CAP: usize = 16;
+
+/// Forwarding threads: each carries one request at a time through its
+/// backend round-trip.
+const FORWARDERS: usize = 32;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -190,16 +199,43 @@ pub fn start_router(cfg: RouterConfig) -> Result<RouterHandle, String> {
         backends: cfg.backends.iter().map(|a| Backend::new(a)).collect(),
         shutdown: Arc::clone(&shutdown),
     });
-    let handler: Arc<mux::Handler> = {
+    // The mux handler only queues; the forwarding threads answer. When the
+    // mux exits it drops the handler and with it the sender, so the
+    // threads drain the queue and stop.
+    let (jobs, queue) = mpsc::channel::<(Request, Reply)>();
+    let queue = Arc::new(Mutex::new(queue));
+    let mut forwarders = Vec::with_capacity(FORWARDERS);
+    for i in 0..FORWARDERS {
+        let queue = Arc::clone(&queue);
         let state = Arc::clone(&state);
-        Arc::new(move |req| respond(&state, req))
-    };
+        let forwarder = std::thread::Builder::new()
+            .name(format!("tspn-route-fwd-{i}"))
+            .spawn(move || loop {
+                // Poison-recover: a receiver stays usable after any panic.
+                let job = queue.lock().unwrap_or_else(|p| p.into_inner()).recv();
+                let Ok((req, reply)) = job else {
+                    return;
+                };
+                reply.send(respond(&state, &req));
+            })
+            .map_err(|e| format!("spawn router forwarder {i}: {e}"))?;
+        forwarders.push(forwarder);
+    }
+    let handler: Box<mux::Handler> = Box::new(move |req, reply| {
+        // A failed send hands the reply back inside the error, and
+        // dropping it answers 500.
+        let _ = jobs.send((req, reply));
+        None
+    });
     let flag = Arc::clone(&shutdown);
     let mux_thread = std::thread::Builder::new()
         .name("tspn-route-mux".to_string())
         .spawn(move || {
             if let Err(e) = mux::run(listener, MuxConfig::default(), flag, handler) {
                 eprintln!("tspn-serve: router mux error: {e}");
+            }
+            for f in forwarders {
+                let _ = f.join();
             }
         })
         .map_err(|e| format!("spawn router mux: {e}"))?;
@@ -211,26 +247,15 @@ pub fn start_router(cfg: RouterConfig) -> Result<RouterHandle, String> {
 }
 
 fn error(err: ApiError) -> MuxResponse {
-    let (status, body) = err.render();
-    MuxResponse {
-        status,
-        body,
-        retry_after: (status == 429 || status == 503).then_some(1),
-        close: false,
-    }
+    MuxResponse::error(&err)
 }
 
 fn ok(body: String) -> MuxResponse {
-    MuxResponse {
-        status: 200,
-        body,
-        retry_after: None,
-        close: false,
-    }
+    MuxResponse::new(200, body)
 }
 
-/// The router's request handler, run on mux workers (each call may block
-/// on one backend round-trip).
+/// The router's request handler, run on the forwarding threads (each
+/// call may block on one backend round-trip).
 fn respond(state: &RouterState, req: &Request) -> MuxResponse {
     if state.shutdown.load(Ordering::Acquire) {
         let mut resp = error(ApiError::shutting_down(
@@ -482,21 +507,18 @@ mod tests {
         let addr = listener.local_addr().expect("stub addr").to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let h: Arc<mux::Handler> = Arc::new(move |req| {
-            let (status, body) = handler(req);
-            MuxResponse {
+        let h: Box<mux::Handler> = Box::new(move |req, reply| {
+            let (status, body) = handler(&req);
+            reply.send(MuxResponse {
                 status,
                 body,
                 retry_after: None,
                 close: false,
-            }
+            });
+            None
         });
-        let cfg = MuxConfig {
-            workers: 2,
-            ..MuxConfig::default()
-        };
         let handle = std::thread::spawn(move || {
-            mux::run(listener, cfg, flag, h).expect("stub mux runs");
+            mux::run(listener, MuxConfig::default(), flag, h).expect("stub mux runs");
         });
         (addr, stop, handle)
     }

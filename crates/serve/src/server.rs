@@ -6,14 +6,20 @@
 //! ## Thread layout
 //!
 //! * **mux thread** — owns every client socket behind one `poll` loop;
-//!   connections are poll entries, not threads. Complete requests are
-//!   handed to a bounded worker pool whose handlers parse, validate, and
-//!   block on their lane's answer channel.
+//!   connections are poll entries, not threads. It runs the route handler
+//!   inline: sessions, stats, health, topology and shutdown are answered
+//!   on the spot; a prediction is parsed, validated and submitted to its
+//!   lane with the connection's [`Reply`] as its completion.
 //! * **lane threads** (one per lane) — each owns a full [`Predictor`]
 //!   replica (the autodiff tape is `Rc`-based, so a model cannot migrate
 //!   threads; it is *built* on its lane thread). Each flush first applies
 //!   any newer published checkpoint, then answers the whole batch under
 //!   that one snapshot — reloads can never mix parameters within a batch.
+//!   The lane renders each answer and sends it back through its reply, so
+//!   a prediction crosses two thread handoffs: mux → lane → mux.
+//! * **reload threads** — `/admin/reload` reads and validates a
+//!   checkpoint file, too slow for the mux thread, so each reload runs on
+//!   a thread spawned for that request.
 //!
 //! ## Lanes and sharding
 //!
@@ -27,7 +33,7 @@
 //! and lanes never issue colliding ids.
 //!
 //! Model parameters hot-swap via [`SnapshotHandle`]: `/admin/reload`
-//! validates on a worker thread and publishes once; every lane applies at
+//! validates on its own thread and publishes once; every lane applies at
 //! its next flush boundary without blocking in-flight work.
 
 use std::collections::VecDeque;
@@ -41,10 +47,10 @@ use tspn_core::{Predictor, Query, SpatialContext, TspnConfig};
 use tspn_data::{AdHocTrajectory, UserId, Visit, DEFAULT_GAP_SECS};
 use tspn_tensor::serialize::Checkpoint;
 
-use crate::batcher::{BatchConfig, Batcher, LoopExit, SubmitError, Verdict};
+use crate::batcher::{BatchConfig, Batcher, Completion, LoopExit, SubmitError, Verdict};
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::http::Request;
-use crate::mux::{self, MuxConfig, MuxResponse};
+use crate::mux::{self, MuxConfig, MuxResponse, Reply};
 use crate::protocol::{self, ApiError, LaneStats};
 use crate::session::{SessionConfig, SessionError, SessionStore};
 use crate::shard::{self, IdPartition, SHARD_FN_ID};
@@ -148,9 +154,6 @@ pub const MAX_DEADLINE_MS: u64 = 60_000;
 /// answer that exists is better than a spurious timeout.
 const FLUSH_GRACE: Duration = Duration::from_secs(5);
 
-/// `Retry-After` seconds attached to shed responses (429/503).
-const RETRY_AFTER_SECS: u64 = 1;
-
 /// Process-wide serving counters surfaced by `/healthz` and `/v1/stats`.
 /// The served total is not stored — it is the sum of the two
 /// per-endpoint predict counters, computed at render time so the "counters
@@ -244,22 +247,36 @@ struct Shared {
     default_k: usize,
     /// Configured per-lane admission-queue depth (for stats).
     queue_cap: usize,
+    /// Per-lane session-store settings (for stats).
+    session: SessionConfig,
     shard_index: usize,
     shard_count: usize,
 }
 
 impl Shared {
-    fn lane_for_user(&self, user: usize) -> &Lane {
-        &self.lanes[shard::shard_of_user(user, self.lanes.len())]
+    /// Lane `index`. The shard functions reduce modulo the lane count, so
+    /// a miss is a bug; it answers 500 rather than panicking the mux.
+    fn lane(&self, index: usize) -> Result<&Lane, ApiError> {
+        self.lanes
+            .get(index)
+            .ok_or_else(|| ApiError::internal(format!("no lane {index}")))
     }
 
-    fn lane_for_content(&self, user: usize, checkins: &[Visit]) -> &Lane {
-        &self.lanes[shard::shard_of_content(user, checkins, self.lanes.len())]
+    fn lane_for_user(&self, user: usize) -> Result<&Lane, ApiError> {
+        self.lane(shard::shard_of_user(user, self.lanes.len()))
     }
 
-    fn lane_for_session_id(&self, id: u64) -> &Lane {
-        &self.lanes
-            [shard::lane_of_session_id(id, self.shard_index, self.shard_count, self.lanes.len())]
+    fn lane_for_content(&self, user: usize, checkins: &[Visit]) -> Result<&Lane, ApiError> {
+        self.lane(shard::shard_of_content(user, checkins, self.lanes.len()))
+    }
+
+    fn lane_for_session_id(&self, id: u64) -> Result<&Lane, ApiError> {
+        self.lane(shard::lane_of_session_id(
+            id,
+            self.shard_index,
+            self.shard_count,
+            self.lanes.len(),
+        ))
     }
 
     fn draining(&self) -> bool {
@@ -355,6 +372,7 @@ pub fn start(
         expected_shapes: OnceLock::new(),
         default_k: model_cfg.top_k,
         queue_cap: cfg.batch.queue_cap,
+        session: cfg.session,
         shard_index: cfg.shard_index,
         shard_count,
     });
@@ -413,9 +431,9 @@ pub fn start(
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
 
-    let handler: Arc<mux::Handler> = {
+    let handler: Box<mux::Handler> = {
         let shared = Arc::clone(&shared);
-        Arc::new(move |req: &Request| respond(&shared, req))
+        Box::new(move |req: Request, reply: Reply| respond(&shared, req, reply))
     };
     let mux_thread = {
         let shared = Arc::clone(&shared);
@@ -459,7 +477,10 @@ fn lane_main(
     initial: Option<Checkpoint>,
     ready_tx: mpsc::SyncSender<Result<(), String>>,
 ) {
-    let lane = &shared.lanes[lane_idx];
+    let Some(lane) = shared.lanes.get(lane_idx) else {
+        let _ = ready_tx.send(Err(format!("lane {lane_idx} was never configured")));
+        return;
+    };
     let mut predictor = Predictor::new(model_cfg, ctx);
     if let Some(ckpt) = initial {
         if let Err(e) = predictor.load_checkpoint(&ckpt) {
@@ -553,36 +574,108 @@ fn lane_main(
     }
 }
 
-/// The multiplexer's route handler (runs on mux worker threads).
+/// The multiplexer's route handler, called inline on the mux thread, so
+/// it never blocks: predictions are submitted to their lane with `reply`
+/// as the completion (the return value is then the give-up instant),
+/// `/admin/reload` moves to a thread of its own, and everything else is
+/// answered on the spot. Prediction routes carry a per-request deadline:
+/// the `x-tspn-deadline-ms` budget when the client sent one (clamped to
+/// [`MAX_DEADLINE_MS`]), the configured default otherwise.
 ///
 /// During shutdown a request that arrives before the socket closes gets a
 /// typed `503 shutting_down` (with `Retry-After`) rather than a reset —
 /// a draining server is explicit about it, so clients can fail over.
-fn respond(shared: &Shared, req: &Request) -> MuxResponse {
+fn respond(shared: &Arc<Shared>, req: Request, reply: Reply) -> Option<Instant> {
     if shared.draining() {
         shared.shed_draining.fetch_add(1, Ordering::Relaxed);
-        let (status, body) =
-            ApiError::shutting_down("server is draining; connection closing").render();
-        return MuxResponse {
-            status,
-            body,
-            retry_after: Some(RETRY_AFTER_SECS),
-            close: true,
-        };
+        let mut resp = MuxResponse::error(&ApiError::shutting_down(
+            "server is draining; connection closing",
+        ));
+        resp.close = true;
+        reply.send(resp);
+        return None;
     }
-    let (status, body) = route(shared, req);
-    // Decide keep-alive *after* routing so a request that itself triggers
-    // shutdown is answered `Connection: close` instead of promising a
-    // session we then drop.
-    let close = shared.draining();
-    // Shed responses carry `Retry-After` so well-behaved clients back off
-    // instead of hammering a full queue.
-    let retry_after = (status == 429 || status == 503).then_some(RETRY_AFTER_SECS);
+    let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
+    let resolved = match route_of(&req.method, path) {
+        Ok(r) => r,
+        Err(e) => {
+            reply.send(finish(shared, e.render()));
+            return None;
+        }
+    };
+    let budget_ms = req
+        .deadline_ms
+        .unwrap_or(REQUEST_TIMEOUT.as_millis() as u64)
+        .clamp(1, MAX_DEADLINE_MS);
+    let deadline = Instant::now() + Duration::from_millis(budget_ms);
+    let answered = match resolved {
+        Route::Healthz => (200, protocol::health_response(&stats_snapshot(shared))),
+        Route::V1Predict => match v1_predict(shared, &req.body) {
+            Ok((lane, query)) => {
+                return submit_prediction(shared, lane, query, Endpoint::V1, deadline, reply)
+            }
+            Err(e) => e.render(),
+        },
+        Route::V1Stats => (
+            200,
+            protocol::stats_response(&stats_snapshot(shared), &lane_stats(shared)),
+        ),
+        Route::V1Topology => {
+            let mode = if shared.shard_count > 1 {
+                "backend"
+            } else {
+                "single"
+            };
+            (
+                200,
+                protocol::topology_response(
+                    mode,
+                    shared.lanes.len(),
+                    SHARD_FN_ID,
+                    shared.shard_index,
+                    shared.shard_count,
+                    &[],
+                ),
+            )
+        }
+        Route::SessionCreate => answer(session_create(shared, &req.body)),
+        Route::SessionGet(id) => answer(session_get(shared, id)),
+        Route::SessionDelete(id) => answer(session_delete(shared, id)),
+        Route::SessionAppend(id) => answer(session_append(shared, id, &req.body)),
+        Route::SessionPredict(id) => match session_query(shared, id, &req.body) {
+            Ok((lane, query)) => {
+                return submit_prediction(shared, lane, query, Endpoint::Session, deadline, reply)
+            }
+            Err(e) => e.render(),
+        },
+        Route::AdminReload => {
+            let owner = Arc::clone(shared);
+            // If the spawn fails, the closure and the reply inside it are
+            // dropped, which answers 500.
+            let _ = std::thread::Builder::new()
+                .name("tspn-serve-reload".to_string())
+                .spawn(move || {
+                    let answered = reload(&owner, &req.body);
+                    reply.send(finish(&owner, answered));
+                });
+            return None;
+        }
+        Route::AdminShutdown => {
+            shared.shutdown.store(true, Ordering::Release);
+            (200, "{\"ok\":true}".to_string())
+        }
+    };
+    reply.send(finish(shared, answered));
+    None
+}
+
+/// Wraps a route's wire pair for the mux. Keep-alive is decided *after*
+/// the work, so a request that itself triggers shutdown is answered
+/// `Connection: close` instead of promising a session we then drop.
+fn finish(shared: &Shared, (status, body): (u16, String)) -> MuxResponse {
     MuxResponse {
-        status,
-        body,
-        retry_after,
-        close,
+        close: shared.draining(),
+        ..MuxResponse::new(status, body)
     }
 }
 
@@ -646,55 +739,18 @@ fn route_of(method: &str, path: &str) -> Result<Route, ApiError> {
     Err(ApiError::not_found(format!("no route {method} {path}")))
 }
 
-/// Dispatches one request to its endpoint. Prediction routes carry a
-/// per-request deadline: the `x-tspn-deadline-ms` budget when the client
-/// sent one (clamped to [`MAX_DEADLINE_MS`]), the configured default
-/// otherwise.
-fn route(shared: &Shared, req: &Request) -> (u16, String) {
-    let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
-    let resolved = match route_of(&req.method, path) {
-        Ok(r) => r,
-        Err(e) => return e.render(),
-    };
-    let budget_ms = req
-        .deadline_ms
-        .unwrap_or(REQUEST_TIMEOUT.as_millis() as u64)
-        .clamp(1, MAX_DEADLINE_MS);
-    let deadline = Instant::now() + Duration::from_millis(budget_ms);
-    match resolved {
-        Route::Healthz => (200, protocol::health_response(&stats_snapshot(shared))),
-        Route::V1Predict => answer(v1_predict(shared, &req.body, deadline)),
-        Route::V1Stats => (
-            200,
-            protocol::stats_response(&stats_snapshot(shared), &lane_stats(shared)),
-        ),
-        Route::V1Topology => {
-            let mode = if shared.shard_count > 1 {
-                "backend"
-            } else {
-                "single"
-            };
-            (
-                200,
-                protocol::topology_response(
-                    mode,
-                    shared.lanes.len(),
-                    SHARD_FN_ID,
-                    shared.shard_index,
-                    shared.shard_count,
-                    &[],
-                ),
-            )
-        }
-        Route::SessionCreate => answer(session_create(shared, &req.body)),
-        Route::SessionGet(id) => answer(session_get(shared, id)),
-        Route::SessionDelete(id) => answer(session_delete(shared, id)),
-        Route::SessionAppend(id) => answer(session_append(shared, id, &req.body)),
-        Route::SessionPredict(id) => answer(session_predict(shared, id, &req.body, deadline)),
-        Route::AdminReload => reload(shared, &req.body),
-        Route::AdminShutdown => {
-            shared.shutdown.store(true, Ordering::Release);
-            (200, "{\"ok\":true}".to_string())
+/// Which endpoint a prediction entered through (for the served ledger).
+#[derive(Debug, Clone, Copy)]
+enum Endpoint {
+    V1,
+    Session,
+}
+
+impl Endpoint {
+    fn counter(self, stats: &ServeStats) -> &AtomicU64 {
+        match self {
+            Endpoint::V1 => &stats.served_v1,
+            Endpoint::Session => &stats.served_session,
         }
     }
 }
@@ -740,7 +796,7 @@ fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
         expired += s.expired;
         evicted += s.evicted;
     }
-    let session_cfg = shared.lanes[0].sessions.config();
+    let session_cfg = shared.session;
     protocol::StatsSnapshot {
         snapshot,
         published: shared.snapshots.version(),
@@ -792,62 +848,102 @@ fn lane_stats(shared: &Shared) -> Vec<LaneStats> {
         .collect()
 }
 
-/// The shared enqueue-and-await tail of every predict flavor: by the time
-/// a query reaches here its check-in stream is already resolved and its
-/// lane chosen, so payload and session predictions ride the same batcher
-/// path (and mix freely within one flush of their lane).
-fn predict_common(
-    shared: &Shared,
-    lane: &Lane,
+/// The shared enqueue tail of every predict flavor: by the time a query
+/// reaches here its check-in stream is already resolved and its lane
+/// chosen, so payload and session predictions ride the same batcher path
+/// (and mix freely within one flush of their lane). Refusals are answered
+/// at once; an admitted query takes `reply` along as its completion and
+/// the mux gives up on it a bounded grace past the deadline.
+fn submit_prediction(
+    shared: &Arc<Shared>,
+    lane_idx: usize,
     query: Query,
-    endpoint_counter: &AtomicU64,
+    endpoint: Endpoint,
     deadline: Instant,
-) -> (u16, String) {
-    if shared.draining() {
-        lane.overload.shed_not_ready.fetch_add(1, Ordering::Relaxed);
-        return ApiError::shutting_down("server is draining").render();
-    }
-    if lane.overload.breaker_open() {
-        lane.overload.shed_not_ready.fetch_add(1, Ordering::Relaxed);
-        return ApiError::not_ready(format!(
-            "lane {} circuit breaker open after repeated batch crashes",
-            lane.index
-        ))
-        .render();
-    }
-    let rx = match lane.batcher.try_submit(query, Some(deadline)) {
-        Ok(rx) => rx,
-        Err(SubmitError::QueueFull) => {
-            lane.overload
-                .shed_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            return ApiError::overloaded(format!("lane {} admission queue is full", lane.index))
-                .render();
+    reply: Reply,
+) -> Option<Instant> {
+    let refusal = match shared.lane(lane_idx) {
+        Err(e) => e,
+        Ok(lane) if shared.draining() => {
+            lane.overload.shed_not_ready.fetch_add(1, Ordering::Relaxed);
+            ApiError::shutting_down("server is draining")
         }
-        Err(SubmitError::Closed) => {
-            return ApiError::shutting_down("server is draining").render();
+        Ok(lane) if lane.overload.breaker_open() => {
+            lane.overload.shed_not_ready.fetch_add(1, Ordering::Relaxed);
+            ApiError::not_ready(format!(
+                "lane {} circuit breaker open after repeated batch crashes",
+                lane.index
+            ))
+        }
+        Ok(lane) => {
+            let done = LaneReply {
+                shared: Arc::clone(shared),
+                lane: lane_idx,
+                endpoint,
+                reply,
+            };
+            let (refused, done) = match lane.batcher.submit(query, Some(deadline), done) {
+                // The batcher already drops queued-and-expired entries, so
+                // a reply still missing at the deadline means the flush
+                // picked the query up in time and simply runs long: wait
+                // a grace.
+                Ok(()) => return Some(deadline + FLUSH_GRACE),
+                Err(refused) => refused,
+            };
+            let refusal = match refused {
+                SubmitError::QueueFull => {
+                    lane.overload
+                        .shed_queue_full
+                        .fetch_add(1, Ordering::Relaxed);
+                    ApiError::overloaded(format!("lane {} admission queue is full", lane.index))
+                }
+                SubmitError::Closed => ApiError::shutting_down("server is draining"),
+            };
+            done.reply.send(finish(shared, refusal.render()));
+            return None;
         }
     };
-    // Wait a bounded grace past the deadline: the batcher already drops
-    // queued-and-expired entries, so a late answer here means the flush
-    // picked the query up in time and simply ran long.
-    let wait = deadline.saturating_duration_since(Instant::now()) + FLUSH_GRACE;
-    match rx.recv_timeout(wait) {
-        Ok(Verdict::Answered(answered)) => {
-            endpoint_counter.fetch_add(1, Ordering::Relaxed);
-            lane.served.fetch_add(1, Ordering::Relaxed);
-            (
-                200,
-                protocol::predict_response(&answered.topk, answered.snapshot, answered.batch),
-            )
-        }
-        Ok(Verdict::Expired) | Err(mpsc::RecvTimeoutError::Timeout) => {
-            ApiError::deadline_exceeded("request deadline exceeded before the batch ran").render()
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            ApiError::internal("prediction batch crashed; retry after the supervisor restarts it")
-                .render()
-        }
+    reply.send(finish(shared, refusal.render()));
+    None
+}
+
+/// An admitted prediction's completion. It runs on the lane thread,
+/// which renders the answer and sends it to the waiting connection; a
+/// crashed batch drops it, and the dropped reply answers 500.
+struct LaneReply {
+    shared: Arc<Shared>,
+    lane: usize,
+    endpoint: Endpoint,
+    reply: Reply,
+}
+
+impl Completion for LaneReply {
+    fn complete(self: Box<Self>, verdict: Verdict) {
+        let LaneReply {
+            shared,
+            lane,
+            endpoint,
+            reply,
+        } = *self;
+        let answered = match verdict {
+            Verdict::Answered(answered) => {
+                endpoint
+                    .counter(&shared.stats)
+                    .fetch_add(1, Ordering::Relaxed);
+                if let Some(lane) = shared.lanes.get(lane) {
+                    lane.served.fetch_add(1, Ordering::Relaxed);
+                }
+                (
+                    200,
+                    protocol::predict_response(&answered.topk, answered.snapshot, answered.batch),
+                )
+            }
+            Verdict::Expired => {
+                ApiError::deadline_exceeded("request deadline exceeded before the batch ran")
+                    .render()
+            }
+        };
+        reply.send(finish(&shared, answered));
     }
 }
 
@@ -855,10 +951,13 @@ fn predict_common(
 /// check itself is [`tspn_data::first_invalid_poi`]).
 fn check_vocabulary(shared: &Shared, visits: &[Visit]) -> Result<(), ApiError> {
     match tspn_data::first_invalid_poi(visits, shared.num_pois) {
-        Some(i) => Err(ApiError::unprocessable(format!(
-            "checkin {i} names POI {} outside the vocabulary (0..{})",
-            visits[i].poi.0, shared.num_pois
-        ))),
+        Some(i) => {
+            let poi = visits.get(i).map_or(0, |v| v.poi.0);
+            Err(ApiError::unprocessable(format!(
+                "checkin {i} names POI {poi} outside the vocabulary (0..{})",
+                shared.num_pois
+            )))
+        }
         None => Ok(()),
     }
 }
@@ -887,18 +986,12 @@ fn adhoc_query(
 /// sequence. Stateless payloads shard on request content (user + visits),
 /// so repeated identical requests batch on one lane while the overall
 /// flow spreads.
-fn v1_predict(shared: &Shared, body: &[u8], deadline: Instant) -> Result<(u16, String), ApiError> {
+fn v1_predict(shared: &Shared, body: &[u8]) -> Result<(usize, Query), ApiError> {
     let req = protocol::parse_v1_predict(body)?;
     check_vocabulary(shared, &req.checkins)?;
-    let lane = shared.lane_for_content(req.user, &req.checkins);
+    let lane = shared.lane_for_content(req.user, &req.checkins)?;
     let query = adhoc_query(shared, req.user, &req.checkins, req.k, req.top)?;
-    Ok(predict_common(
-        shared,
-        lane,
-        query,
-        &shared.stats.served_v1,
-        deadline,
-    ))
+    Ok((lane.index, query))
 }
 
 /// Maps a store failure for session `id` onto the typed error model.
@@ -924,7 +1017,7 @@ fn session_error(id: u64, e: SessionError) -> ApiError {
 fn session_create(shared: &Shared, body: &[u8]) -> Result<(u16, String), ApiError> {
     let req = protocol::parse_session_create(body)?;
     check_vocabulary(shared, &req.checkins)?;
-    let lane = shared.lane_for_user(req.user);
+    let lane = shared.lane_for_user(req.user)?;
     let (id, count) = lane
         .sessions
         .create(req.user, &req.checkins)
@@ -945,7 +1038,7 @@ fn session_create(shared: &Shared, body: &[u8]) -> Result<(u16, String), ApiErro
 fn session_append(shared: &Shared, id: u64, body: &[u8]) -> Result<(u16, String), ApiError> {
     let checkins = protocol::parse_session_append(body)?;
     check_vocabulary(shared, &checkins)?;
-    let lane = shared.lane_for_session_id(id);
+    let lane = shared.lane_for_session_id(id)?;
     let total = lane
         .sessions
         .append(id, &checkins)
@@ -957,14 +1050,9 @@ fn session_append(shared: &Shared, id: u64, body: &[u8]) -> Result<(u16, String)
 /// `POST /v1/sessions/{id}/predict`: predict from the accumulated state,
 /// on the lane the id encodes (session state and its predictions share a
 /// lane by construction).
-fn session_predict(
-    shared: &Shared,
-    id: u64,
-    body: &[u8],
-    deadline: Instant,
-) -> Result<(u16, String), ApiError> {
+fn session_query(shared: &Shared, id: u64, body: &[u8]) -> Result<(usize, Query), ApiError> {
     let (k, top) = protocol::parse_predict_opts(body)?;
-    let lane = shared.lane_for_session_id(id);
+    let lane = shared.lane_for_session_id(id)?;
     let (user, visits) = lane
         .sessions
         .snapshot(id)
@@ -975,18 +1063,12 @@ fn session_predict(
         )));
     }
     let query = adhoc_query(shared, user, &visits, k, top)?;
-    Ok(predict_common(
-        shared,
-        lane,
-        query,
-        &shared.stats.served_session,
-        deadline,
-    ))
+    Ok((lane.index, query))
 }
 
 /// `GET /v1/sessions/{id}`: session state (does not refresh the TTL).
 fn session_get(shared: &Shared, id: u64) -> Result<(u16, String), ApiError> {
-    let lane = shared.lane_for_session_id(id);
+    let lane = shared.lane_for_session_id(id)?;
     let info = lane.sessions.info(id).map_err(|e| session_error(id, e))?;
     Ok((
         200,
@@ -996,13 +1078,13 @@ fn session_get(shared: &Shared, id: u64) -> Result<(u16, String), ApiError> {
 
 /// `DELETE /v1/sessions/{id}`: end a session (it reports `410` after).
 fn session_delete(shared: &Shared, id: u64) -> Result<(u16, String), ApiError> {
-    let lane = shared.lane_for_session_id(id);
+    let lane = shared.lane_for_session_id(id)?;
     lane.sessions.delete(id).map_err(|e| session_error(id, e))?;
     Ok((200, "{\"ok\":true}".to_string()))
 }
 
-/// `POST /admin/reload`: load + validate on this thread, then publish
-/// once; every lane applies at its next flush boundary.
+/// `POST /admin/reload`: load + validate on the calling (reload) thread,
+/// then publish once; every lane applies at its next flush boundary.
 fn reload(shared: &Shared, body: &[u8]) -> (u16, String) {
     let path = match protocol::parse_reload(body) {
         Ok(p) => p,
@@ -1022,7 +1104,7 @@ fn reload(shared: &Shared, body: &[u8]) -> (u16, String) {
         }
     };
     // Set before the listener binds; answer 500 instead of killing the
-    // connection thread if a future refactor reorders startup.
+    // reload thread if a future refactor reorders startup.
     let Some(expected) = shared.expected_shapes.get() else {
         return ApiError::internal("server shape registry not initialised").render();
     };
