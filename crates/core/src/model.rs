@@ -63,7 +63,8 @@ pub(crate) fn hist_key(visits: &[Visit]) -> HistKey {
 /// content key encodings)`.
 type HistoryCache = (u64, HashMap<HistKey, HistoryEncodings>);
 
-/// Bound on the content-keyed caches. Ad-hoc traffic can present
+/// Bound on the content-keyed caches (the QR-P structure cache, which
+/// training fills, and the inference history memo). Ad-hoc traffic can present
 /// unboundedly many distinct histories; past this many entries a cache is
 /// cleared wholesale (the in-dataset working set re-fills in one pass,
 /// and correctness never depends on a hit).
@@ -96,14 +97,20 @@ pub struct TspnRa {
     pub(crate) spatial_codes: Tensor,
     /// QR-P structures keyed by history **content** (graphs are pure
     /// functions of the visit run), so indexed and ad-hoc subjects with
-    /// the same history share one structure.
+    /// the same history share one structure. Filled only by taped
+    /// passes: training re-encodes every history each step. A no-grad
+    /// inference pass reuses a structure training left here (a trained
+    /// replica evaluating) but never adds one, because its
+    /// `history_cache` entry already spares it the next rebuild.
     qrp_cache: RefCell<HashMap<HistKey, Rc<QrpGraph>>>,
     /// Inference-only memo of [`TspnRa::history_encodings_batch`]
     /// outputs, keyed by the tile-table tensor id they were computed
     /// against (history encodings are pure functions of
     /// `(graph, tables)`): `(tables id, per-history content key
     /// encodings)`. Populated only under
-    /// [`Tensor::no_grad`], where the cached tensors carry no tape.
+    /// [`Tensor::no_grad`], where the cached tensors carry no tape. This
+    /// is all a serving replica keeps per history: the QR-P graph behind
+    /// an entry is dropped once it is encoded.
     history_cache: RefCell<HistoryCache>,
     /// Packed `[n, 3, s, s]` tile-image input keyed by the context
     /// revision it was staged from. The packed tensor is a pure leaf (no
@@ -306,14 +313,17 @@ impl TspnRa {
         visits
     }
 
-    /// QR-P graph for a history visit run, cached by content (`key` is
-    /// the run's precomputed [`hist_key`] — callers build it once per
-    /// subject and share it across every content-keyed cache).
+    /// QR-P graph for a history visit run (`key` is the run's
+    /// precomputed [`hist_key`] — callers build it once per subject and
+    /// share it across every content-keyed cache). Every pass reads
+    /// `qrp_cache`; only a taped one fills it, while a no-grad inference
+    /// pass (`inference`) drops the graph it built once it is encoded.
     fn qrp_graph(
         &self,
         ctx: &SpatialContext,
         history: &[Visit],
         key: &HistKey,
+        inference: bool,
     ) -> Option<Rc<QrpGraph>> {
         if !self.config.variant.use_graph || history.is_empty() {
             return None;
@@ -331,6 +341,9 @@ impl TspnRa {
                 contain_edges: self.config.variant.contain_edges,
             },
         ));
+        if inference {
+            return Some(graph);
+        }
         let mut cache = self.qrp_cache.borrow_mut();
         if cache.len() >= CONTENT_CACHE_CAP {
             cache.clear();
@@ -390,16 +403,17 @@ impl TspnRa {
         (ht, hp)
     }
 
-    /// Batched history encoding: resolves every history's graph (content
-    /// and inference caches first), then runs **all** graphs still needing
-    /// encoding through one disjoint [`tspn_graph::Hgat::forward_union`]
-    /// tape — the per-edge-type GEMMs and padded softmaxes batch across
-    /// samples instead of running once per graph. Duplicate histories
-    /// share one encoding tensor (by id), which the fusion module's
-    /// identity dedup relies on. Under no-grad inference the encodings are
+    /// Batched history encoding: resolves every history's graph (the
+    /// inference memo and the structure cache first), then runs **all**
+    /// graphs still needing encoding through one disjoint
+    /// [`tspn_graph::Hgat::forward_union`] tape — the per-edge-type GEMMs
+    /// and padded softmaxes batch across samples instead of running once
+    /// per graph. Duplicate histories share one encoding tensor (by id),
+    /// which the fusion module's identity dedup relies on. Under no-grad inference the encodings are
     /// pure functions of `(graph, tables)` and are memoised by sequence
     /// content, so evaluating many prefixes of one trajectory — or a
-    /// session re-predicting an unchanged history — runs the HGAT once.
+    /// session re-predicting an unchanged history — runs the HGAT once;
+    /// the graphs built for a miss are dropped after encoding.
     pub(crate) fn history_encodings_batch(
         &self,
         ctx: &SpatialContext,
@@ -422,8 +436,10 @@ impl TspnRa {
             });
             uniq_of.push(u);
         }
-        let use_cache = !training && Tensor::grad_suspended();
-        if use_cache {
+        // No-grad inference reads and fills the encoding memo and stores no
+        // graph; taped passes skip the memo and fill the structure cache.
+        let inference = !training && Tensor::grad_suspended();
+        if inference {
             let tables_id = tables.tiles.id();
             let mut cache = self.history_cache.borrow_mut();
             if cache.0 != tables_id {
@@ -435,13 +451,13 @@ impl TspnRa {
         let mut ready: Vec<Option<HistoryEncodings>> = vec![None; keys.len()];
         let mut pending: Vec<(usize, Rc<QrpGraph>)> = Vec::new();
         for (u, key) in keys.iter().enumerate() {
-            if use_cache {
+            if inference {
                 if let Some(e) = self.history_cache.borrow().1.get(key) {
                     ready[u] = Some(e.clone());
                     continue;
                 }
             }
-            match self.qrp_graph(ctx, uniq_hist[u], key) {
+            match self.qrp_graph(ctx, uniq_hist[u], key, inference) {
                 Some(g) => pending.push((u, g)),
                 None => ready[u] = Some((None, None)),
             }
@@ -460,7 +476,7 @@ impl TspnRa {
             for (u, g) in &pending {
                 let enc = Self::split_encoding(g, &h, off);
                 off += g.num_nodes();
-                if use_cache {
+                if inference {
                     let mut cache = self.history_cache.borrow_mut();
                     if cache.1.len() >= CONTENT_CACHE_CAP {
                         cache.1.clear();
@@ -866,6 +882,119 @@ mod tests {
         assert_eq!(model.qrp_cache.borrow().len(), cached);
         model.clear_cache();
         assert_eq!(model.qrp_cache.borrow().len(), 0);
+    }
+
+    /// Up to `n` samples whose (non-empty) histories are pairwise distinct,
+    /// with those histories.
+    fn distinct_histories(
+        model: &TspnRa,
+        ctx: &SpatialContext,
+        n: usize,
+    ) -> (Vec<Sample>, Vec<Vec<Visit>>) {
+        let mut seen: std::collections::HashSet<HistKey> = Default::default();
+        let (mut samples, mut histories) = (Vec::new(), Vec::new());
+        for s in ctx.dataset.all_samples() {
+            let h = model.history_visits(ctx, &Subject::Indexed(s));
+            if !h.is_empty() && seen.insert(hist_key(&h)) {
+                samples.push(s);
+                histories.push(h);
+                if samples.len() == n {
+                    break;
+                }
+            }
+        }
+        assert!(samples.len() >= 2, "need several distinct histories");
+        (samples, histories)
+    }
+
+    fn encoding_bits(e: &HistoryEncodings) -> Vec<Vec<u32>> {
+        [&e.0, &e.1]
+            .iter()
+            .map(|t| {
+                t.as_ref().map_or(Vec::new(), |t| {
+                    t.to_vec().iter().map(|v| v.to_bits()).collect()
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn no_grad_pass_keeps_encodings_not_graphs() {
+        let (ctx, cfg) = tiny_setup();
+        let model = TspnRa::new(cfg, &ctx);
+        let tables = Tensor::no_grad(|| model.batch_tables(&ctx));
+        let (_, histories) = distinct_histories(&model, &ctx, 6);
+        let n = histories.len();
+        let first =
+            Tensor::no_grad(|| model.history_encodings_batch(&ctx, &histories, &tables, false));
+        assert_eq!(
+            model.qrp_cache.borrow().len(),
+            0,
+            "no-grad pass kept graphs"
+        );
+        assert_eq!(model.history_cache.borrow().1.len(), n);
+
+        // A repeat is served from the memo: the very same tensors come
+        // back (no graph is built, no HGAT runs), so the bits match.
+        let again =
+            Tensor::no_grad(|| model.history_encodings_batch(&ctx, &histories, &tables, false));
+        assert_eq!(model.qrp_cache.borrow().len(), 0);
+        assert_eq!(model.history_cache.borrow().1.len(), n);
+        for (a, b) in first.iter().zip(&again) {
+            let ids =
+                |e: &HistoryEncodings| (e.0.as_ref().map(Tensor::id), e.1.as_ref().map(Tensor::id));
+            assert_eq!(ids(a), ids(b), "repeat missed the memo");
+            assert_eq!(encoding_bits(a), encoding_bits(b));
+        }
+    }
+
+    #[test]
+    fn taped_pass_fills_structure_cache() {
+        let (ctx, cfg) = tiny_setup();
+        let model = TspnRa::new(cfg, &ctx);
+        let tables = model.batch_tables(&ctx);
+        let (_, all) = distinct_histories(&model, &ctx, 7);
+        let taped = &all[..all.len() - 1];
+        let _ = model.history_encodings_batch(&ctx, taped, &tables, true);
+        assert_eq!(model.qrp_cache.borrow().len(), taped.len());
+        assert_eq!(
+            model.history_cache.borrow().1.len(),
+            0,
+            "taped pass memoised"
+        );
+        // A no-grad pass may reuse those structures but adds none, not
+        // even for the history training never saw.
+        let eval_tables = Tensor::no_grad(|| model.batch_tables(&ctx));
+        let _ = Tensor::no_grad(|| model.history_encodings_batch(&ctx, &all, &eval_tables, false));
+        assert_eq!(model.qrp_cache.borrow().len(), taped.len());
+        assert_eq!(model.history_cache.borrow().1.len(), all.len());
+    }
+
+    #[test]
+    fn rankings_survive_a_tables_change_without_stored_graphs() {
+        let (ctx, cfg) = tiny_setup();
+        let model = TspnRa::new(cfg, &ctx);
+        let (samples, _) = distinct_histories(&model, &ctx, 6);
+        let queries: Vec<(Subject, usize)> = samples
+            .iter()
+            .map(|s| (Subject::Indexed(*s), model.config.top_k))
+            .collect();
+        let rankings = |tables: &BatchTables| -> Vec<(Vec<usize>, Vec<PoiId>)> {
+            model
+                .predict_many(&ctx, &queries, tables)
+                .into_iter()
+                .map(|p| (p.tile_ranking, p.poi_ranking))
+                .collect()
+        };
+        let tables_a = Tensor::no_grad(|| model.batch_tables(&ctx));
+        let first = rankings(&tables_a);
+        let tables_b = Tensor::no_grad(|| model.batch_tables(&ctx));
+        assert_ne!(tables_a.tiles.id(), tables_b.tiles.id());
+        // The memo is keyed to `tables_a`, and no graph was kept: every
+        // history is rebuilt and re-encoded against `tables_b`.
+        assert_eq!(rankings(&tables_b), first);
+        assert_eq!(model.qrp_cache.borrow().len(), 0);
+        assert_eq!(model.history_cache.borrow().0, tables_b.tiles.id());
     }
 
     #[test]

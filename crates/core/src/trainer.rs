@@ -580,7 +580,7 @@ impl Trainer {
     /// model replicas, cached per pool thread); results are bitwise
     /// identical for every thread count. Evaluation and online serving
     /// ([`Trainer::predict_batch`]) run through the same
-    /// [`Trainer::predict_mapped`] machinery, so a served ranking is the
+    /// `Trainer::predict_mapped` machinery, so a served ranking is the
     /// offline ranking, bitwise.
     pub fn evaluate_with_k(&self, samples: &[Sample], k: usize) -> Vec<EvalOutcome> {
         let queries: Vec<Query> = samples

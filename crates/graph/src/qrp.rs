@@ -11,7 +11,7 @@
 //!   network,
 //! * **contain** edges — leaf tile → the POIs lying inside it.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use serde::{Deserialize, Serialize};
 use tspn_data::{LbsnDataset, PoiId, Visit};
@@ -63,38 +63,51 @@ impl Default for QrpOptions {
 
 /// The heterogeneous QR-P graph with per-type adjacency lists
 /// (undirected: each edge is stored in both directions).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QrpGraph {
-    /// Vertices; index into this table is the node's dense id.
+    /// Vertices; index into this table is the node's dense id. Tiles come
+    /// first in ascending id order, then POIs in first-visit order.
     pub nodes: Vec<QrpNode>,
-    index: HashMap<QrpNode, usize>,
-    /// `adj[edge_type][node] → neighbour node indices`.
-    adj: Vec<Vec<Vec<usize>>>,
-    edge_counts: [usize; 3],
+    /// How many leading entries of `nodes` are tiles.
+    num_tiles: usize,
+    /// Adjacency per edge type, indexed by `EdgeType as usize`.
+    adj: [Adjacency; 3],
+}
+
+/// One edge family in compressed form: node `i`'s neighbours are
+/// `targets[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Packs undirected edges over `n` nodes. Each edge `(a, b)` appends
+    /// `b` to `a`'s list and then `a` to `b`'s, so every neighbour list
+    /// keeps the order its edges were listed in.
+    fn pack(n: usize, edges: &[(usize, usize)]) -> Self {
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, b) in edges {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0usize; 2 * edges.len()];
+        for &(a, b) in edges {
+            targets[cursor[a]] = b;
+            cursor[a] += 1;
+            targets[cursor[b]] = a;
+            cursor[b] += 1;
+        }
+        Adjacency { offsets, targets }
+    }
 }
 
 impl QrpGraph {
-    fn new(nodes: Vec<QrpNode>) -> Self {
-        let index = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect::<HashMap<_, _>>();
-        let n = nodes.len();
-        QrpGraph {
-            nodes,
-            index,
-            adj: vec![vec![Vec::new(); n]; 3],
-            edge_counts: [0; 3],
-        }
-    }
-
-    fn add_edge(&mut self, ty: EdgeType, a: usize, b: usize) {
-        self.adj[ty as usize][a].push(b);
-        self.adj[ty as usize][b].push(a);
-        self.edge_counts[ty as usize] += 1;
-    }
-
     /// Number of vertices.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -102,17 +115,25 @@ impl QrpGraph {
 
     /// Undirected edge count of a type.
     pub fn num_edges(&self, ty: EdgeType) -> usize {
-        self.edge_counts[ty as usize]
+        self.adj[ty as usize].targets.len() / 2
     }
 
     /// Dense index of a vertex, if present.
     pub fn index_of(&self, node: QrpNode) -> Option<usize> {
-        self.index.get(&node).copied()
+        let (tiles, pois) = self.nodes.split_at(self.num_tiles);
+        match node {
+            QrpNode::Tile(_) => tiles.binary_search(&node).ok(),
+            QrpNode::Poi(_) => pois
+                .iter()
+                .position(|&p| p == node)
+                .map(|i| self.num_tiles + i),
+        }
     }
 
     /// Neighbours of dense node `i` along `ty` edges.
     pub fn neighbors(&self, ty: EdgeType, i: usize) -> &[usize] {
-        &self.adj[ty as usize][i]
+        let adj = &self.adj[ty as usize];
+        &adj.targets[adj.offsets[i]..adj.offsets[i + 1]]
     }
 
     /// Iterator over `(dense_index, node)` of tile vertices.
@@ -157,46 +178,49 @@ pub fn build_qrp(
     let mut leaf_set: Vec<NodeId> = poi_leaf.clone();
     leaf_set.sort_unstable();
     leaf_set.dedup();
-    // Step 1: minimal subtree.
+    // Step 1: minimal subtree (sorted, so a tile's dense index is its
+    // position in it).
     let subtree = tree.minimal_subtree(&leaf_set);
-    // Vertex table: tiles first, then POIs.
-    let mut nodes: Vec<QrpNode> = subtree.iter().map(|&t| QrpNode::Tile(t)).collect();
-    nodes.extend(pois.iter().map(|&p| QrpNode::Poi(p)));
-    let mut graph = QrpGraph::new(nodes);
+    let num_tiles = subtree.len();
+    let tile_index = |t: NodeId| subtree.binary_search(&t).expect("in subtree");
+    let mut edges: [Vec<(usize, usize)>; 3] = Default::default();
 
     // Branch edges (tree edges of the subtree).
     for (parent, child) in tree.branch_edges_within(&subtree) {
-        let a = graph.index_of(QrpNode::Tile(parent)).expect("in subtree");
-        let b = graph.index_of(QrpNode::Tile(child)).expect("in subtree");
-        graph.add_edge(EdgeType::Branch, a, b);
+        edges[EdgeType::Branch as usize].push((tile_index(parent), tile_index(child)));
     }
     // Step 2: road edges between subtree leaves. Road-edge insertion
     // order decides the neighbour lists — and therefore the attention
     // summation order — so the adjacency is a `BTreeSet`: its ascending
     // iteration is the same sorted order in every process, keeping
     // training bitwise-reproducible across processes, not just within
-    // one.
+    // one. One range query per leaf (ascending, as `leaf_set` is sorted)
+    // visits exactly the city-wide scan's surviving edges in the same
+    // order, at a cost set by the history rather than the city.
     if options.road_edges {
-        let in_subtree: HashSet<NodeId> = leaf_set.iter().copied().collect();
-        let road = road_adjacency
-            .iter()
-            .filter(|(ta, tb)| in_subtree.contains(ta) && in_subtree.contains(tb));
-        for &(ta, tb) in road {
-            let a = graph.index_of(QrpNode::Tile(ta)).expect("leaf in graph");
-            let b = graph.index_of(QrpNode::Tile(tb)).expect("leaf in graph");
-            graph.add_edge(EdgeType::Road, a, b);
+        for &ta in &leaf_set {
+            let linked = road_adjacency
+                .range((ta, NodeId(0))..=(ta, NodeId(usize::MAX)))
+                .filter(|(_, tb)| leaf_set.binary_search(tb).is_ok());
+            for &(ta, tb) in linked {
+                edges[EdgeType::Road as usize].push((tile_index(ta), tile_index(tb)));
+            }
         }
     }
-    // Step 3: contain edges.
+    // Step 3: contain edges; POI `pi` is vertex `num_tiles + pi`.
     if options.contain_edges {
-        for (pi, &poi) in pois.iter().enumerate() {
-            let tile = poi_leaf[pi];
-            let a = graph.index_of(QrpNode::Tile(tile)).expect("leaf in graph");
-            let b = graph.index_of(QrpNode::Poi(poi)).expect("poi in graph");
-            graph.add_edge(EdgeType::Contain, a, b);
+        for (pi, &tile) in poi_leaf.iter().enumerate() {
+            edges[EdgeType::Contain as usize].push((tile_index(tile), num_tiles + pi));
         }
     }
-    graph
+    // Vertex table: tiles first, then POIs.
+    let mut nodes: Vec<QrpNode> = subtree.iter().map(|&t| QrpNode::Tile(t)).collect();
+    nodes.extend(pois.iter().map(|&p| QrpNode::Poi(p)));
+    QrpGraph {
+        adj: edges.each_ref().map(|e| Adjacency::pack(nodes.len(), e)),
+        nodes,
+        num_tiles,
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +341,40 @@ mod tests {
                     QrpNode::Poi(_) => panic!("road edge to a POI"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn road_neighbours_follow_the_city_wide_scan_order() {
+        let (ds, tree, _, visits) = fixture();
+        // A dense adjacency, so most graph leaves have several road edges.
+        let leaves = tree.leaves();
+        let mut road = BTreeSet::new();
+        for (i, &a) in leaves.iter().enumerate() {
+            for &b in &leaves[i + 1..] {
+                if (a.0 * 7 + b.0) % 3 == 0 {
+                    road.insert((a, b));
+                }
+            }
+        }
+        let g = build_qrp(&tree, &road, &visits, &ds, QrpOptions::default());
+        // Reference: scan every city edge in order, keep those whose ends
+        // are both graph tiles, and append to both neighbour lists.
+        let mut expected = vec![Vec::new(); g.num_nodes()];
+        for &(ta, tb) in &road {
+            if let (Some(a), Some(b)) =
+                (g.index_of(QrpNode::Tile(ta)), g.index_of(QrpNode::Tile(tb)))
+            {
+                expected[a].push(b);
+                expected[b].push(a);
+            }
+        }
+        assert!(
+            g.num_edges(EdgeType::Road) > 0,
+            "fixture exercises road edges"
+        );
+        for (i, want) in expected.iter().enumerate() {
+            assert_eq!(g.neighbors(EdgeType::Road, i), want.as_slice(), "node {i}");
         }
     }
 

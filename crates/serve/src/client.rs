@@ -163,7 +163,7 @@ impl Client {
     /// * Typed sheds (429/503) are replayed after a capped-exponential,
     ///   jittered backoff — never sooner than the server's `Retry-After`.
     /// * Transport errors reconnect and replay **only** idempotent
-    ///   requests (see [`is_idempotent`]); a session create/append error
+    ///   requests (see `is_idempotent`); a session create/append error
     ///   surfaces immediately because its server-side effect is unknown.
     ///
     /// The last shed response is returned (never hidden behind an error)

@@ -106,7 +106,7 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
             format!("malformed request line {request_line:?}"),
         ));
     }
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
     let mut deadline_ms = None;
@@ -116,9 +116,13 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| ReadError::bad(400, "bad Content-Length"))?;
+            let len = parse_content_length(value)?;
+            // Identical repeats are harmless; differing ones leave the
+            // body's extent ambiguous.
+            if content_length.is_some_and(|prev| prev != len) {
+                return Err(ReadError::bad(400, "conflicting Content-Length headers"));
+            }
+            content_length = Some(len);
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("x-tspn-deadline-ms") {
@@ -137,6 +141,7 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
             ));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(ReadError::bad(
             413,
@@ -157,6 +162,17 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
         keep_alive,
         deadline_ms,
     }))
+}
+
+/// A `Content-Length` value: ASCII digits only (no sign, no space), and
+/// small enough for `usize`.
+fn parse_content_length(value: &str) -> Result<usize, ReadError> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(ReadError::bad(400, "bad Content-Length"));
+    }
+    value
+        .parse()
+        .map_err(|_| ReadError::bad(400, "bad Content-Length"))
 }
 
 /// Serialises one JSON response to wire bytes: status line,
@@ -363,5 +379,40 @@ mod tests {
             .expect("parses")
             .expect("complete");
         assert_eq!(req.deadline_ms, None, "garbage deadline → server default");
+    }
+
+    /// Parses one complete request, or returns the rejection status.
+    fn parse_one(wire: &[u8]) -> Result<Request, u16> {
+        let mut buf = wire.to_vec();
+        match try_parse_request(&mut buf, 4096) {
+            Ok(Some(req)) => Ok(req),
+            Ok(None) => panic!("incomplete: {:?}", String::from_utf8_lossy(wire)),
+            Err(ReadError::Bad { status, .. }) => Err(status),
+        }
+    }
+
+    #[test]
+    fn content_length_accepts_ascii_digits_only() {
+        for value in ["+5", "-5", "5 5", "0x5", "", "٥"] {
+            let wire = format!("POST /v1/predict HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert_eq!(parse_one(wire.as_bytes()).err(), Some(400), "{value:?}");
+        }
+        let req = parse_one(b"POST /v1/predict HTTP/1.1\r\nContent-Length: 005\r\n\r\nhello")
+            .expect("leading zeros are digits");
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let wire = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 5\r\n\
+                     content-length: 2\r\n\r\nhello";
+        assert_eq!(parse_one(wire).err(), Some(400));
+    }
+
+    #[test]
+    fn identical_content_lengths_are_accepted() {
+        let wire = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 5\r\n\
+                     Content-Length: 5\r\n\r\nhello";
+        assert_eq!(parse_one(wire).expect("one extent").body, b"hello");
     }
 }

@@ -1113,6 +1113,67 @@ mod tests {
     }
 
     #[test]
+    fn fragmented_and_pipelined_writes_get_byte_identical_responses() {
+        let (addr, shutdown, mux) = start(Box::new(|req: Request, reply: Reply| {
+            let body = String::from_utf8_lossy(&req.body).into_owned();
+            reply.send(MuxResponse {
+                status: 200,
+                body: format!("{{\"path\":{:?},\"body\":{body:?}}}", req.path),
+                retry_after: None,
+                close: false,
+            });
+            None
+        }));
+        let bodies = ["", "{}", "{\"user\":7,\"checkins\":[[1,2]]}", "x", "tail"];
+        let requests: Vec<Vec<u8>> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, body)| {
+                let close = if i + 1 == bodies.len() {
+                    "Connection: close\r\n"
+                } else {
+                    ""
+                };
+                format!(
+                    "POST /r{i} HTTP/1.1\r\nContent-Length: {}\r\n{close}\r\n{body}",
+                    body.len()
+                )
+                .into_bytes()
+            })
+            .collect();
+        // Writes each chunk as its own `write` on a fresh connection and
+        // reads until the mux closes it after the last response.
+        let send = |chunks: Vec<Vec<u8>>| -> Vec<u8> {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            for chunk in &chunks {
+                stream.write_all(chunk).expect("write");
+            }
+            let mut out = Vec::new();
+            stream
+                .read_to_end(&mut out)
+                .expect("the mux closes the connection");
+            out
+        };
+        let whole = send(vec![requests.concat()]);
+        let bytewise = send(requests.concat().into_iter().map(|b| vec![b]).collect());
+        let pairs = send(requests.chunks(2).map(<[Vec<u8>]>::concat).collect());
+        let text = String::from_utf8_lossy(&whole);
+        assert_eq!(
+            text.matches("HTTP/1.1 200 ").count(),
+            bodies.len(),
+            "{text}"
+        );
+        assert!(text.contains("\"body\":\"tail\""), "{text}");
+        assert_eq!(bytewise, whole, "byte-at-a-time writes");
+        assert_eq!(pairs, whole, "pipelined pairs");
+        stop(shutdown, mux);
+    }
+
+    #[test]
     fn connection_close_is_honoured_after_the_response() {
         let (addr, shutdown, mux) = start_echo();
         let answer = exchange(&addr, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");

@@ -158,7 +158,7 @@ const FLUSH_GRACE: Duration = Duration::from_secs(5);
 /// The served total is not stored — it is the sum of the two
 /// per-endpoint predict counters, computed at render time so the "counters
 /// partition the total" invariant holds by construction. (Per-lane
-/// ledgers live on each [`Lane`]; these split the same totals by
+/// ledgers live on each `Lane`; these split the same totals by
 /// *endpoint* instead of by lane.)
 #[derive(Debug, Default)]
 pub struct ServeStats {

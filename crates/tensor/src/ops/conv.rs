@@ -10,7 +10,7 @@
 //!
 //! The batched op maps `[N, C, H, W] → [N, O, OH, OW]` through one GEMM:
 //!
-//! * [`im2col`] unrolls every image's receptive fields into a shared
+//! * `im2col` unrolls every image's receptive fields into a shared
 //!   column matrix `col [C·kh·kw, N·OH·OW]`: row `r = (ic·kh + ky)·kw + kx`,
 //!   column `j = n·OH·OW + oy·OW + ox`. Out-of-bounds (padding) taps are
 //!   zero.
@@ -19,7 +19,7 @@
 //!   with the bias pre-broadcast into `Y`, then a cheap transposition of the
 //!   two leading axes yields the `[N, O, OH, OW]` output.
 //! * backward: `dW = dY·colᵀ` (`gemm_ex(NT)`), `dcol = Wᵀ·dY`
-//!   (`gemm_ex(TN)`), and [`col2im`] scatter-adds `dcol` back into `dX`.
+//!   (`gemm_ex(TN)`), and `col2im` scatter-adds `dcol` back into `dX`.
 //!   `db` is a row reduction of `dY`.
 //!
 //! All scratch (`col`, the `[O, N·OH·OW]` staging buffer, and its backward

@@ -164,7 +164,7 @@ impl Tensor {
     /// Hyperbolic tangent.
     ///
     /// The forward pass runs the tier's vector kernel
-    /// ([`crate::simd::tanh_slice`]): a rational approximation on the
+    /// (`simd::tanh_slice`): a rational approximation on the
     /// AVX2 arm, libm `tanhf` on the scalar arm — the tiers agree to
     /// tolerance, not bitwise, exactly like the softmax `exp`. At the
     /// HGAT sizes the libm per-element call was the single most

@@ -44,7 +44,7 @@ impl Checkpoint {
 
     /// Re-snapshots `(name, tensor)` pairs into `self`, reusing the
     /// existing record `Vec`s when names/shapes line up (the common case:
-    /// [`crate::Trainer`]-style epoch loops capture the same parameter set
+    /// `Trainer`-style epoch loops capture the same parameter set
     /// every epoch) — so a per-epoch capture allocates nothing after the
     /// first.
     pub fn capture_into<'a>(&mut self, entries: impl IntoIterator<Item = (&'a str, &'a Tensor)>) {
