@@ -674,6 +674,16 @@ fn smoke_typed_errors(client: &mut Client, reference: &Predictor) {
         400,
         "bad_request",
     );
+    // 60 000 nested `[` fit under the body limit; a parser without a
+    // depth bound overflows its thread's stack on them and aborts.
+    expect(
+        client,
+        "POST",
+        "/v1/predict",
+        Some(&"[".repeat(60_000)),
+        400,
+        "bad_request",
+    );
     expect(
         client,
         "POST",

@@ -15,6 +15,16 @@
 //! 4. **Environmental affinity** — venues exist where the world model puts
 //!    attractive land (downtown, beachfront), so tile imagery carries real
 //!    signal about what can be visited where.
+//!
+//! Every pure term of the agent's choice weights is tabulated once per
+//! [`SynthGenerator::generate`] call: each POI's popularity, the
+//! time-of-day fit of every (slot, archetype) pair, and the category
+//! weights of every land-use class. The tables are exact hoists — each
+//! entry is the same expression the per-step code used to evaluate, and
+//! every product keeps its original order — so the output is bitwise
+//! unchanged; `tests/golden_datasets.rs` pins it for all four presets.
+//! Only the distance decay, which depends on where the agent stands, is
+//! computed per step.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,7 +33,7 @@ use tspn_geo::{BBox, GeoPoint};
 use tspn_world::{LandUse, World, WorldConfig};
 
 use crate::dataset::LbsnDataset;
-use crate::poi::{CategoryId, Poi, PoiId, UserId, DAY_SECS};
+use crate::poi::{CategoryId, Poi, PoiId, UserId, DAY_SECS, TIME_SLOTS};
 use crate::trajectory::{UserHistory, Visit, DEFAULT_GAP_SECS};
 
 /// Venue archetypes: coarse behavioural groups categories belong to.
@@ -147,6 +157,19 @@ fn weighted_choice(rng: &mut impl Rng, weights: &[f64]) -> usize {
     weights.len() - 1
 }
 
+/// The pure terms of the agent's choice weights, tabulated once per
+/// [`SynthGenerator::generate`].
+struct ChoiceTables {
+    /// Normalised `(x, y)` position by POI id.
+    norm: Vec<(f64, f64)>,
+    /// `popularity(poi)` by POI id.
+    popularity: Vec<f64>,
+    /// `Archetype::of(cate) as usize` by POI id: its column of `fit`.
+    archetype: Vec<usize>,
+    /// `0.05 + arch.slot_weight(slot)` by `[slot][arch as usize]`.
+    fit: [[f64; 6]; TIME_SLOTS],
+}
+
 /// The generator, retaining the world so downstream crates can render
 /// imagery / roads consistent with the data.
 pub struct SynthGenerator {
@@ -186,6 +209,13 @@ impl SynthGenerator {
     /// Places POIs by rejection-sampling world attractiveness and matching
     /// category archetypes to local land use.
     fn place_pois(&self, rng: &mut StdRng) -> Vec<Poi> {
+        // Category conditioned on land use via archetype affinity: one
+        // weight row per land-use class, indexed by `land as usize`.
+        let cate_weights = LandUse::ALL.map(|land| {
+            (0..self.config.num_categories)
+                .map(|c| Archetype::of(CategoryId(c)).land_affinity(land).max(1e-3))
+                .collect::<Vec<f64>>()
+        });
         let mut pois = Vec::with_capacity(self.config.num_pois);
         let mut attempts = 0usize;
         while pois.len() < self.config.num_pois {
@@ -201,11 +231,7 @@ impl SynthGenerator {
                 continue;
             }
             let land = self.world.land_use(x, y);
-            // Category conditioned on land use via archetype affinity.
-            let weights: Vec<f64> = (0..self.config.num_categories)
-                .map(|c| Archetype::of(CategoryId(c)).land_affinity(land).max(1e-3))
-                .collect();
-            let cate = CategoryId(weighted_choice(rng, &weights));
+            let cate = CategoryId(weighted_choice(rng, &cate_weights[land as usize]));
             pois.push(Poi {
                 id: PoiId(pois.len()),
                 loc: self.to_geo(x, y),
@@ -244,7 +270,24 @@ impl SynthGenerator {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let pois = self.place_pois(&mut rng);
-        let poi_norm: Vec<(f64, f64)> = pois.iter().map(|p| self.to_norm(&p.loc)).collect();
+        let mut fit = [[0.0; 6]; TIME_SLOTS];
+        for (slot, row) in fit.iter_mut().enumerate() {
+            for c in 0..6 {
+                let arch = Archetype::of(CategoryId(c));
+                row[arch as usize] = 0.05 + arch.slot_weight(slot);
+            }
+        }
+        let tables = ChoiceTables {
+            norm: pois.iter().map(|p| self.to_norm(&p.loc)).collect(),
+            popularity: pois.iter().map(|p| self.popularity(p.id)).collect(),
+            archetype: pois
+                .iter()
+                .map(|p| Archetype::of(p.cate) as usize)
+                .collect(),
+            fit,
+        };
+        // One choice-weight buffer, refilled at every decision step.
+        let mut weights = Vec::with_capacity(pois.len());
 
         let mut users = Vec::with_capacity(cfg.num_users);
         for uid in 0..cfg.num_users {
@@ -274,14 +317,15 @@ impl SynthGenerator {
                 _ => 0.02,
             });
             // Favourite pool: popularity × proximity to home or work.
-            let mut fav_weights: Vec<f64> = poi_norm
+            let mut fav_weights: Vec<f64> = tables
+                .norm
                 .iter()
-                .enumerate()
-                .map(|(i, &(x, y))| {
+                .zip(&tables.popularity)
+                .map(|(&(x, y), &pop)| {
                     let dh = ((x - home.0).powi(2) + (y - home.1).powi(2)).sqrt();
                     let dw = ((x - work.0).powi(2) + (y - work.1).powi(2)).sqrt();
                     let prox = (-12.0 * dh.min(dw)).exp();
-                    self.popularity(PoiId(i)) * prox
+                    pop * prox
                 })
                 .collect();
             let mut favorites = Vec::with_capacity(cfg.favorites_per_user);
@@ -303,10 +347,16 @@ impl SynthGenerator {
                 let mut t = day as i64 * DAY_SECS + 7 * 3600 + urng.gen_range(0..3600 * 2);
                 for _ in 0..n_visits {
                     let slot = crate::poi::time_slot(t);
-                    let poi =
-                        self.pick_next_poi(&mut urng, &pois, &poi_norm, &favorites, current, slot);
+                    let poi = self.pick_next_poi(
+                        &mut urng,
+                        &tables,
+                        &favorites,
+                        current,
+                        slot,
+                        &mut weights,
+                    );
                     visits.push(Visit { poi, time: t });
-                    current = poi_norm[poi.0];
+                    current = tables.norm[poi.0];
                     t += urng.gen_range(45 * 60..4 * 3600);
                     if crate::poi::time_slot(t) < slot {
                         break; // wrapped past midnight — end the day
@@ -330,41 +380,38 @@ impl SynthGenerator {
         }
     }
 
-    /// One decision step of the agent.
+    /// One decision step of the agent; `weights` is a reused buffer.
     fn pick_next_poi(
         &self,
         rng: &mut StdRng,
-        pois: &[Poi],
-        poi_norm: &[(f64, f64)],
+        tables: &ChoiceTables,
         favorites: &[PoiId],
         current: (f64, f64),
         slot: usize,
+        weights: &mut Vec<f64>,
     ) -> PoiId {
+        let fit = &tables.fit[slot];
         let explore = rng.gen::<f64>() < self.config.explore_prob;
+        weights.clear();
         if !explore && !favorites.is_empty() {
             // Favourite weighted by time-of-day archetype fit.
-            let weights: Vec<f64> = favorites
-                .iter()
-                .map(|&f| {
-                    let arch = Archetype::of(pois[f.0].cate);
-                    0.05 + arch.slot_weight(slot)
-                })
-                .collect();
-            return favorites[weighted_choice(rng, &weights)];
+            weights.extend(favorites.iter().map(|f| fit[tables.archetype[f.0]]));
+            return favorites[weighted_choice(rng, weights)];
         }
         // Explore: every POI weighted by distance decay × popularity ×
         // archetype/time fit.
-        let weights: Vec<f64> = pois
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let (x, y) = poi_norm[i];
-                let d = ((x - current.0).powi(2) + (y - current.1).powi(2)).sqrt();
-                let arch = Archetype::of(p.cate);
-                (-9.0 * d).exp() * self.popularity(p.id) * (0.05 + arch.slot_weight(slot))
-            })
-            .collect();
-        PoiId(weighted_choice(rng, &weights))
+        weights.extend(
+            tables
+                .norm
+                .iter()
+                .zip(&tables.popularity)
+                .zip(&tables.archetype)
+                .map(|((&(x, y), &pop), &a)| {
+                    let d = ((x - current.0).powi(2) + (y - current.1).powi(2)).sqrt();
+                    (-9.0 * d).exp() * pop * fit[a]
+                }),
+        );
+        PoiId(weighted_choice(rng, weights))
     }
 }
 

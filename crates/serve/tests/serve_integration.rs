@@ -14,7 +14,8 @@ use tspn_serve::protocol::{
     error_of, session_append_body, session_create_body, v1_predict_request_body,
 };
 use tspn_serve::{
-    server, BatchConfig, Client, ServerConfig, ServerHandle, SessionConfig, BOOT_VERSION,
+    server, start_router, BatchConfig, Client, RouterConfig, ServerConfig, ServerHandle,
+    SessionConfig, BOOT_VERSION,
 };
 
 fn tiny_model_cfg(seed: u64) -> TspnConfig {
@@ -837,6 +838,46 @@ fn typed_errors_cover_the_v1_status_classes() {
 
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn deeply_nested_bodies_are_refused_by_backend_and_router_alike() {
+    // 60 000 `[` bytes fit under the 64 KiB body limit. An unbounded
+    // recursive parser overflows the stack of whichever thread reads
+    // them — the backend's mux, or the router's forwarder while it picks
+    // a shard — and the overflow aborts the whole process.
+    let hostile = "[".repeat(60_000);
+    let backend = start_server(7, BatchConfig::default());
+    let backend_addr = backend.local_addr().to_string();
+    let router = start_router(RouterConfig {
+        addr: "127.0.0.1:0".to_string(),
+        backends: vec![backend_addr.clone()],
+    })
+    .expect("router starts");
+    let (reference, samples) = reference_predictor(7);
+    let s = samples[0];
+    let want = reference.predict_one(&Query::with_top(s, 4, 10)).pois;
+    for addr in [backend_addr, router.local_addr().to_string()] {
+        let mut client = Client::connect(&addr).expect("connect");
+        let (status, v) = client
+            .post_json("/v1/predict", &hostile)
+            .expect("hostile body I/O");
+        assert_eq!(
+            (status, error_of(&v).unwrap().0.as_str()),
+            (400, "bad_request"),
+            "{addr}"
+        );
+        // Same connection, next request: the process is still serving.
+        let (status, v) = client
+            .post_json("/v1/predict", &v1_body(&reference, &s, 4, 10))
+            .expect("recovery I/O");
+        assert_eq!(status, 200, "{addr}");
+        assert_eq!(pois_of(&v), want, "{addr}");
+    }
+    router.shutdown();
+    router.join();
+    backend.shutdown();
+    backend.join();
 }
 
 #[test]
