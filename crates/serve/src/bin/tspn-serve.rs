@@ -36,7 +36,8 @@
 //! A server runs one multiplexer thread, which owns every socket and
 //! answers non-prediction routes inline, plus one thread per lane, which
 //! runs the batched forward and sends each answer back to its connection.
-//! A router runs the multiplexer plus a fixed pool of forwarding threads.
+//! A router runs the multiplexer alone, which also forwards to the
+//! backends, so an idle router process runs two threads.
 //!
 //! The flags are the only configuration, except for fault injection: the
 //! `TSPN_SERVE_FAULT_*` knobs (see [`tspn_serve::ChaosConfig`]) arm the

@@ -12,23 +12,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use serde::Value;
 
-/// One full HTTP response, including the overload-control metadata the
-/// retry layer keys on.
-#[derive(Debug, Clone)]
-pub struct Response {
-    /// HTTP status code.
-    pub status: u16,
-    /// Response body (the protocol's bodies are always UTF-8 JSON).
-    pub body: String,
-    /// `Retry-After` seconds, when the server attached one to a shed.
-    pub retry_after: Option<u64>,
-}
+pub use crate::http::Response;
+use crate::http::{closed_early, render_request, try_parse_response};
 
 /// Backoff policy for [`Client::request_with_retry`].
 #[derive(Debug, Clone, Copy)]
@@ -75,7 +66,9 @@ pub(crate) fn is_idempotent(method: &str, path: &str) -> bool {
 /// One persistent client connection.
 pub struct Client {
     addr: String,
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    /// Bytes read past the last response.
+    buf: Vec<u8>,
     rng: StdRng,
     deadline_ms: Option<u64>,
 }
@@ -88,7 +81,8 @@ impl Client {
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         Ok(Client {
             addr: addr.to_string(),
-            reader: BufReader::new(Self::open(addr)?),
+            stream: Self::open(addr)?,
+            buf: Vec::new(),
             rng: StdRng::seed_from_u64(RetryPolicy::default().seed),
             deadline_ms: None,
         })
@@ -112,7 +106,8 @@ impl Client {
     /// # Errors
     /// Connection failures.
     pub fn reconnect(&mut self) -> std::io::Result<()> {
-        self.reader = BufReader::new(Self::open(&self.addr)?);
+        self.stream = Self::open(&self.addr)?;
+        self.buf.clear();
         Ok(())
     }
 
@@ -141,20 +136,13 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<Response> {
-        let body = body.unwrap_or("");
-        let deadline = self
-            .deadline_ms
-            .map(|ms| format!("x-tspn-deadline-ms: {ms}\r\n"))
-            .unwrap_or_default();
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
-             {deadline}Connection: keep-alive\r\n\r\n",
-            body.len()
+        let wire = render_request(
+            method,
+            path,
+            body.unwrap_or("").as_bytes(),
+            self.deadline_ms,
         );
-        let stream = self.reader.get_mut();
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()?;
+        self.stream.write_all(&wire)?;
         self.read_response()
     }
 
@@ -248,63 +236,27 @@ impl Client {
         Ok((status, value))
     }
 
+    /// Reads until [`try_parse_response`] frames one response.
     fn read_response(&mut self) -> std::io::Result<Response> {
-        let mut status_line = String::new();
-        self.reader.read_line(&mut status_line)?;
-        if status_line.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before the status line",
-            ));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad status line {status_line:?}"),
-                )
-            })?;
-        let mut content_length = 0usize;
-        let mut retry_after = None;
+        let mut chunk = [0u8; 4096];
         loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line)?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
+            if let Some(resp) = try_parse_response(&mut self.buf)? {
+                return Ok(resp);
             }
-            if let Some((name, value)) = line.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "bad Content-Length in response",
-                        )
-                    })?;
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    retry_after = value.trim().parse().ok();
-                }
+            let n = self.stream.read(&mut chunk)?;
+            if n == 0 {
+                return Err(closed_early(&self.buf));
             }
+            self.buf
+                .extend_from_slice(chunk.get(..n).unwrap_or_default());
         }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 response body")
-        })?;
-        Ok(Response {
-            status,
-            body,
-            retry_after,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;

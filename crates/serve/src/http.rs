@@ -82,16 +82,9 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// # Errors
 /// [`ReadError::Bad`] as described above.
 pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Request>, ReadError> {
-    let Some(end) = find_header_end(buf) else {
-        if buf.len() > MAX_HEADER_BYTES {
-            return Err(ReadError::bad(
-                431,
-                format!("header block exceeds {MAX_HEADER_BYTES} bytes"),
-            ));
-        }
+    let Some((head, end)) = split_head(buf).map_err(|m| ReadError::bad(431, m))? else {
         return Ok(None);
     };
-    let head = String::from_utf8_lossy(buf.get(..end).unwrap_or_default()).into_owned();
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -106,73 +99,189 @@ pub fn try_parse_request(buf: &mut Vec<u8>, max_body: usize) -> Result<Option<Re
             format!("malformed request line {request_line:?}"),
         ));
     }
+    let headers = parse_headers(lines).map_err(|m| ReadError::bad(400, m))?;
+    if headers.content_length > max_body {
+        return Err(ReadError::bad(
+            413,
+            format!(
+                "body of {} bytes exceeds the {max_body}-byte limit",
+                headers.content_length
+            ),
+        ));
+    }
+    let Some(body) = take_body(buf, end, headers.content_length) else {
+        return Ok(None);
+    };
+    Ok(Some(Request {
+        method,
+        path,
+        body,
+        // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
+        keep_alive: headers.keep_alive.unwrap_or(version != "HTTP/1.0"),
+        deadline_ms: headers.deadline_ms,
+    }))
+}
+
+/// One parsed HTTP response, including the overload-control metadata the
+/// client's retry layer keys on.
+#[derive(Debug, Clone)]
+pub struct Response {
+    /// HTTP status code.
+    pub status: u16,
+    /// Response body (the protocol's bodies are always UTF-8 JSON).
+    pub body: String,
+    /// `Retry-After` seconds, when the server attached one to a shed.
+    pub retry_after: Option<u64>,
+    /// Whether the server keeps the connection open after this response
+    /// (false for `Connection: close`).
+    pub keep_alive: bool,
+}
+
+/// Tries to parse one complete response from the front of `buf` — the
+/// counterpart of [`try_parse_request`], with the same framing rules
+/// (`Content-Length` is ASCII digits, conflicting repeats and
+/// `Transfer-Encoding` are refused). `Ok(Some(..))` drains exactly the
+/// response's bytes; `Ok(None)` asks for more.
+///
+/// # Errors
+/// `InvalidData` for a malformed status line, header block or body:
+/// the connection's framing can no longer be trusted.
+pub fn try_parse_response(buf: &mut Vec<u8>) -> std::io::Result<Option<Response>> {
+    let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
+    let Some((head, end)) = split_head(buf).map_err(invalid)? else {
+        return Ok(None);
+    };
+    let mut lines = head.split("\r\n");
+    let status_line = lines.next().unwrap_or("");
+    let mut parts = status_line.split_whitespace();
+    let (version, code) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let status = parse_digits(code)
+        .filter(|_| code.len() == 3 && version.starts_with("HTTP/1."))
+        .and_then(|s| u16::try_from(s).ok())
+        .ok_or_else(|| invalid(format!("bad status line {status_line:?}")))?;
+    let headers = parse_headers(lines).map_err(invalid)?;
+    let Some(body) = take_body(buf, end, headers.content_length) else {
+        return Ok(None);
+    };
+    let body = String::from_utf8(body).map_err(|_| invalid("non-UTF-8 response body".into()))?;
+    Ok(Some(Response {
+        status,
+        body,
+        retry_after: headers.retry_after,
+        keep_alive: headers.keep_alive.unwrap_or(version != "HTTP/1.0"),
+    }))
+}
+
+/// The error for a connection that closed before the response whose
+/// bytes so far are `buf` was complete.
+pub(crate) fn closed_early(buf: &[u8]) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        if buf.is_empty() {
+            "connection closed before the status line"
+        } else {
+            "connection closed mid-response"
+        },
+    )
+}
+
+/// The head at the front of `buf` (start line and header lines, without
+/// consuming them) and the index of its `\r\n\r\n` terminator; `Ok(None)`
+/// until the terminator arrives, `Err` once a terminator-free head exceeds
+/// [`MAX_HEADER_BYTES`].
+fn split_head(buf: &[u8]) -> Result<Option<(String, usize)>, String> {
+    let Some(end) = find_header_end(buf) else {
+        if buf.len() > MAX_HEADER_BYTES {
+            return Err(format!("header block exceeds {MAX_HEADER_BYTES} bytes"));
+        }
+        return Ok(None);
+    };
+    let head = String::from_utf8_lossy(buf.get(..end).unwrap_or_default()).into_owned();
+    Ok(Some((head, end)))
+}
+
+/// The headers either parser acts on.
+#[derive(Default)]
+struct Headers {
+    content_length: usize,
+    /// `Some(false)` for `Connection: close`, `Some(true)` for any other
+    /// `Connection` value, `None` without one (the version decides).
+    keep_alive: Option<bool>,
+    deadline_ms: Option<u64>,
+    retry_after: Option<u64>,
+}
+
+fn parse_headers<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Headers, String> {
+    let mut h = Headers::default();
     let mut content_length: Option<usize> = None;
-    // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
-    let mut keep_alive = version != "HTTP/1.0";
-    let mut deadline_ms = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let len = parse_content_length(value)?;
+            let len = parse_digits(value).ok_or("bad Content-Length")?;
             // Identical repeats are harmless; differing ones leave the
             // body's extent ambiguous.
             if content_length.is_some_and(|prev| prev != len) {
-                return Err(ReadError::bad(400, "conflicting Content-Length headers"));
+                return Err("conflicting Content-Length headers".to_string());
             }
             content_length = Some(len);
         } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = !value.eq_ignore_ascii_case("close");
+            h.keep_alive = Some(!value.eq_ignore_ascii_case("close"));
         } else if name.eq_ignore_ascii_case("x-tspn-deadline-ms") {
             // An unparseable deadline falls back to the server default
             // rather than failing the request.
-            deadline_ms = value.parse::<u64>().ok().filter(|&ms| ms >= 1);
+            h.deadline_ms = value.parse::<u64>().ok().filter(|&ms| ms >= 1);
+        } else if name.eq_ignore_ascii_case("retry-after") {
+            h.retry_after = value.parse().ok();
         } else if name.eq_ignore_ascii_case("transfer-encoding")
             && !value.eq_ignore_ascii_case("identity")
         {
             // Only Content-Length framing is implemented; silently
             // treating a chunked body as empty would leave its
             // framing bytes to desync the keep-alive stream.
-            return Err(ReadError::bad(
-                400,
-                format!("unsupported Transfer-Encoding {value:?}"),
-            ));
+            return Err(format!("unsupported Transfer-Encoding {value:?}"));
         }
     }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > max_body {
-        return Err(ReadError::bad(
-            413,
-            format!("body of {content_length} bytes exceeds the {max_body}-byte limit"),
-        ));
-    }
-    let body_start = end + 4;
-    let Some(body) = buf.get(body_start..body_start + content_length) else {
-        return Ok(None);
-    };
-    let body = body.to_vec();
-    // Keep any pipelined bytes for the next request.
-    buf.drain(..body_start + content_length);
-    Ok(Some(Request {
-        method,
-        path,
-        body,
-        keep_alive,
-        deadline_ms,
-    }))
+    h.content_length = content_length.unwrap_or(0);
+    Ok(h)
 }
 
-/// A `Content-Length` value: ASCII digits only (no sign, no space), and
-/// small enough for `usize`.
-fn parse_content_length(value: &str) -> Result<usize, ReadError> {
+/// Drains the message whose head ends at `end` and returns its body, or
+/// `None` (nothing drained) while the body is still arriving. Pipelined
+/// bytes after it stay in `buf`.
+fn take_body(buf: &mut Vec<u8>, end: usize, len: usize) -> Option<Vec<u8>> {
+    let body_start = end + 4;
+    let body = buf.get(body_start..body_start.checked_add(len)?)?.to_vec();
+    buf.drain(..body_start + len);
+    Some(body)
+}
+
+/// A `Content-Length` or status code: ASCII digits only (no sign, no
+/// space), and small enough for `usize`.
+fn parse_digits(value: &str) -> Option<usize> {
     if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(ReadError::bad(400, "bad Content-Length"));
+        return None;
     }
-    value
-        .parse()
-        .map_err(|_| ReadError::bad(400, "bad Content-Length"))
+    value.parse().ok()
+}
+
+/// Serialises one request to wire bytes, head and body in one buffer:
+/// `Content-Length` framing, keep-alive, and the `x-tspn-deadline-ms`
+/// budget when one is given.
+pub fn render_request(method: &str, path: &str, body: &[u8], deadline_ms: Option<u64>) -> Vec<u8> {
+    let deadline = deadline_ms
+        .map(|ms| format!("x-tspn-deadline-ms: {ms}\r\n"))
+        .unwrap_or_default();
+    let mut out = format!(
+        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
+         {deadline}Connection: keep-alive\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(body);
+    out
 }
 
 /// Serialises one JSON response to wire bytes: status line,
@@ -414,5 +523,96 @@ mod tests {
         let wire = b"POST /v1/predict HTTP/1.1\r\nContent-Length: 5\r\n\
                      Content-Length: 5\r\n\r\nhello";
         assert_eq!(parse_one(wire).expect("one extent").body, b"hello");
+    }
+
+    /// Parses one complete response, or returns the refusal.
+    fn parse_response(wire: &[u8]) -> std::io::Result<Response> {
+        let mut buf = wire.to_vec();
+        let resp = try_parse_response(&mut buf)?.expect("complete");
+        assert!(buf.is_empty(), "exactly the response consumed");
+        Ok(resp)
+    }
+
+    #[test]
+    fn response_parser_accepts_byte_at_a_time_arrival() {
+        let wire = render_response(200, "{\"ok\":true}", true, None);
+        let mut buf = Vec::new();
+        for (i, &b) in wire.iter().enumerate() {
+            buf.push(b);
+            let parsed = try_parse_response(&mut buf).expect("valid prefix");
+            if i + 1 < wire.len() {
+                assert!(parsed.is_none(), "incomplete at byte {i}");
+            } else {
+                let resp = parsed.expect("complete at the last byte");
+                assert_eq!((resp.status, resp.body.as_str()), (200, "{\"ok\":true}"));
+                assert!(resp.keep_alive);
+                assert!(buf.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn response_parser_preserves_pipelined_responses() {
+        let mut buf = render_response(200, "{}", true, None);
+        buf.extend_from_slice(&render_response(404, "{\"e\":1}", true, None));
+        let first = try_parse_response(&mut buf)
+            .expect("parses")
+            .expect("complete");
+        assert_eq!((first.status, first.body.as_str()), (200, "{}"));
+        let second = try_parse_response(&mut buf)
+            .expect("parses")
+            .expect("read-ahead survived");
+        assert_eq!((second.status, second.body.as_str()), (404, "{\"e\":1}"));
+        assert!(buf.is_empty());
+        assert!(try_parse_response(&mut buf).expect("empty ok").is_none());
+    }
+
+    #[test]
+    fn response_parser_refuses_bad_status_lines_and_signed_lengths() {
+        for wire in [
+            &b"NOT-HTTP\r\n\r\n"[..],
+            b"HTTP/1.1 2000 OK\r\n\r\n",
+            b"HTTP/1.1 +20 OK\r\n\r\n",
+            b"SPDY/3 200 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 2\r\n\r\nhello",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+        ] {
+            let err = parse_response(wire).expect_err("must refuse");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{wire:?}");
+        }
+        let mut huge = b"HTTP/1.1 200 OK\r\nx: ".to_vec();
+        huge.resize(MAX_HEADER_BYTES + 1, b'a');
+        assert!(try_parse_response(&mut huge).is_err());
+    }
+
+    #[test]
+    fn response_parser_reads_retry_after_and_connection_close() {
+        let shed = parse_response(&render_response(503, "{}", true, Some(2))).expect("shed");
+        assert_eq!(
+            (shed.status, shed.retry_after, shed.keep_alive),
+            (503, Some(2), true)
+        );
+        let closing = parse_response(&render_response(200, "{}", false, None)).expect("close");
+        assert_eq!((closing.retry_after, closing.keep_alive), (None, false));
+        let old = parse_response(b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n").expect("1.0");
+        assert!(!old.keep_alive, "HTTP/1.0 defaults to close");
+    }
+
+    #[test]
+    fn rendered_requests_parse_back() {
+        let wire = render_request("POST", "/v1/predict", b"{}", Some(40));
+        let req = parse_one(&wire).expect("round trip");
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/v1/predict")
+        );
+        assert_eq!(
+            (req.body.as_slice(), req.deadline_ms),
+            (&b"{}"[..], Some(40))
+        );
+        assert!(req.keep_alive);
+        let req = parse_one(&render_request("GET", "/healthz", b"", None)).expect("no budget");
+        assert_eq!(req.deadline_ms, None);
     }
 }

@@ -17,8 +17,9 @@
 //!
 //! A handler never blocks. It answers at once (`Reply::send` on this
 //! thread, written in the same loop iteration) or moves the [`Reply`] to
-//! the thread that will produce the answer: a batcher lane, a
-//! per-request thread, the router's forwarding pool. The reply contract:
+//! whatever will produce the answer: a batcher lane, a per-request
+//! thread, or — in the router — a backend link the loop itself polls.
+//! The reply contract:
 //!
 //! * A [`Reply`] is completed at most once, from any thread. Dropped
 //!   unsent, it answers a typed `500 internal`.
@@ -37,6 +38,13 @@
 //! FFI — the only syscall shim is `poll` itself, following the `signal`
 //! precedent in the `tspn-serve` binary). Replies sent while the loop is
 //! awake, inline ones included, write no wake byte.
+//!
+//! The handler side may add sockets of its own to the poll set (a
+//! crate-internal `Service` seam): the loop polls them with its
+//! connections and hands their poll results back each tick, before it
+//! writes completed replies. The router keeps its backend links there,
+//! so a reply it completes from a backend answer is written in the same
+//! iteration. A server passes a plain [`Handler`] and adds nothing.
 //!
 //! Shutdown/draining: once the shutdown flag is up the listener closes,
 //! idle connections are dropped, in-flight requests finish (handlers
@@ -135,7 +143,8 @@ mod sys {
     }
 }
 
-use sys::{fd_of, poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
+use sys::poll_fds;
+pub(crate) use sys::{fd_of, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
 // ---------------------------------------------------------------------
 // Public surface
@@ -212,6 +221,28 @@ const RETRY_AFTER_SECS: u64 = 1;
 /// shutdown). Handlers are shutdown-aware themselves: the mux hands them
 /// every completed request, including during draining.
 pub type Handler = dyn Fn(Request, Reply) -> Option<Instant> + Send;
+
+/// The handler side of the loop, owned by the mux thread: the route
+/// handler, plus optional sockets of its own that the loop polls
+/// alongside its connections.
+pub(crate) trait Service {
+    /// Handles one complete request, as a [`Handler`] does.
+    fn handle(&mut self, req: Request, reply: Reply) -> Option<Instant>;
+
+    /// Appends the service's own sockets to the poll set.
+    fn poll_set(&mut self, _fds: &mut Vec<PollFd>) {}
+
+    /// Runs once per tick, before completed replies are written, with
+    /// the poll results of exactly the entries [`Service::poll_set`]
+    /// appended, in order (nothing else runs between the two calls).
+    fn serviced(&mut self, _fds: &[PollFd]) {}
+}
+
+impl Service for Box<Handler> {
+    fn handle(&mut self, req: Request, reply: Reply) -> Option<Instant> {
+        self(req, reply)
+    }
+}
 
 /// The answer slot of one request. Any thread may complete it, once, with
 /// [`Reply::send`]; dropping it unsent answers a typed `500 internal`.
@@ -424,7 +455,7 @@ const DRAIN_NOTIFY: Duration = Duration::from_millis(1000);
 /// Everything one loop iteration needs besides the connection table.
 struct Loop<'a> {
     cfg: MuxConfig,
-    handler: &'a Handler,
+    service: &'a mut dyn Service,
     outbox: &'a Arc<Outbox>,
     draining: bool,
     /// A connection may hold a complete request in its read buffer: poll
@@ -442,7 +473,17 @@ pub fn run(
     listener: TcpListener,
     cfg: MuxConfig,
     shutdown: Arc<AtomicBool>,
-    handler: Box<Handler>,
+    mut handler: Box<Handler>,
+) -> std::io::Result<()> {
+    run_service(listener, cfg, shutdown, &mut handler)
+}
+
+/// [`run`] with a [`Service`] in place of a plain handler.
+pub(crate) fn run_service(
+    listener: TcpListener,
+    cfg: MuxConfig,
+    shutdown: Arc<AtomicBool>,
+    service: &mut dyn Service,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     let (wake_tx, mut wake_rx) = wake_pair()?;
@@ -453,7 +494,7 @@ pub fn run(
     });
     let mut lp = Loop {
         cfg,
-        handler: &*handler,
+        service,
         outbox: &outbox,
         draining: false,
         busy: false,
@@ -532,6 +573,8 @@ pub fn run(
             });
             fd_ids.push(id);
         }
+        let service_base = fds.len();
+        lp.service.poll_set(&mut fds);
 
         // Raise `asleep` *before* the last outbox check: a reply pushed
         // after the check sees the flag and writes a wake byte.
@@ -574,7 +617,11 @@ pub fn run(
             }
         }
 
-        // --- replies completed on other threads -----------------------
+        // --- the service's own sockets, then completed replies ---------
+        // A panic here costs the replies it held (each answers 500); the
+        // loop carries on.
+        let service_fds = fds.get(service_base..).unwrap_or(&[]);
+        let _ = catch_unwind(AssertUnwindSafe(|| lp.service.serviced(service_fds)));
         lp.busy = false;
         lp.complete(&mut conns);
 
@@ -724,9 +771,9 @@ impl Loop<'_> {
                 };
                 // A panic drops `reply` while unwinding, which answers
                 // 500; the loop carries on.
-                let handler = self.handler;
+                let service = &mut *self.service;
                 let give_up =
-                    catch_unwind(AssertUnwindSafe(|| handler(req, reply))).unwrap_or(None);
+                    catch_unwind(AssertUnwindSafe(|| service.handle(req, reply))).unwrap_or(None);
                 conn.phase = Phase::Awaiting {
                     seq,
                     keep_alive,
@@ -767,16 +814,31 @@ enum Parsed {
 /// Reads until `WouldBlock` (capped at [`READ_BURST`] per call). Returns
 /// `Ok(false)` on EOF, `Ok(true)` otherwise.
 fn read_burst(conn: &mut Conn) -> std::io::Result<bool> {
+    let before = conn.buf.len();
+    let open = read_available(&mut conn.stream, &mut conn.buf, READ_BURST);
+    if conn.buf.len() > before {
+        conn.partial_since.get_or_insert_with(Instant::now);
+    }
+    open
+}
+
+/// Appends what a non-blocking socket holds to `buf`, until `WouldBlock`
+/// or at least `cap` bytes. Returns `Ok(false)` on EOF, `Ok(true)`
+/// otherwise.
+pub(crate) fn read_available(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<bool> {
     let mut chunk = [0u8; 4096];
     let mut total = 0usize;
     loop {
-        match conn.stream.read(&mut chunk) {
+        match stream.read(&mut chunk) {
             Ok(0) => return Ok(false),
             Ok(n) => {
-                conn.buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-                conn.partial_since.get_or_insert_with(Instant::now);
+                buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
                 total += n;
-                if total >= READ_BURST {
+                if total >= cap {
                     return Ok(true);
                 }
             }
@@ -787,10 +849,10 @@ fn read_burst(conn: &mut Conn) -> std::io::Result<bool> {
     }
 }
 
-/// A loopback socket pair used as the reply→mux wake channel (std-only;
-/// avoids pipe/eventfd FFI). The write end lives in the outbox; the read
-/// end sits in the poll set.
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
+/// A loopback socket pair used as a wake channel into the loop
+/// (std-only; avoids pipe/eventfd FFI): the write end goes to the other
+/// threads, the read end sits in the poll set.
+pub(crate) fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     let gate = TcpListener::bind("127.0.0.1:0")?;
     let tx = TcpStream::connect(gate.local_addr()?)?;
     let (rx, _) = gate.accept()?;

@@ -17,39 +17,57 @@
 //! error a standalone server would — the router duplicates no error
 //! logic.
 //!
-//! Every route handler here blocks on a backend socket, so the mux thread
-//! does not run them: it queues each request with its reply for a fixed
-//! pool of 32 forwarding threads, which bounds how many requests are in
-//! flight to the backends at once.
+//! Forwarding runs on the mux thread itself, which owns the router's
+//! state. The handler renders a request onto an idle non-blocking
+//! keep-alive link to its backend and parks the client's `Reply` with
+//! it. The links sit in the mux's poll set, and a backend answer framed
+//! by [`crate::http::try_parse_response`] completes its `Reply` in the
+//! same loop iteration. Fan-outs walk the backends in order on the same
+//! links, stopping at the first failure. Per backend, at most 32 links
+//! carry a call or are being dialled; further calls wait in FIFO order,
+//! and at most 16 idle links are kept. A link whose answer says
+//! `Connection: close`, or which the backend closes while idle, is
+//! dropped before another call can use it. Dialling blocks, so each dial
+//! runs on a short-lived thread that hands the stream back through a wake
+//! socket; steady traffic reuses links and never dials. An idle router therefore runs two threads: the process's
+//! main thread and the mux.
 //!
 //! Transport faults map onto the protocol's retry contract: a failure to
 //! even connect (nothing sent) or a failed **idempotent** request yields
 //! a retryable `503 not_ready`; a non-idempotent request (session create
 //! or append) that died mid-flight yields `500 internal`, which clients
-//! never replay, because its server-side effect is unknown.
+//! never replay, because its server-side effect is unknown. A call that
+//! fails on a reused link is replayed once on a fresh dial when it is
+//! idempotent, and a backend that has not answered within 30 s counts as
+//! a transport failure.
 
-use std::net::{SocketAddr, TcpListener};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use serde::Value;
 
-use crate::client::{is_idempotent, Client, Response};
-use crate::http::Request;
-use crate::mux::{self, MuxConfig, MuxResponse, Reply};
+use crate::client::is_idempotent;
+use crate::http::{closed_early, render_request, try_parse_response, Request, Response};
+use crate::mux::{self, fd_of, MuxConfig, MuxResponse, PollFd, Reply, Service, POLLIN, POLLOUT};
 use crate::protocol::{
     self, health_response, merge_stats, parse_lane_stats, parse_stats, parse_topology,
     stats_response, topology_response, ApiError, LaneStats, StatsSnapshot,
 };
 use crate::shard::{backend_of_session_id, shard_of_content, shard_of_user, SHARD_FN_ID};
 
-/// How many idle keep-alive connections the router retains per backend.
+/// How many idle keep-alive links the router keeps per backend.
 const POOL_CAP: usize = 16;
 
-/// Forwarding threads: each carries one request at a time through its
-/// backend round-trip.
-const FORWARDERS: usize = 32;
+/// How many links per backend may carry a call or be dialling at once.
+const LINK_CAP: usize = 32;
+
+/// How long a backend may take to answer a call once it is sent.
+const ANSWER_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -111,72 +129,142 @@ enum CallError {
     Transport(std::io::Error),
 }
 
-/// One backend: its address and a pool of idle keep-alive connections.
+/// What becomes of a call's answer, run on the mux thread once the
+/// answer (or the failure to get one) is in.
+type Then = Box<dyn FnOnce(&mut Router, Result<Response, CallError>) + Send>;
+
+/// One request on its way to a backend.
+struct Call {
+    /// The rendered request, kept for a replay.
+    wire: Vec<u8>,
+    idempotent: bool,
+    /// Already failed once on a reused link: it may only go on a fresh one.
+    retried: bool,
+    then: Then,
+}
+
+/// One non-blocking keep-alive connection to a backend, carrying at most
+/// one call at a time.
+struct Link {
+    stream: TcpStream,
+    call: Option<Call>,
+    /// How much of the call's request is written.
+    sent: usize,
+    /// When the backend must have answered the call by.
+    give_up: Instant,
+    /// Answer bytes so far.
+    buf: Vec<u8>,
+    /// Has carried a call before, so the backend may have closed it since.
+    reused: bool,
+    /// A write failed while the call was being put on the link; the next
+    /// turn reports it.
+    broken: Option<std::io::Error>,
+}
+
+impl Link {
+    fn new(stream: TcpStream) -> Link {
+        Link {
+            stream,
+            call: None,
+            sent: 0,
+            give_up: Instant::now(),
+            buf: Vec::new(),
+            reused: false,
+            broken: None,
+        }
+    }
+
+    /// Puts `call` on this idle link and writes what the socket takes now.
+    fn start(&mut self, call: Call) {
+        self.call = Some(call);
+        self.sent = 0;
+        self.give_up = Instant::now() + ANSWER_TIMEOUT;
+        self.broken = self.flush().err();
+    }
+
+    fn pending_out(&self) -> bool {
+        self.call.as_ref().is_some_and(|c| self.sent < c.wire.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let Some(call) = &self.call else {
+            return Ok(());
+        };
+        while let Some(rest) = call.wire.get(self.sent..).filter(|r| !r.is_empty()) {
+            match self.stream.write(rest) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// One tick of I/O on the link's poll events. `Ok(Some(answer))`: the
+    /// call in flight was answered. `Err`: the link is dead — for an idle
+    /// link, the backend closed it or sent bytes nobody asked for.
+    fn turn(&mut self, revents: i16, now: Instant) -> std::io::Result<Option<Response>> {
+        if let Some(e) = self.broken.take() {
+            return Err(e);
+        }
+        if revents & POLLOUT != 0 {
+            self.flush()?;
+        }
+        if revents & !POLLOUT != 0 {
+            let open = mux::read_available(&mut self.stream, &mut self.buf, usize::MAX)?;
+            if self.call.is_none() {
+                return match open && self.buf.is_empty() {
+                    true => Ok(None),
+                    false => Err(std::io::Error::new(
+                        ErrorKind::ConnectionAborted,
+                        "idle link closed by the backend",
+                    )),
+                };
+            }
+            if let Some(answer) = try_parse_response(&mut self.buf)? {
+                return Ok(Some(answer));
+            }
+            if !open {
+                return Err(closed_early(&self.buf));
+            }
+        }
+        if self.call.is_some() && now >= self.give_up {
+            return Err(std::io::Error::new(
+                ErrorKind::TimedOut,
+                format!("no answer within {} s", ANSWER_TIMEOUT.as_secs()),
+            ));
+        }
+        Ok(None)
+    }
+}
+
+/// One backend: its links and the calls waiting for one.
 struct Backend {
     addr: String,
-    pool: Mutex<Vec<Client>>,
+    links: Vec<Link>,
+    /// Dials in progress.
+    dialling: usize,
+    /// Calls waiting for a link, oldest first.
+    waiting: VecDeque<Call>,
 }
 
-impl Backend {
-    fn new(addr: &str) -> Backend {
-        Backend {
-            addr: addr.to_string(),
-            pool: Mutex::new(Vec::new()),
-        }
-    }
+/// A finished dial: the backend's index and the stream, or why not.
+type Dialled = (usize, std::io::Result<TcpStream>);
 
-    fn put(&self, client: Client) {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < POOL_CAP {
-            pool.push(client);
-        }
-    }
-
-    /// Issues one request, reusing a pooled connection when one is idle.
-    /// A *pooled* connection may have gone stale (the backend restarted or
-    /// reaped it), so a failure there is retried once on a fresh dial —
-    /// but only when replaying is safe ([`is_idempotent`]).
-    fn call(
-        &self,
-        method: &str,
-        path: &str,
-        body: &str,
-        deadline_ms: Option<u64>,
-    ) -> Result<Response, CallError> {
-        let pooled = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        let was_pooled = pooled.is_some();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => Client::connect(&self.addr).map_err(CallError::Connect)?,
-        };
-        client.set_deadline_ms(deadline_ms);
-        match client.request_full(method, path, Some(body)) {
-            Ok(resp) => {
-                self.put(client);
-                Ok(resp)
-            }
-            Err(first) if was_pooled && is_idempotent(method, path) => {
-                let mut fresh = Client::connect(&self.addr).map_err(|_| {
-                    // The stale-conn error is the more informative one.
-                    CallError::Transport(first)
-                })?;
-                fresh.set_deadline_ms(deadline_ms);
-                match fresh.request_full(method, path, Some(body)) {
-                    Ok(resp) => {
-                        self.put(fresh);
-                        Ok(resp)
-                    }
-                    Err(e) => Err(CallError::Transport(e)),
-                }
-            }
-            Err(e) => Err(CallError::Transport(e)),
-        }
-    }
-}
-
-struct RouterState {
+/// The router's state, owned by the mux thread.
+struct Router {
     backends: Vec<Backend>,
     shutdown: Arc<AtomicBool>,
+    /// Finished dials, and the wake socket the dial threads nudge.
+    dialled: mpsc::Receiver<Dialled>,
+    dial_tx: mpsc::Sender<Dialled>,
+    wake_rx: TcpStream,
+    wake_tx: Arc<TcpStream>,
+    /// Finished calls, handed to their continuations by
+    /// [`Router::settle`].
+    done: Vec<(Then, Result<Response, CallError>)>,
 }
 
 /// Starts the router on `cfg.addr`, proxying for `cfg.backends`.
@@ -195,47 +283,32 @@ pub fn start_router(cfg: RouterConfig) -> Result<RouterHandle, String> {
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let state = Arc::new(RouterState {
-        backends: cfg.backends.iter().map(|a| Backend::new(a)).collect(),
-        shutdown: Arc::clone(&shutdown),
-    });
-    // The mux handler only queues; the forwarding threads answer. When the
-    // mux exits it drops the handler and with it the sender, so the
-    // threads drain the queue and stop.
-    let (jobs, queue) = mpsc::channel::<(Request, Reply)>();
-    let queue = Arc::new(Mutex::new(queue));
-    let mut forwarders = Vec::with_capacity(FORWARDERS);
-    for i in 0..FORWARDERS {
-        let queue = Arc::clone(&queue);
-        let state = Arc::clone(&state);
-        let forwarder = std::thread::Builder::new()
-            .name(format!("tspn-route-fwd-{i}"))
-            .spawn(move || loop {
-                // Poison-recover: a receiver stays usable after any panic.
-                let job = queue.lock().unwrap_or_else(|p| p.into_inner()).recv();
-                let Ok((req, reply)) = job else {
-                    return;
-                };
-                reply.send(respond(&state, &req));
+    let (wake_tx, wake_rx) = mux::wake_pair().map_err(|e| format!("router wake channel: {e}"))?;
+    let (dial_tx, dialled) = mpsc::channel();
+    let mut router = Router {
+        backends: cfg
+            .backends
+            .iter()
+            .map(|addr| Backend {
+                addr: addr.clone(),
+                links: Vec::new(),
+                dialling: 0,
+                waiting: VecDeque::new(),
             })
-            .map_err(|e| format!("spawn router forwarder {i}: {e}"))?;
-        forwarders.push(forwarder);
-    }
-    let handler: Box<mux::Handler> = Box::new(move |req, reply| {
-        // A failed send hands the reply back inside the error, and
-        // dropping it answers 500.
-        let _ = jobs.send((req, reply));
-        None
-    });
+            .collect(),
+        shutdown: Arc::clone(&shutdown),
+        dialled,
+        dial_tx,
+        wake_rx,
+        wake_tx: Arc::new(wake_tx),
+        done: Vec::new(),
+    };
     let flag = Arc::clone(&shutdown);
     let mux_thread = std::thread::Builder::new()
         .name("tspn-route-mux".to_string())
         .spawn(move || {
-            if let Err(e) = mux::run(listener, MuxConfig::default(), flag, handler) {
+            if let Err(e) = mux::run_service(listener, MuxConfig::default(), flag, &mut router) {
                 eprintln!("tspn-serve: router mux error: {e}");
-            }
-            for f in forwarders {
-                let _ = f.join();
             }
         })
         .map_err(|e| format!("spawn router mux: {e}"))?;
@@ -246,6 +319,225 @@ pub fn start_router(cfg: RouterConfig) -> Result<RouterHandle, String> {
     })
 }
 
+impl Service for Router {
+    fn handle(&mut self, req: Request, reply: Reply) -> Option<Instant> {
+        self.respond(req, reply);
+        self.settle();
+        None
+    }
+
+    fn poll_set(&mut self, fds: &mut Vec<PollFd>) {
+        fds.push(PollFd {
+            fd: fd_of(&self.wake_rx),
+            events: POLLIN,
+            revents: 0,
+        });
+        for link in self.backends.iter().flat_map(|b| &b.links) {
+            fds.push(PollFd {
+                fd: fd_of(&link.stream),
+                events: if link.pending_out() {
+                    POLLIN | POLLOUT
+                } else {
+                    POLLIN
+                },
+                revents: 0,
+            });
+        }
+    }
+
+    fn serviced(&mut self, fds: &[PollFd]) {
+        let mut revents = fds.iter().map(|f| f.revents);
+        if revents.next().unwrap_or(0) != 0 {
+            let mut sink = [0u8; 64];
+            while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+        }
+        let now = Instant::now();
+        for b in 0..self.backends.len() {
+            let Some(backend) = self.backends.get_mut(b) else {
+                continue;
+            };
+            let done = &mut self.done;
+            let mut failed = Vec::new();
+            backend.links.retain_mut(|link| {
+                match link.turn(revents.next().unwrap_or(0), now) {
+                    Ok(None) => true,
+                    Ok(Some(answer)) => {
+                        // Read-ahead past an answer means lost framing.
+                        let keep = answer.keep_alive && link.buf.is_empty();
+                        if let Some(call) = link.call.take() {
+                            done.push((call.then, Ok(answer)));
+                        }
+                        link.reused = true;
+                        keep
+                    }
+                    Err(e) => {
+                        if let Some(call) = link.call.take() {
+                            failed.push((call, link.reused, e));
+                        }
+                        false
+                    }
+                }
+            });
+            for (call, reused, e) in failed {
+                self.fail(b, call, reused, e);
+            }
+            self.pump(b);
+        }
+        while let Ok((b, dialled)) = self.dialled.try_recv() {
+            self.on_dial(b, dialled);
+        }
+        self.settle();
+    }
+}
+
+impl Router {
+    fn addr(&self, b: usize) -> &str {
+        self.backends.get(b).map_or("?", |backend| &backend.addr)
+    }
+
+    /// Queues a call of `wire` on backend `b` and starts what can start.
+    fn call(&mut self, b: usize, wire: Vec<u8>, idempotent: bool, then: Then) {
+        // An out-of-range index cannot happen (every shard function is
+        // reduced mod the backend count); dropping the call would answer
+        // its reply 500.
+        if let Some(backend) = self.backends.get_mut(b) {
+            backend.waiting.push_back(Call {
+                wire,
+                idempotent,
+                retried: false,
+                then,
+            });
+        }
+        self.pump(b);
+    }
+
+    /// Puts waiting calls on idle links, oldest first; dials for the rest
+    /// within [`LINK_CAP`]; trims idle links to [`POOL_CAP`].
+    fn pump(&mut self, b: usize) {
+        let Some(backend) = self.backends.get_mut(b) else {
+            return;
+        };
+        while let Some(retried) = backend.waiting.front().map(|c| c.retried) {
+            let Some(link) = backend
+                .links
+                .iter_mut()
+                .rev()
+                .find(|l| l.call.is_none() && !(retried && l.reused))
+            else {
+                break;
+            };
+            if let Some(call) = backend.waiting.pop_front() {
+                link.start(call);
+            }
+        }
+        let busy = backend.links.iter().filter(|l| l.call.is_some()).count();
+        while backend.dialling < backend.waiting.len() && busy + backend.dialling < LINK_CAP {
+            backend.dialling += 1;
+            dial(b, &backend.addr, &self.dial_tx, &self.wake_tx);
+        }
+        let mut idle = 0;
+        backend.links.retain(|l| {
+            l.call.is_some() || {
+                idle += 1;
+                idle <= POOL_CAP
+            }
+        });
+    }
+
+    /// A call whose link died: replayed once on a fresh dial when that is
+    /// safe — it is idempotent and the link was reused, so the backend may
+    /// simply have closed it — and failed otherwise.
+    fn fail(&mut self, b: usize, mut call: Call, reused: bool, e: std::io::Error) {
+        match self.backends.get_mut(b) {
+            Some(backend) if reused && call.idempotent && !call.retried => {
+                call.retried = true;
+                backend.waiting.push_front(call);
+            }
+            _ => self.done.push((call.then, Err(CallError::Transport(e)))),
+        }
+    }
+
+    fn on_dial(&mut self, b: usize, dialled: std::io::Result<TcpStream>) {
+        let Some(backend) = self.backends.get_mut(b) else {
+            return;
+        };
+        backend.dialling = backend.dialling.saturating_sub(1);
+        match dialled {
+            Ok(stream) => backend.links.push(Link::new(stream)),
+            // Nothing was sent; the oldest waiting call takes the failure.
+            Err(e) => {
+                if let Some(call) = backend.waiting.pop_front() {
+                    self.done.push((call.then, Err(CallError::Connect(e))));
+                }
+            }
+        }
+        self.pump(b);
+    }
+
+    /// Hands finished calls to their continuations, which may issue more.
+    fn settle(&mut self) {
+        while !self.done.is_empty() {
+            for (then, result) in std::mem::take(&mut self.done) {
+                then(self, result);
+            }
+        }
+    }
+
+    /// The router's request handler.
+    fn respond(&mut self, req: Request, reply: Reply) {
+        if self.shutdown.load(Ordering::Acquire) {
+            let mut resp = error(ApiError::shutting_down(
+                "router is draining; retry against a healthy instance",
+            ));
+            resp.close = true;
+            return reply.send(resp);
+        }
+        let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
+        match (req.method.as_str(), path) {
+            ("GET", "/healthz") => self.fan_out(Fanout::get("/v1/stats", reply, |r, answers| {
+                r.fleet_stats(answers)
+                    .map_or_else(|resp| resp, |(s, _)| ok(health_response(&s)))
+            })),
+            ("GET", "/v1/stats") => self.fan_out(Fanout::get("/v1/stats", reply, |r, answers| {
+                r.fleet_stats(answers)
+                    .map_or_else(|resp| resp, |(s, lanes)| ok(stats_response(&s, &lanes)))
+            })),
+            ("GET", "/v1/topology") => {
+                self.fan_out(Fanout::get("/v1/topology", reply, Router::fleet_topology))
+            }
+            ("POST", "/admin/shutdown") => {
+                self.shutdown.store(true, Ordering::Release);
+                reply.send(MuxResponse {
+                    status: 200,
+                    body: "{\"ok\":true}".to_string(),
+                    retry_after: None,
+                    close: true,
+                });
+            }
+            // Broadcast so the fleet swaps checkpoints together. All or
+            // nothing in effect: validation failures are deterministic
+            // (every backend rejects the same file identically), so either
+            // all backends bump their published version or none do; the
+            // first failure's typed answer is returned verbatim. A
+            // non-UTF-8 body falls through to `forward`'s 400.
+            ("POST", "/admin/reload") if std::str::from_utf8(&req.body).is_ok() => {
+                self.fan_out(Fanout {
+                    wire: render_request("POST", "/admin/reload", &req.body, req.deadline_ms),
+                    answers: Vec::new(),
+                    reply,
+                    finish: |_, answers| {
+                        answers.last().cloned().map_or_else(
+                            || error(ApiError::internal("no backends answered")),
+                            verbatim,
+                        )
+                    },
+                })
+            }
+            _ => self.forward(req, reply),
+        }
+    }
+}
+
 fn error(err: ApiError) -> MuxResponse {
     MuxResponse::error(&err)
 }
@@ -254,38 +546,36 @@ fn ok(body: String) -> MuxResponse {
     MuxResponse::new(200, body)
 }
 
-/// The router's request handler, run on the forwarding threads (each
-/// call may block on one backend round-trip).
-fn respond(state: &RouterState, req: &Request) -> MuxResponse {
-    if state.shutdown.load(Ordering::Acquire) {
-        let mut resp = error(ApiError::shutting_down(
-            "router is draining; retry against a healthy instance",
-        ));
-        resp.close = true;
-        return resp;
+/// A backend's answer, passed through unchanged.
+fn verbatim(resp: Response) -> MuxResponse {
+    MuxResponse {
+        status: resp.status,
+        body: resp.body,
+        retry_after: resp.retry_after,
+        close: false,
     }
-    let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => match fleet_stats(state) {
-            Ok((s, _)) => ok(health_response(&s)),
-            Err(resp) => resp,
-        },
-        ("GET", "/v1/stats") => match fleet_stats(state) {
-            Ok((s, lanes)) => ok(stats_response(&s, &lanes)),
-            Err(resp) => resp,
-        },
-        ("GET", "/v1/topology") => fleet_topology(state),
-        ("POST", "/admin/shutdown") => {
-            state.shutdown.store(true, Ordering::Release);
-            MuxResponse {
-                status: 200,
-                body: "{\"ok\":true}".to_string(),
-                retry_after: None,
-                close: true,
-            }
-        }
-        ("POST", "/admin/reload") => broadcast_reload(state, req),
-        _ => forward(state, req),
+}
+
+/// Dials backend `b` on a short-lived thread (a blocking connect must not
+/// stall the loop) and hands the stream back through `tx` and the wake
+/// socket.
+fn dial(b: usize, addr: &str, tx: &mpsc::Sender<Dialled>, wake: &Arc<TcpStream>) {
+    let (addr, sender, wake) = (addr.to_string(), tx.clone(), Arc::clone(wake));
+    let spawned = std::thread::Builder::new()
+        .name("tspn-route-dial".to_string())
+        .spawn(move || {
+            let stream = TcpStream::connect(&addr).and_then(|s| {
+                s.set_nodelay(true)?;
+                s.set_nonblocking(true)?;
+                Ok(s)
+            });
+            let _ = sender.send((b, stream));
+            // A failed wake is fine — the loop checks for dials every tick.
+            let _ = (&*wake).write_all(&[1]);
+        });
+    if let Err(e) = spawned {
+        // Picked up on the loop's next tick.
+        let _ = tx.send((b, Err(e)));
     }
 }
 
@@ -296,8 +586,7 @@ fn respond(state: &RouterState, req: &Request) -> MuxResponse {
 /// Which backend owns a request. Bodies that fail to parse route to
 /// backend 0, whose identical parsers answer with the standalone
 /// server's exact typed error.
-fn backend_index(state: &RouterState, method: &str, path: &str, body: &[u8]) -> usize {
-    let n = state.backends.len();
+fn backend_index(n: usize, method: &str, path: &str, body: &[u8]) -> usize {
     if let Some(rest) = path.strip_prefix("/v1/sessions/") {
         let segment = rest.split('/').next().unwrap_or("");
         return protocol::parse_session_id(segment).map_or(0, |id| backend_of_session_id(id, n));
@@ -313,181 +602,196 @@ fn backend_index(state: &RouterState, method: &str, path: &str, body: &[u8]) -> 
     }
 }
 
-fn forward(state: &RouterState, req: &Request) -> MuxResponse {
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        // Matches the backends' own `parse_json` refusal byte-for-byte.
-        return error(ApiError::bad_request("body is not UTF-8"));
-    };
-    let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
-    let idx = backend_index(state, &req.method, path, &req.body);
-    let Some(backend) = state.backends.get(idx) else {
-        return error(ApiError::internal(format!("no backend {idx}")));
-    };
-    match backend.call(&req.method, &req.path, body, req.deadline_ms) {
-        Ok(resp) => MuxResponse {
-            status: resp.status,
-            body: resp.body,
-            retry_after: resp.retry_after,
-            close: false,
-        },
-        Err(CallError::Connect(e)) => error(ApiError::not_ready(format!(
-            "backend {} unreachable: {e}",
-            backend.addr
-        ))),
-        Err(CallError::Transport(e)) if is_idempotent(&req.method, path) => error(
-            ApiError::not_ready(format!("backend {} connection failed: {e}", backend.addr)),
-        ),
-        Err(CallError::Transport(e)) => {
+impl Router {
+    fn forward(&mut self, req: Request, reply: Reply) {
+        if std::str::from_utf8(&req.body).is_err() {
+            // Matches the backends' own `parse_json` refusal byte-for-byte.
+            return reply.send(error(ApiError::bad_request("body is not UTF-8")));
+        }
+        let (path, _) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
+        let b = backend_index(self.backends.len(), &req.method, path, &req.body);
+        let idempotent = is_idempotent(&req.method, path);
+        let wire = render_request(&req.method, &req.path, &req.body, req.deadline_ms);
+        self.call(
+            b,
+            wire,
+            idempotent,
+            Box::new(move |r: &mut Router, result| {
+                reply.send(r.forwarded(b, idempotent, result));
+            }),
+        );
+    }
+
+    fn forwarded(
+        &self,
+        b: usize,
+        idempotent: bool,
+        result: Result<Response, CallError>,
+    ) -> MuxResponse {
+        let addr = self.addr(b);
+        match result {
+            Ok(resp) => verbatim(resp),
+            Err(CallError::Connect(e)) => error(ApiError::not_ready(format!(
+                "backend {addr} unreachable: {e}"
+            ))),
+            Err(CallError::Transport(e)) if idempotent => error(ApiError::not_ready(format!(
+                "backend {addr} connection failed: {e}"
+            ))),
             // Session create/append with an unknown server-side effect:
             // 500 so overload-aware clients do NOT auto-replay it.
-            error(ApiError::internal(format!(
-                "backend {} connection failed mid-request: {e}",
-                backend.addr
-            )))
+            Err(CallError::Transport(e)) => error(ApiError::internal(format!(
+                "backend {addr} connection failed mid-request: {e}"
+            ))),
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Fleet views (answered locally)
+// Fan-outs (answered locally)
 // ---------------------------------------------------------------------
 
-/// Fetches `path` from every backend and parses each answer as JSON.
-fn fetch_all(state: &RouterState, path: &str) -> Result<Vec<Value>, MuxResponse> {
-    let mut answers = Vec::with_capacity(state.backends.len());
-    for backend in &state.backends {
-        let resp = backend.call("GET", path, "", None).map_err(|e| {
-            let err = match e {
-                CallError::Connect(e) | CallError::Transport(e) => e,
-            };
-            error(ApiError::not_ready(format!(
-                "backend {} unreachable: {err}",
-                backend.addr
-            )))
-        })?;
-        if resp.status != 200 {
-            return Err(MuxResponse {
-                status: resp.status,
-                body: resp.body,
-                retry_after: resp.retry_after,
-                close: false,
-            });
-        }
-        let parsed = serde_json::from_str::<Value>(&resp.body).map_err(|e| {
-            error(ApiError::internal(format!(
-                "backend {} returned non-JSON for {path}: {e}",
-                backend.addr
-            )))
-        })?;
-        answers.push(parsed);
-    }
-    Ok(answers)
+/// One request asked of every backend in order. The first failure ends
+/// it: a non-200 answer is returned verbatim, a transport failure as
+/// `503 not_ready`.
+struct Fanout {
+    wire: Vec<u8>,
+    /// The 200 answers so far, in backend order.
+    answers: Vec<Response>,
+    reply: Reply,
+    /// Turns every backend's answer into the reply.
+    finish: fn(&Router, &[Response]) -> MuxResponse,
 }
 
-/// The fleet ledger behind `/healthz` and `/v1/stats`: every backend's v2
-/// `aggregate` merged into one snapshot, and their `lanes` arrays spliced
-/// into one fleet-wide list, renumbered in backend order.
-fn fleet_stats(state: &RouterState) -> Result<(StatsSnapshot, Vec<LaneStats>), MuxResponse> {
-    let answers = fetch_all(state, "/v1/stats")?;
-    let mut merged: Option<StatsSnapshot> = None;
-    let mut lanes: Vec<LaneStats> = Vec::new();
-    for (backend, v) in state.backends.iter().zip(&answers) {
-        let Some(s) = v.get("aggregate").and_then(parse_stats) else {
-            return Err(error(ApiError::internal(format!(
-                "backend {} returned an unparseable v2 stats answer",
-                backend.addr
-            ))));
-        };
-        merged = Some(match merged {
-            Some(acc) => merge_stats(&acc, &s),
-            None => s,
-        });
-        for lane in v.get("lanes").and_then(Value::as_array).unwrap_or(&[]) {
-            if let Some(mut l) = parse_lane_stats(lane) {
-                l.lane = lanes.len();
-                lanes.push(l);
-            }
+impl Fanout {
+    fn get(path: &str, reply: Reply, finish: fn(&Router, &[Response]) -> MuxResponse) -> Fanout {
+        Fanout {
+            wire: render_request("GET", path, b"", None),
+            answers: Vec::new(),
+            reply,
+            finish,
         }
     }
-    let merged = merged.ok_or_else(|| error(ApiError::internal("no backends answered")))?;
-    Ok((merged, lanes))
 }
 
-fn fleet_topology(state: &RouterState) -> MuxResponse {
-    let answers = match fetch_all(state, "/v1/topology") {
-        Ok(a) => a,
-        Err(resp) => return resp,
-    };
-    let mut total_lanes = 0usize;
-    for (backend, v) in state.backends.iter().zip(&answers) {
-        let Some(t) = parse_topology(v) else {
-            return error(ApiError::internal(format!(
-                "backend {} returned an unparseable topology",
-                backend.addr
-            )));
-        };
-        if t.shard_fn != SHARD_FN_ID {
-            return error(ApiError::internal(format!(
-                "backend {} speaks shard fn {:?}, router speaks {:?}",
-                backend.addr, t.shard_fn, SHARD_FN_ID
-            )));
-        }
-        total_lanes += t.lanes;
+impl Router {
+    /// Asks the next backend.
+    fn fan_out(&mut self, f: Fanout) {
+        let b = f.answers.len();
+        let wire = f.wire.clone();
+        // Every fan-out request (stats, topology, reload) replays safely.
+        self.call(
+            b,
+            wire,
+            true,
+            Box::new(move |r: &mut Router, result| r.fanned(b, f, result)),
+        );
     }
-    let addrs: Vec<String> = state.backends.iter().map(|b| b.addr.clone()).collect();
-    ok(topology_response(
-        "router",
-        total_lanes,
-        SHARD_FN_ID,
-        0,
-        state.backends.len(),
-        &addrs,
-    ))
-}
 
-/// `POST /admin/reload` fans out to every backend so the fleet swaps
-/// checkpoints together. All-or-nothing in effect: validation failures
-/// are deterministic (every backend rejects the same file identically),
-/// so either all backends bump their published version or none do; the
-/// first failure's typed answer is returned verbatim.
-fn broadcast_reload(state: &RouterState, req: &Request) -> MuxResponse {
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return error(ApiError::bad_request("body is not UTF-8"));
-    };
-    let mut ok: Option<MuxResponse> = None;
-    for backend in &state.backends {
-        match backend.call("POST", "/admin/reload", body, req.deadline_ms) {
+    fn fanned(&mut self, b: usize, mut f: Fanout, result: Result<Response, CallError>) {
+        match result {
             Ok(resp) if resp.status == 200 => {
-                ok = Some(MuxResponse {
-                    status: resp.status,
-                    body: resp.body,
-                    retry_after: resp.retry_after,
-                    close: false,
-                });
+                f.answers.push(resp);
+                if f.answers.len() < self.backends.len() {
+                    return self.fan_out(f);
+                }
+                let resp = (f.finish)(self, &f.answers);
+                f.reply.send(resp);
             }
-            Ok(resp) => {
-                return MuxResponse {
-                    status: resp.status,
-                    body: resp.body,
-                    retry_after: resp.retry_after,
-                    close: false,
+            Ok(resp) => f.reply.send(verbatim(resp)),
+            Err(CallError::Connect(e) | CallError::Transport(e)) => f.reply.send(error(
+                ApiError::not_ready(format!("backend {} unreachable: {e}", self.addr(b))),
+            )),
+        }
+    }
+
+    /// Parses every backend's answer as JSON.
+    fn json(&self, answers: &[Response], what: &str) -> Result<Vec<Value>, MuxResponse> {
+        answers
+            .iter()
+            .enumerate()
+            .map(|(b, resp)| {
+                serde_json::from_str::<Value>(&resp.body).map_err(|e| {
+                    error(ApiError::internal(format!(
+                        "backend {} returned non-JSON for {what}: {e}",
+                        self.addr(b)
+                    )))
+                })
+            })
+            .collect()
+    }
+
+    /// The fleet ledger behind `/healthz` and `/v1/stats`: every backend's
+    /// v2 `aggregate` merged into one snapshot, and their `lanes` arrays
+    /// spliced into one fleet-wide list, renumbered in backend order.
+    fn fleet_stats(
+        &self,
+        answers: &[Response],
+    ) -> Result<(StatsSnapshot, Vec<LaneStats>), MuxResponse> {
+        let mut merged: Option<StatsSnapshot> = None;
+        let mut lanes: Vec<LaneStats> = Vec::new();
+        for (b, v) in self.json(answers, "/v1/stats")?.iter().enumerate() {
+            let Some(s) = v.get("aggregate").and_then(parse_stats) else {
+                return Err(error(ApiError::internal(format!(
+                    "backend {} returned an unparseable v2 stats answer",
+                    self.addr(b)
+                ))));
+            };
+            merged = Some(match merged {
+                Some(acc) => merge_stats(&acc, &s),
+                None => s,
+            });
+            for lane in v.get("lanes").and_then(Value::as_array).unwrap_or(&[]) {
+                if let Some(mut l) = parse_lane_stats(lane) {
+                    l.lane = lanes.len();
+                    lanes.push(l);
                 }
             }
-            Err(_) => {
-                return error(ApiError::not_ready(format!(
-                    "backend {} unreachable during reload",
-                    backend.addr
-                )))
-            }
         }
+        let merged = merged.ok_or_else(|| error(ApiError::internal("no backends answered")))?;
+        Ok((merged, lanes))
     }
-    ok.unwrap_or_else(|| error(ApiError::internal("no backends answered")))
+
+    fn fleet_topology(&self, answers: &[Response]) -> MuxResponse {
+        let answers = match self.json(answers, "/v1/topology") {
+            Ok(a) => a,
+            Err(resp) => return resp,
+        };
+        let mut total_lanes = 0usize;
+        for (b, v) in answers.iter().enumerate() {
+            let Some(t) = parse_topology(v) else {
+                return error(ApiError::internal(format!(
+                    "backend {} returned an unparseable topology",
+                    self.addr(b)
+                )));
+            };
+            if t.shard_fn != SHARD_FN_ID {
+                return error(ApiError::internal(format!(
+                    "backend {} speaks shard fn {:?}, router speaks {:?}",
+                    self.addr(b),
+                    t.shard_fn,
+                    SHARD_FN_ID
+                )));
+            }
+            total_lanes += t.lanes;
+        }
+        let addrs: Vec<String> = self.backends.iter().map(|b| b.addr.clone()).collect();
+        ok(topology_response(
+            "router",
+            total_lanes,
+            SHARD_FN_ID,
+            0,
+            self.backends.len(),
+            &addrs,
+        ))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use crate::protocol::{error_of, v1_predict_request_body};
+    use std::sync::atomic::AtomicUsize;
     use tspn_data::{PoiId, Visit};
 
     fn visit(poi: usize) -> Visit {
@@ -503,24 +807,47 @@ mod tests {
     fn stub_backend(
         handler: impl Fn(&Request) -> (u16, String) + Send + Sync + 'static,
     ) -> (String, Arc<AtomicBool>, JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+        canned_stub("127.0.0.1:0", false, handler)
+    }
+
+    /// A canned stub on `addr`; `close` ends every answer with
+    /// `Connection: close`.
+    fn canned_stub(
+        addr: &str,
+        close: bool,
+        handler: impl Fn(&Request) -> (u16, String) + Send + Sync + 'static,
+    ) -> (String, Arc<AtomicBool>, JoinHandle<()>) {
+        stub_on(
+            addr,
+            Box::new(move |req, reply| {
+                let (status, body) = handler(&req);
+                reply.send(MuxResponse {
+                    status,
+                    body,
+                    retry_after: None,
+                    close,
+                });
+                None
+            }),
+        )
+    }
+
+    fn stub_on(addr: &str, h: Box<mux::Handler>) -> (String, Arc<AtomicBool>, JoinHandle<()>) {
+        let listener = TcpListener::bind(addr).expect("bind stub");
         let addr = listener.local_addr().expect("stub addr").to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let h: Box<mux::Handler> = Box::new(move |req, reply| {
-            let (status, body) = handler(&req);
-            reply.send(MuxResponse {
-                status,
-                body,
-                retry_after: None,
-                close: false,
-            });
-            None
-        });
         let handle = std::thread::spawn(move || {
             mux::run(listener, MuxConfig::default(), flag, h).expect("stub mux runs");
         });
         (addr, stop, handle)
+    }
+
+    fn stop(stubs: Vec<(Arc<AtomicBool>, JoinHandle<()>)>) {
+        for (flag, handle) in stubs {
+            flag.store(true, Ordering::Release);
+            handle.join().unwrap();
+        }
     }
 
     fn echo_backend(i: usize) -> (String, Arc<AtomicBool>, JoinHandle<()>) {
@@ -791,5 +1118,182 @@ mod tests {
         s1.store(true, Ordering::Release);
         h0.join().unwrap();
         h1.join().unwrap();
+    }
+
+    #[test]
+    fn a_link_whose_answer_says_close_is_never_reused() {
+        let creates = |router: &RouterHandle| {
+            let mut client = Client::connect(&router.local_addr().to_string()).expect("connect");
+            for user in 0..3 {
+                let (status, body) = client
+                    .post("/v1/sessions", &format!("{{\"user\":{user}}}"))
+                    .expect("create");
+                assert_eq!(status, 200, "create {user}: {body}");
+            }
+        };
+        let (a0, s0, h0) = canned_stub("127.0.0.1:0", true, |_| (200, "{}".to_string()));
+        let router = start(vec![a0]);
+        creates(&router);
+        router.shutdown();
+        router.join();
+        stop(vec![(s0, h0)]);
+
+        // A backend that says close but leaves the socket open: the
+        // answer alone retires the link, so each create dials afresh.
+        let (a0, seen, h0) = scripted_backend(vec![1, 1, 1], false);
+        let router = start(vec![a0]);
+        creates(&router);
+        assert_eq!(
+            seen.load(Ordering::SeqCst),
+            3,
+            "no create sent on a closed link"
+        );
+        router.shutdown();
+        router.join();
+        h0.join().unwrap();
+    }
+
+    #[test]
+    fn a_backend_restart_does_not_fail_the_next_session_create() {
+        let created = |_: &Request| (200, "{}".to_string());
+        let (a0, s0, h0) = canned_stub("127.0.0.1:0", false, created);
+        let router = start(vec![a0.clone()]);
+        let mut client = Client::connect(&router.local_addr().to_string()).expect("connect");
+        let (status, body) = client.post("/v1/sessions", "{\"user\":1}").expect("create");
+        assert_eq!(status, 200, "{body}");
+        // The stopped backend closes the router's idle link; the reboot
+        // listens on the same port.
+        stop(vec![(s0, h0)]);
+        let (_, s1, h1) = canned_stub(&a0, false, created);
+        let (status, body) = client.post("/v1/sessions", "{\"user\":2}").expect("create");
+        assert_eq!(status, 200, "a create the backend never received: {body}");
+        drop(client);
+        router.shutdown();
+        router.join();
+        stop(vec![(s1, h1)]);
+    }
+
+    #[test]
+    fn a_hung_backend_stalls_only_its_own_shard() {
+        let (a0, s0, h0) = echo_backend(0);
+        // Backend 1 hands every reply to the test, which sits on it.
+        let (parked_tx, parked_rx) = mpsc::channel::<Reply>();
+        let (a1, s1, h1) = stub_on(
+            "127.0.0.1:0",
+            Box::new(move |_, reply| {
+                let _ = parked_tx.send(reply);
+                None
+            }),
+        );
+        let router = start(vec![a0, a1]);
+        let entry = router.local_addr().to_string();
+        let payload_on = |backend: usize| {
+            let poi = (0..)
+                .find(|&p| shard_of_content(0, &[visit(p)], 2) == backend)
+                .unwrap();
+            v1_predict_request_body(0, &[visit(poi)], 4, 10)
+        };
+        let hung = {
+            let (entry, body) = (entry.clone(), payload_on(1));
+            std::thread::spawn(move || Client::connect(&entry)?.post("/v1/predict", &body))
+        };
+        let parked = parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the request reaches the hung backend");
+
+        let asked = Instant::now();
+        let mut client = Client::connect(&entry).expect("connect");
+        let (status, text) = client
+            .post("/v1/predict", &payload_on(0))
+            .expect("live shard");
+        assert_eq!(status, 200, "{text}");
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "the live shard waited {:?} behind the hung one",
+            asked.elapsed()
+        );
+        assert!(!hung.is_finished(), "the hung request was answered early");
+
+        parked.send(MuxResponse::new(200, "{\"late\":true}".to_string()));
+        let (status, text) = hung.join().unwrap().expect("the parked answer arrives");
+        assert_eq!((status, text.as_str()), (200, "{\"late\":true}"));
+        drop(client);
+        router.shutdown();
+        router.join();
+        stop(vec![(s0, h0), (s1, h1)]);
+    }
+
+    /// A raw backend: connection `i` answers `script[i]` requests with
+    /// `200` (saying `Connection: close` unless `keep_alive`, but leaving
+    /// the socket open either way), then reads one more and closes without
+    /// an answer (a kill mid-flight). Counts the requests it reads.
+    fn scripted_backend(
+        script: Vec<usize>,
+        keep_alive: bool,
+    ) -> (String, Arc<AtomicUsize>, JoinHandle<()>) {
+        use crate::http::{render_response, try_parse_request};
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let seen = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&seen);
+        let handle = std::thread::spawn(move || {
+            for answers in script {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let mut buf = Vec::new();
+                'conn: for served in 0.. {
+                    while try_parse_request(&mut buf, 1 << 16)
+                        .expect("request")
+                        .is_none()
+                    {
+                        let mut chunk = [0u8; 4096];
+                        match stream.read(&mut chunk) {
+                            Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+                            _ => break 'conn,
+                        }
+                    }
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    if served == answers {
+                        break;
+                    }
+                    stream
+                        .write_all(&render_response(200, "{}", keep_alive, None))
+                        .expect("answer");
+                }
+            }
+        });
+        (addr, seen, handle)
+    }
+
+    #[test]
+    fn a_call_killed_on_a_reused_link_is_replayed_once_only_if_idempotent() {
+        // A read dies on the reused link and succeeds on a fresh dial.
+        let (addr, seen, backend) = scripted_backend(vec![1, 1], true);
+        let router = start(vec![addr]);
+        let mut client = Client::connect(&router.local_addr().to_string()).expect("connect");
+        for _ in 0..2 {
+            let (status, body) = client.get("/v1/sessions/s1").expect("read");
+            assert_eq!(status, 200, "{body}");
+        }
+        assert_eq!(seen.load(Ordering::SeqCst), 3, "one replay on a fresh link");
+        drop(client);
+        router.shutdown();
+        router.join();
+        backend.join().unwrap();
+
+        // A session create is never replayed: its effect is unknown.
+        let (addr, seen, backend) = scripted_backend(vec![1], true);
+        let router = start(vec![addr]);
+        let mut client = Client::connect(&router.local_addr().to_string()).expect("connect");
+        let (status, _) = client.post("/v1/sessions", "{\"user\":1}").expect("create");
+        assert_eq!(status, 200);
+        let (status, body) = client.post("/v1/sessions", "{\"user\":2}").expect("create");
+        assert_eq!(status, 500, "{body}");
+        let v = serde_json::from_str::<Value>(&body).expect("json");
+        assert_eq!(error_of(&v).expect("typed").0, "internal");
+        assert_eq!(seen.load(Ordering::SeqCst), 2, "no replay");
+        drop(client);
+        router.shutdown();
+        router.join();
+        backend.join().unwrap();
     }
 }

@@ -844,8 +844,8 @@ fn typed_errors_cover_the_v1_status_classes() {
 fn deeply_nested_bodies_are_refused_by_backend_and_router_alike() {
     // 60 000 `[` bytes fit under the 64 KiB body limit. An unbounded
     // recursive parser overflows the stack of whichever thread reads
-    // them — the backend's mux, or the router's forwarder while it picks
-    // a shard — and the overflow aborts the whole process.
+    // them — the backend's mux, or the router's mux while it picks a
+    // shard — and the overflow aborts the whole process.
     let hostile = "[".repeat(60_000);
     let backend = start_server(7, BatchConfig::default());
     let backend_addr = backend.local_addr().to_string();
@@ -878,6 +878,96 @@ fn deeply_nested_bodies_are_refused_by_backend_and_router_alike() {
     router.join();
     backend.shutdown();
     backend.join();
+}
+
+/// A `--route` router forwards from its own poll loop: once traffic
+/// stops and its short-lived dial threads are gone, the process runs
+/// exactly two threads, main and the mux.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_router_process_runs_two_threads() {
+    use std::io::BufRead;
+    let backends = [
+        start_server(7, BatchConfig::default()),
+        start_server(7, BatchConfig::default()),
+    ];
+    let route: Vec<String> = backends
+        .iter()
+        .map(|b| b.local_addr().to_string())
+        .collect();
+    /// Kills the router if an assertion fails before it is shut down.
+    struct Reaper(std::process::Child);
+    impl Drop for Reaper {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut child = Reaper(
+        std::process::Command::new(env!("CARGO_BIN_EXE_tspn-serve"))
+            .args(["--port", "0", "--route", &route.join(",")])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn tspn-serve --route"),
+    );
+    let mut line = String::new();
+    std::io::BufReader::new(child.0.stdout.take().expect("stdout"))
+        .read_line(&mut line)
+        .expect("listening line");
+    let addr = line
+        .trim()
+        .strip_prefix("tspn-serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_string();
+
+    let (reference, samples) = reference_predictor(7);
+    let bodies: Vec<String> = samples
+        .iter()
+        .take(16)
+        .map(|s| v1_body(&reference, s, 4, 10))
+        .collect();
+    std::thread::scope(|scope| {
+        for chunk in bodies.chunks(4) {
+            let addr = &addr;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect router");
+                for body in chunk {
+                    let (status, v) = client
+                        .post_json("/v1/predict", body)
+                        .expect("routed predict");
+                    assert_eq!(status, 200, "{v:?}");
+                }
+                let (status, _) = client.get("/v1/stats").expect("fleet stats");
+                assert_eq!(status, 200);
+            });
+        }
+    });
+
+    let status_path = format!("/proc/{}/status", child.0.id());
+    let threads = || {
+        let status = std::fs::read_to_string(&status_path).expect("router status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse::<usize>().ok())
+            .expect("Threads: line")
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while threads() != 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(threads(), 2, "an idle router runs main and the mux only");
+
+    let mut client = Client::connect(&addr).expect("connect router");
+    let (status, _) = client.post("/admin/shutdown", "{}").expect("shutdown");
+    assert_eq!(status, 200);
+    let exit = child.0.wait().expect("router exits");
+    assert!(exit.success(), "{exit:?}");
+    for b in backends {
+        b.shutdown();
+        b.join();
+    }
 }
 
 #[test]
