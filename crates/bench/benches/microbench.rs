@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical building
 //! blocks: quad-tree construction, QR-P graph assembly, HGAT and attention
-//! forward passes, the CNN tile embedder, cosine tile ranking, and one
-//! end-to-end prediction.
+//! forward passes, the CNN tile embedder, cosine tile ranking, one
+//! end-to-end prediction, and the server's `/v1/predict` body parse.
 
 use std::collections::BTreeSet;
 
@@ -154,12 +154,34 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
 }
 
+/// The mux thread parses every `/v1/predict` body with this, so the JSON
+/// shim's cost per request stays visible here. The body is a stream of
+/// 48 check-ins from the served dataset (`nyc`, scale 1, 80 days), the
+/// typical `/v1/predict` request of the `serve_repeat` workload.
+fn bench_protocol(c: &mut Criterion) {
+    let mut cfg = tspn_serve::preset_dataset_config("nyc", 1.0).expect("the nyc preset");
+    cfg.days = 80;
+    let (ds, _) = generate_dataset(cfg);
+    let (user, mut stream) = ds
+        .all_samples()
+        .iter()
+        .map(|s| (s.user_index, ds.sample_checkins(s)))
+        .find(|(_, cs)| cs.len() >= 48)
+        .expect("a stream of 48 check-ins");
+    stream.truncate(48);
+    let body = tspn_serve::protocol::v1_predict_request_body(user, &stream, 10, 20);
+    c.bench_function("protocol_parse_v1_predict_48_checkins", |b| {
+        b.iter(|| tspn_serve::protocol::parse_v1_predict(body.as_bytes()))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_quadtree, bench_qrp, bench_attention, bench_me1, bench_ranking, bench_end_to_end
+    targets = bench_quadtree, bench_qrp, bench_attention, bench_me1, bench_ranking, bench_end_to_end,
+        bench_protocol
 }
 criterion_main!(benches);

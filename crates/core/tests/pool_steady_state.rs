@@ -6,14 +6,15 @@
 //! zero-miss assertion for a fixed-shape loop lives in tspn-tensor's
 //! `steady_state_alloc` test. Full model training keeps a small miss tail
 //! because per-sample candidate sets produce occasional first-seen buffer
-//! lengths.
+//! lengths. A serving lane trims its thread-local cache once per flush;
+//! the last test checks that reuse survives that trim.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use tspn_core::{Partition, SpatialContext, Trainer, TspnConfig};
+use tspn_core::{Partition, Predictor, Query, SpatialContext, Trainer, TspnConfig};
 use tspn_data::presets::nyc_mini;
 use tspn_data::synth::generate_dataset;
-use tspn_data::Sample;
+use tspn_data::{AdHocTrajectory, Sample, UserId, DEFAULT_GAP_SECS};
 use tspn_tensor::pool;
 
 /// The pool counters are process-global; serialise the tests so each
@@ -21,6 +22,12 @@ use tspn_tensor::pool;
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn build_trainer() -> (Trainer, Vec<Sample>) {
+    let (cfg, ctx) = build_context();
+    let samples = ctx.dataset.all_samples();
+    (Trainer::new(cfg, ctx), samples)
+}
+
+fn build_context() -> (TspnConfig, SpatialContext) {
     let mut dcfg = nyc_mini(0.1);
     dcfg.days = 12;
     let (ds, world) = generate_dataset(dcfg);
@@ -42,8 +49,7 @@ fn build_trainer() -> (Trainer, Vec<Sample>) {
         ..TspnConfig::default()
     };
     let ctx = SpatialContext::build(ds, world, &cfg);
-    let samples = ctx.dataset.all_samples();
-    (Trainer::new(cfg, ctx), samples)
+    (cfg, ctx)
 }
 
 #[test]
@@ -113,4 +119,47 @@ fn steady_state_sharded_step_allocates_zero_tensor_buffers() {
         last = Some(stats);
     }
     panic!("sharded steady state kept allocating tensor buffers: {last:?}");
+}
+
+#[test]
+fn serving_flushes_keep_hitting_the_pool_across_thread_local_trims() {
+    // A serving lane answers single-query flushes of payload subjects and
+    // trims its thread-local cache after each. Lengths it keeps using
+    // must survive the trim: once the stream has been seen, replaying it
+    // is served from recycled buffers.
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (cfg, ctx) = build_context();
+    let stream: Vec<Query> = ctx
+        .dataset
+        .all_samples()
+        .iter()
+        .take(200)
+        .map(|s| {
+            let checkins = ctx.dataset.sample_checkins(s);
+            let trajectory =
+                AdHocTrajectory::from_checkins(UserId(s.user_index), &checkins, DEFAULT_GAP_SECS)
+                    .expect("dataset streams are valid");
+            Query::adhoc(Arc::new(trajectory), cfg.top_k, 10)
+        })
+        .collect();
+    let predictor = Predictor::new(cfg, ctx);
+    let serve = |queries: &[Query]| {
+        for q in queries {
+            predictor.predict_batch(std::slice::from_ref(q));
+            pool::trim_thread_local();
+        }
+    };
+
+    serve(&stream);
+    pool::reset_stats();
+    serve(&stream);
+    let stats = pool::stats();
+    assert!(
+        stats.hits + stats.misses > 1000,
+        "expected substantial pool traffic, saw {stats:?}"
+    );
+    assert!(
+        stats.hit_rate() >= 0.99,
+        "replayed serving stream missed the pool: {stats:?}"
+    );
 }

@@ -315,7 +315,7 @@ impl Batcher {
     /// [`Batcher::run_supervised`] directly — this is the unsupervised
     /// convenience wrapper over it.
     pub fn run_loop(&self, mut serve: impl FnMut(&[Query]) -> (Vec<TopK>, u64)) {
-        while self.run_supervised(&mut serve) == LoopExit::Panicked {}
+        while self.run_supervised(&mut serve, || {}) == LoopExit::Panicked {}
     }
 
     /// Runs the serve loop until the batcher drains ([`LoopExit::Drained`])
@@ -324,7 +324,15 @@ impl Batcher {
     /// otherwise intact, so a supervisor can rebuild whatever the panic may
     /// have corrupted (e.g. the model, from the last good checkpoint) and
     /// call this again; queued requests keep their places.
-    pub fn run_supervised(&self, mut serve: impl FnMut(&[Query]) -> (Vec<TopK>, u64)) -> LoopExit {
+    ///
+    /// `after_flush` runs on this thread once per answered batch, after
+    /// every completion of the batch has been called — housekeeping there
+    /// delays no reply of that batch.
+    pub fn run_supervised(
+        &self,
+        mut serve: impl FnMut(&[Query]) -> (Vec<TopK>, u64),
+        mut after_flush: impl FnMut(),
+    ) -> LoopExit {
         loop {
             let Some((batch_id, pending)) = self.collect_batch() else {
                 return LoopExit::Drained;
@@ -342,6 +350,7 @@ impl Batcher {
                             batch: batch_id,
                         }));
                     }
+                    after_flush();
                 }
                 Err(_) => {
                     // Dropping the completions uncalled answers 500 for
@@ -711,19 +720,43 @@ mod tests {
             .collect();
         batcher.close();
         // First supervised run: the first flush panics, control returns.
-        let exit = batcher.run_supervised(|_| panic!("injected"));
+        let exit = batcher.run_supervised(|_| panic!("injected"), || {});
         assert_eq!(exit, LoopExit::Panicked);
         for rx in rx_bad {
             assert!(rx.recv().is_err(), "poisoned batch failed");
         }
         // The supervisor "repairs" and re-enters: queued work is intact
         // and batch ids continue (no restart from 1).
-        assert_eq!(batcher.run_supervised(echo), LoopExit::Drained);
+        assert_eq!(batcher.run_supervised(echo, || {}), LoopExit::Drained);
         for (i, rx) in rx_good.into_iter().enumerate() {
             let answered = rx.recv().unwrap().answered().unwrap();
             assert_eq!(answered.topk.pois, vec![PoiId(10 + i)]);
             assert_eq!(answered.batch, 2, "batch numbering survives the restart");
         }
+    }
+
+    #[test]
+    fn after_flush_runs_once_per_batch_once_its_replies_are_sent() {
+        let batcher = Batcher::new(BatchConfig {
+            max_batch: 2,
+            queue_cap: 64,
+        });
+        let receivers: Vec<_> = (0..5)
+            .map(|i| submit(&batcher, query(i), None).unwrap())
+            .collect();
+        batcher.close();
+        // At each call, count the replies already delivered.
+        let mut delivered = Vec::new();
+        let mut answered = 0;
+        let exit = batcher.run_supervised(echo, || {
+            answered += receivers[answered..]
+                .iter()
+                .take_while(|rx| rx.try_recv().is_ok())
+                .count();
+            delivered.push(answered);
+        });
+        assert_eq!(exit, LoopExit::Drained);
+        assert_eq!(delivered, vec![2, 4, 5]);
     }
 
     #[test]
@@ -741,7 +774,7 @@ mod tests {
             .map(|i| submit(&batcher, query(i), None).unwrap())
             .collect();
         batcher.close();
-        assert_eq!(batcher.run_supervised(echo), LoopExit::Drained);
+        assert_eq!(batcher.run_supervised(echo, || {}), LoopExit::Drained);
         let ids: Vec<u64> = rxs
             .into_iter()
             .map(|rx| rx.recv().unwrap().answered().unwrap().batch)

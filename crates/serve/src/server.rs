@@ -16,7 +16,9 @@
 //!   any newer published checkpoint, then answers the whole batch under
 //!   that one snapshot — reloads can never mix parameters within a batch.
 //!   The lane renders each answer and sends it back through its reply, so
-//!   a prediction crosses two thread handoffs: mux → lane → mux.
+//!   a prediction crosses two thread handoffs: mux → lane → mux. Once a
+//!   batch's replies are sent, the lane trims its thread-local tensor
+//!   pool ([`tspn_tensor::pool::trim_thread_local`]).
 //! * **reload threads** — `/admin/reload` reads and validates a
 //!   checkpoint file, too slow for the mux thread, so each reload runs on
 //!   a thread spawned for that request.
@@ -45,6 +47,7 @@ use std::time::{Duration, Instant};
 
 use tspn_core::{Predictor, Query, SpatialContext, TspnConfig};
 use tspn_data::{AdHocTrajectory, UserId, Visit, DEFAULT_GAP_SECS};
+use tspn_tensor::pool;
 use tspn_tensor::serialize::Checkpoint;
 
 use crate::batcher::{BatchConfig, Batcher, Completion, LoopExit, SubmitError, Verdict};
@@ -508,33 +511,39 @@ fn lane_main(
     let mut rejected = 0u64;
     let mut panic_times: VecDeque<Instant> = VecDeque::new();
     loop {
-        let exit = lane.batcher.run_supervised(|queries| {
-            // Hot-swap boundary: at most one snapshot per batch, applied
-            // before any query of the batch runs.
-            if let Some(published) = shared.snapshots.newer_than(applied.max(rejected)) {
-                match predictor.load_checkpoint(&published.checkpoint) {
-                    Ok(()) => {
-                        applied = published.version;
-                        lane.applied.store(applied, Ordering::Release);
-                        last_good = published.checkpoint.clone();
-                    }
-                    // Publications were validated against the same shape
-                    // table, so outside fault injection this is
-                    // unreachable; keep the old parameters rather than
-                    // take the lane down.
-                    Err(e) => {
-                        rejected = published.version;
-                        eprintln!(
-                            "tspn-serve: lane {lane_idx}: published checkpoint rejected: {e}"
-                        );
+        let exit = lane.batcher.run_supervised(
+            |queries| {
+                // Hot-swap boundary: at most one snapshot per batch, applied
+                // before any query of the batch runs.
+                if let Some(published) = shared.snapshots.newer_than(applied.max(rejected)) {
+                    match predictor.load_checkpoint(&published.checkpoint) {
+                        Ok(()) => {
+                            applied = published.version;
+                            lane.applied.store(applied, Ordering::Release);
+                            last_good = published.checkpoint.clone();
+                        }
+                        // Publications were validated against the same shape
+                        // table, so outside fault injection this is
+                        // unreachable; keep the old parameters rather than
+                        // take the lane down.
+                        Err(e) => {
+                            rejected = published.version;
+                            eprintln!(
+                                "tspn-serve: lane {lane_idx}: published checkpoint rejected: {e}"
+                            );
+                        }
                     }
                 }
-            }
-            lane.chaos.on_flush();
-            let answers = predictor.predict_batch(queries);
-            lane.batches.fetch_add(1, Ordering::Relaxed);
-            (answers, applied)
-        });
+                lane.chaos.on_flush();
+                let answers = predictor.predict_batch(queries);
+                lane.batches.fetch_add(1, Ordering::Relaxed);
+                (answers, applied)
+            },
+            // Replies are on their way: release the pooled buffer lengths
+            // this lane has stopped using (the first flush's tables pass,
+            // request lengths that never recur).
+            pool::trim_thread_local,
+        );
         match exit {
             LoopExit::Drained => return,
             LoopExit::Panicked => {

@@ -20,6 +20,15 @@
 //! thread-safe: worker threads of the data-parallel trainer share it.
 //! Hit/miss counters are exposed through [`stats`] so tests and benches
 //! can verify allocation behaviour.
+//!
+//! A long-lived thread whose work varies in shape — a serving lane, whose
+//! request lengths differ query to query — would otherwise keep every
+//! length it ever saw in its thread-local cache. [`trim_thread_local`]
+//! frees the calling thread's local buckets that no checkout or return
+//! has touched in the last `TRIM_AGE` (64) trims; the serving lane calls
+//! it once per flush. Training and evaluation never call it: a training
+//! step reuses the same lengths every step, so a trim could only turn
+//! hits into misses there.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -83,22 +92,38 @@ const TL_MAX_LEN: usize = 64 * 1024;
 const TL_PER_BUCKET: usize = 16;
 /// Total float budget of one thread-local cache (4M floats = 16 MiB).
 const TL_MAX_FLOATS: usize = 4 << 20;
+/// Trims a thread-local bucket may go untouched before
+/// [`trim_thread_local`] frees it.
+const TRIM_AGE: u64 = 64;
 
-/// The lock-free thread-local front of the pool: `(buckets, total floats)`.
+/// One length's buffers in a thread-local cache.
+#[derive(Default)]
+struct TlBucket {
+    bufs: Vec<Vec<f32>>,
+    /// The cache's trim generation at the last `take_*` or `give` of
+    /// this length.
+    touched: u64,
+}
+
+/// The lock-free thread-local front of the pool.
 ///
 /// Tape-heavy workloads check buffers in and out hundreds of times per
 /// training step; serving those from a thread-local map removes the shard
 /// mutex and keeps recently used buffers cache-warm. Checkouts served here
 /// still count as pool hits.
 struct TlCache {
-    buckets: LenMap<Vec<Vec<f32>>>,
+    buckets: LenMap<TlBucket>,
+    /// Floats held across all buckets.
     floats: usize,
+    /// Count of [`trim_thread_local`] calls on this thread.
+    generation: u64,
 }
 
 thread_local! {
     static TL_CACHE: RefCell<TlCache> = RefCell::new(TlCache {
         buckets: LenMap::default(),
         floats: 0,
+        generation: 0,
     });
 }
 
@@ -213,8 +238,10 @@ pub fn take_uninit(len: usize) -> Vec<f32> {
     // Fast path: the thread-local cache, no locking.
     if len <= TL_MAX_LEN {
         let hit = TL_CACHE.with(|cell| {
-            let mut tl = cell.borrow_mut();
-            let buf = tl.buckets.get_mut(&len).and_then(Vec::pop);
+            let tl = &mut *cell.borrow_mut();
+            let bucket = tl.buckets.get_mut(&len)?;
+            bucket.touched = tl.generation;
+            let buf = bucket.bufs.pop();
             if buf.is_some() {
                 tl.floats -= len;
             }
@@ -274,15 +301,16 @@ pub fn give(buf: Vec<f32>) {
     // still recycle what this one over-produces.
     let buf = if len <= TL_MAX_LEN {
         let rejected = TL_CACHE.with(|cell| {
-            let mut tl = cell.borrow_mut();
+            let tl = &mut *cell.borrow_mut();
             if tl.floats + len > TL_MAX_FLOATS {
                 return Some(buf);
             }
             let bucket = tl.buckets.entry(len).or_default();
-            if bucket.len() >= TL_PER_BUCKET {
+            bucket.touched = tl.generation;
+            if bucket.bufs.len() >= TL_PER_BUCKET {
                 return Some(buf);
             }
-            bucket.push(buf);
+            bucket.bufs.push(buf);
             tl.floats += len;
             None
         });
@@ -330,7 +358,7 @@ pub fn flush_thread_local() {
         }
         tl.floats = 0;
         // tspn-lint: allow(hash-order) — recycled-buffer buckets hold interchangeable capacity, never values; drain order cannot reach any computed number
-        tl.buckets.drain().collect()
+        tl.buckets.drain().map(|(len, b)| (len, b.bufs)).collect()
     });
     if drained.is_empty() {
         return;
@@ -353,6 +381,35 @@ pub fn flush_thread_local() {
             }
         }
     }
+}
+
+/// Frees the calling thread's local buckets that no `take_*` or [`give`]
+/// has touched in the last `TRIM_AGE` calls of this function on this
+/// thread, and counts one more call. The shared shards, the counters and
+/// other threads' caches are left alone.
+///
+/// Meant for a long-lived thread that calls it once per unit of work (the
+/// serving lane, once per flush): lengths the thread keeps using stay
+/// pooled, lengths it saw once — a first flush's one-off tables pass, a
+/// request length that never recurs — are released after `TRIM_AGE`
+/// units instead of being held for the thread's lifetime. Training never
+/// calls it, so its warmed buffers are never dropped.
+pub fn trim_thread_local() {
+    TL_CACHE.with(|cell| {
+        let tl = &mut *cell.borrow_mut();
+        tl.generation += 1;
+        let generation = tl.generation;
+        let mut freed = 0;
+        // tspn-lint: allow(hash-order) — the freed set and the float sum do not depend on visit order, and freed buffers hold no values anything reads
+        tl.buckets.retain(|len, bucket| {
+            let keep = generation - bucket.touched <= TRIM_AGE;
+            if !keep {
+                freed += len * bucket.bufs.len();
+            }
+            keep
+        });
+        tl.floats -= freed;
+    });
 }
 
 /// A pooled buffer that returns itself on drop — for op-internal
@@ -433,6 +490,9 @@ mod tests {
 
     #[test]
     fn zeroed_buffers_are_zero_even_when_recycled() {
+        // clear() empties the shared shards, which the trim tests below
+        // inspect under the same lock.
+        let _guard = counter_lock();
         clear();
         let mut a = take_uninit(333);
         a.iter_mut().for_each(|v| *v = 7.0);
@@ -465,6 +525,104 @@ mod tests {
         let again = take_uninit(5557);
         assert!(stats().hits > hits_before);
         give(again);
+    }
+
+    /// Runs `f` on a fresh thread, so it starts from an empty thread-local
+    /// cache at generation 0 whatever thread the harness uses.
+    fn on_fresh_thread(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            s.spawn(f).join().expect("test thread panicked");
+        });
+    }
+
+    /// `(floats the calling thread's cache says it holds, floats its
+    /// buckets actually hold)`.
+    fn tl_floats() -> (usize, usize) {
+        TL_CACHE.with(|cell| {
+            let tl = cell.borrow();
+            let held = tl.buckets.iter().map(|(len, b)| len * b.bufs.len()).sum();
+            (tl.floats, held)
+        })
+    }
+
+    fn tl_holds(len: usize) -> bool {
+        TL_CACHE.with(|cell| cell.borrow().buckets.contains_key(&len))
+    }
+
+    #[test]
+    fn trim_keeps_a_bucket_touched_between_every_trim() {
+        on_fresh_thread(|| {
+            give(take_uninit(2311));
+            for _ in 0..2 * TRIM_AGE {
+                trim_thread_local();
+                give(take_uninit(2311));
+            }
+            assert!(tl_holds(2311));
+            let (floats, held) = tl_floats();
+            assert_eq!(floats, held);
+            assert_eq!(held, 2311);
+        });
+    }
+
+    #[test]
+    fn trim_frees_an_untouched_bucket_after_trim_age_trims() {
+        on_fresh_thread(|| {
+            give(take_uninit(2333));
+            give(take_uninit(2339));
+            for _ in 0..TRIM_AGE {
+                trim_thread_local();
+                // 2339 is touched every trim, 2333 never again.
+                give(take_uninit(2339));
+            }
+            assert!(tl_holds(2333), "freed before trim TRIM_AGE + 1");
+            trim_thread_local();
+            assert!(!tl_holds(2333), "kept past trim TRIM_AGE + 1");
+            assert!(tl_holds(2339));
+            let (floats, held) = tl_floats();
+            assert_eq!(floats, held);
+            assert_eq!(held, 2339);
+        });
+    }
+
+    #[test]
+    fn trim_leaves_the_shared_shards_alone() {
+        let _guard = counter_lock();
+        let len = TL_MAX_LEN + 4099;
+        let shard_held = || {
+            let shard = pool().shards[shard_for(len)].lock().expect("pool shard");
+            shard.buckets.get(&len).map_or(0, Vec::len)
+        };
+        on_fresh_thread(|| {
+            give(take_uninit(len));
+            let before = shard_held();
+            assert!(before >= 1);
+            let retained = pool().retained_floats.load(Ordering::Relaxed);
+            for _ in 0..2 * TRIM_AGE + 1 {
+                trim_thread_local();
+            }
+            assert_eq!(shard_held(), before);
+            assert_eq!(pool().retained_floats.load(Ordering::Relaxed), retained);
+            give(take_uninit(len));
+        });
+    }
+
+    #[test]
+    fn a_freed_length_is_a_counted_miss_afterwards() {
+        let _guard = counter_lock();
+        on_fresh_thread(|| {
+            give(take_uninit(2341));
+            for _ in 0..=TRIM_AGE {
+                trim_thread_local();
+            }
+            assert!(!tl_holds(2341));
+            // Nothing else uses this length, so no shard holds it either:
+            // the checkout must allocate.
+            let misses = stats().misses;
+            let buf = take_uninit(2341);
+            assert_eq!(buf.len(), 2341);
+            assert!(stats().misses > misses);
+            give(buf);
+        });
     }
 
     #[test]
