@@ -25,6 +25,16 @@
 //! unchanged; `tests/golden_datasets.rs` pins it for all four presets.
 //! Only the distance decay, which depends on where the agent stands, is
 //! computed per step.
+//!
+//! Generation has two steps. The **city step** ([`generate_city`])
+//! places the POIs with the master-seeded RNG: that fixes the region,
+//! the POI table and the category count, which is all a served model
+//! reads. The **check-in simulation** then runs every
+//! user's calendar over that city, each user on an RNG seeded by its own
+//! id. No user draw touches the master RNG, so a city built alone is
+//! bitwise the city of the full [`generate_dataset`]; `generate` runs the
+//! city step itself, so the two cannot drift. A serving backend builds
+//! the city only; training and evaluation need the check-ins.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -265,11 +275,32 @@ impl SynthGenerator {
         self.world.districts()[0]
     }
 
-    /// Runs the full simulation.
-    pub fn generate(&self) -> LbsnDataset {
+    /// The city step: the region, category count and POIs, placed by the
+    /// master-seeded RNG. The dataset has no users.
+    fn city(&self) -> LbsnDataset {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let pois = self.place_pois(&mut rng);
+        LbsnDataset {
+            name: cfg.name.clone(),
+            region: cfg.region,
+            pois: self.place_pois(&mut rng),
+            num_categories: cfg.num_categories,
+            users: Vec::new(),
+        }
+    }
+
+    /// Runs the full simulation: the city step, then every user's
+    /// check-in calendar.
+    pub fn generate(&self) -> LbsnDataset {
+        let mut ds = self.city();
+        ds.users = self.simulate_users(&ds.pois);
+        ds
+    }
+
+    /// The check-in simulation over a placed city. Each user draws from an
+    /// RNG seeded by its own id, so it never perturbs the city step.
+    fn simulate_users(&self, pois: &[Poi]) -> Vec<UserHistory> {
+        let cfg = &self.config;
         let mut fit = [[0.0; 6]; TIME_SLOTS];
         for (slot, row) in fit.iter_mut().enumerate() {
             for c in 0..6 {
@@ -370,14 +401,7 @@ impl SynthGenerator {
                 DEFAULT_GAP_SECS,
             ));
         }
-
-        LbsnDataset {
-            name: cfg.name.clone(),
-            region: cfg.region,
-            pois,
-            num_categories: cfg.num_categories,
-            users,
-        }
+        users
     }
 
     /// One decision step of the agent; `weights` is a reused buffer.
@@ -418,9 +442,15 @@ impl SynthGenerator {
 /// Convenience: build generator + dataset in one call.
 pub fn generate_dataset(config: SynthConfig) -> (LbsnDataset, World) {
     let g = SynthGenerator::new(config);
-    let ds = g.generate();
-    let world = g.world().clone();
-    (ds, world)
+    (g.generate(), g.world)
+}
+
+/// Convenience: build generator + city in one call. The POIs, region and
+/// category count are bitwise those of [`generate_dataset`] on the same
+/// config; `users` is empty and `days` is never read.
+pub fn generate_city(config: SynthConfig) -> (LbsnDataset, World) {
+    let g = SynthGenerator::new(config);
+    (g.city(), g.world)
 }
 
 #[cfg(test)]

@@ -7,9 +7,14 @@
 //! words. For each POI in id order: `lat.to_bits()`, `lon.to_bits()`,
 //! `cate`. Then for each user and each of their trajectories: the word
 //! `0xFFFF`, then `poi` and `time` for each visit.
+//!
+//! Every pinned config also checks the city step alone: `generate_city`
+//! must give bitwise the region, category count and POIs of the full
+//! dataset, and no users, because a serving backend boots from it while
+//! its offline references use `generate_dataset`.
 
 use tspn_data::presets::{california_mini, florida_mini, nyc_mini, tky_mini};
-use tspn_data::synth::{generate_dataset, SynthConfig};
+use tspn_data::synth::{generate_city, generate_dataset, SynthConfig};
 use tspn_data::LbsnDataset;
 
 struct Fnv1a(u64);
@@ -46,6 +51,23 @@ fn fingerprint(ds: &LbsnDataset) -> u64 {
     h.0
 }
 
+/// The city as words: the region's corner bits, the category count, then
+/// `lat.to_bits()`, `lon.to_bits()` and `cate` for each POI in id order.
+fn city_words(ds: &LbsnDataset) -> Vec<u64> {
+    let r = &ds.region;
+    let mut words = vec![
+        r.min_lat.to_bits(),
+        r.min_lon.to_bits(),
+        r.max_lat.to_bits(),
+        r.max_lon.to_bits(),
+        ds.num_categories as u64,
+    ];
+    for p in &ds.pois {
+        words.extend([p.loc.lat.to_bits(), p.loc.lon.to_bits(), p.cate.0 as u64]);
+    }
+    words
+}
+
 fn with_days(mut cfg: SynthConfig, days: usize) -> SynthConfig {
     cfg.days = days;
     cfg
@@ -53,11 +75,20 @@ fn with_days(mut cfg: SynthConfig, days: usize) -> SynthConfig {
 
 fn assert_golden(cfg: SynthConfig, want: u64) {
     let label = format!("{} ({} POIs, {} days)", cfg.name, cfg.num_pois, cfg.days);
-    let (ds, _) = generate_dataset(cfg);
+    let (ds, _) = generate_dataset(cfg.clone());
     let got = fingerprint(&ds);
     assert_eq!(
         got, want,
         "{label}: fingerprint {got:016x}, want {want:016x}"
+    );
+    let (city, _) = generate_city(cfg);
+    assert!(
+        city.users.is_empty(),
+        "{label}: the city step simulated users"
+    );
+    assert!(
+        city_words(&city) == city_words(&ds),
+        "{label}: the city step alone differs from the full dataset's city"
     );
 }
 

@@ -1,7 +1,7 @@
 //! `tspn-serve` — the long-lived next-POI serving process.
 //!
 //! ```text
-//! tspn-serve --port 7878 --preset nyc --scale 0.15 --days 12 \
+//! tspn-serve --port 7878 --preset nyc --scale 0.15 \
 //!            [--checkpoint model.json] [--dump-checkpoint boot.json] \
 //!            [--max-batch 32] [--max-queue-depth 1024] \
 //!            [--session-ttl-ms 900000] \
@@ -16,10 +16,13 @@
 //! spaces tile and their `/v1/topology` answers say `"backend"`.
 //!
 //! The synthetic presets are deterministic, so the server regenerates the
-//! exact dataset a checkpoint was trained on from `(preset, scale, days)`.
-//! `--dump-checkpoint` writes the booted parameters (after an optional
-//! `--checkpoint` load) in `model.save` format — handy for smoke-testing
-//! `/admin/reload` without a separate training run.
+//! exact city a checkpoint was trained on from `(preset, scale)`: the
+//! POIs, imagery and road network. It skips the check-in simulation,
+//! because every served history arrives with its request. `--days` is
+//! still accepted and validated, but it no longer changes what a backend
+//! serves. `--dump-checkpoint` writes the booted parameters (after an
+//! optional `--checkpoint` load) in `model.save` format — handy for
+//! smoke-testing `/admin/reload` without a separate training run.
 //!
 //! Micro-batching is work-conserving (an idle lane flushes at once, a busy
 //! one takes whatever queued during its last forward), so its one knob is
@@ -47,10 +50,10 @@
 //! predictions flush before the process exits 0.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tspn_core::{SpatialContext, TspnConfig};
-use tspn_data::synth::{generate_dataset, SynthConfig};
+use tspn_data::synth::{generate_city, SynthConfig};
 use tspn_serve::{server, BatchConfig, ChaosConfig, ServerConfig, SessionConfig};
 
 /// Set by the signal handler; polled by the main loop.
@@ -60,7 +63,6 @@ struct Args {
     port: u16,
     preset: String,
     scale: f64,
-    days: usize,
     checkpoint: Option<String>,
     dump_checkpoint: Option<String>,
     batch: BatchConfig,
@@ -99,7 +101,6 @@ fn parse_args() -> Args {
         port: 7878,
         preset: "nyc".into(),
         scale: 0.15,
-        days: 12,
         checkpoint: None,
         dump_checkpoint: None,
         batch: BatchConfig::default(),
@@ -118,7 +119,11 @@ fn parse_args() -> Args {
             "--port" => args.port = parse(v),
             "--preset" => args.preset = v.clone(),
             "--scale" => args.scale = parse(v),
-            "--days" => args.days = positive(v),
+            // Validated for old invocations; a backend simulates no
+            // check-ins, so the value is unused.
+            "--days" => {
+                positive(v);
+            }
             "--checkpoint" => args.checkpoint = Some(v.clone()),
             "--dump-checkpoint" => args.dump_checkpoint = Some(v.clone()),
             "--max-batch" => args.batch.max_batch = positive(v),
@@ -213,21 +218,21 @@ fn main() {
     if let Some(route) = &args.route {
         run_router(args.port, route);
     }
-    let mut dcfg = preset_config(&args.preset, args.scale);
-    dcfg.days = args.days;
+    let dcfg = preset_config(&args.preset, args.scale);
     let model_cfg = model_config();
 
     eprintln!(
-        "tspn-serve: generating dataset {} (scale {}, {} days)…",
-        dcfg.name, args.scale, dcfg.days
+        "tspn-serve: generating city {} (scale {})…",
+        dcfg.name, args.scale
     );
-    let (ds, world) = generate_dataset(dcfg);
-    let ctx = SpatialContext::build(ds, world, &model_cfg);
+    let t0 = Instant::now();
+    let (city, world) = generate_city(dcfg);
+    let ctx = SpatialContext::build(city, world, &model_cfg);
     eprintln!(
-        "tspn-serve: context ready ({} POIs, {} leaf tiles, {} users)",
+        "tspn-serve: context ready in {:.1} ms ({} POIs, {} leaf tiles)",
+        t0.elapsed().as_secs_f64() * 1e3,
         ctx.dataset.pois.len(),
-        ctx.num_leaves(),
-        ctx.dataset.users.len()
+        ctx.num_leaves()
     );
 
     if let Some(path) = &args.dump_checkpoint {

@@ -6,9 +6,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use serde::Value;
-use tspn_core::{Partition, Predictor, Query, SpatialContext, TspnConfig};
+use tspn_core::{Partition, Predictor, Query, SpatialContext, TspnConfig, TspnRa};
 use tspn_data::presets::nyc_mini;
-use tspn_data::synth::generate_dataset;
+use tspn_data::synth::{generate_city, generate_dataset};
 use tspn_data::{PoiId, Sample, Visit};
 use tspn_serve::protocol::{
     error_of, session_append_body, session_create_body, v1_predict_request_body,
@@ -43,6 +43,15 @@ fn tiny_ctx(cfg: &TspnConfig) -> SpatialContext {
     dcfg.days = 12;
     let (ds, world) = generate_dataset(dcfg);
     SpatialContext::build(ds, world, cfg)
+}
+
+/// The context a `tspn-serve` backend boots from: the same city as
+/// [`tiny_ctx`], without the simulated check-ins.
+fn tiny_city_ctx(cfg: &TspnConfig) -> SpatialContext {
+    let mut dcfg = nyc_mini(0.1);
+    dcfg.days = 12;
+    let (city, world) = generate_city(dcfg);
+    SpatialContext::build(city, world, cfg)
 }
 
 fn start_server(seed: u64, batch: BatchConfig) -> ServerHandle {
@@ -489,6 +498,91 @@ fn mixed_payload_and_session_queries_are_bitwise_identical_under_load() {
         .and_then(Value::as_array)
         .expect("lanes array");
     assert_eq!(lanes.len(), 1, "default server runs one lane");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_city_only_backend_answers_bitwise_like_the_full_dataset() {
+    // A backend boots from the city alone; its offline references and
+    // checkpoints come from the full simulated dataset. Both must agree
+    // bitwise on the model's parameters and on every served answer.
+    let cfg = tiny_model_cfg(7);
+    let city = tiny_city_ctx(&cfg);
+    assert!(city.dataset.users.is_empty(), "the city has no check-ins");
+    let (reference, samples) = reference_predictor(7);
+
+    // Checkpoints stay interchangeable: `--dump-checkpoint`, `--checkpoint`
+    // and `/admin/reload` files load into either context.
+    let city_ckpt = TspnRa::new(cfg.clone(), &city).save();
+    let full_ckpt = TspnRa::new(cfg.clone(), reference.ctx()).save();
+    assert_eq!(city_ckpt.tensors.len(), full_ckpt.tensors.len());
+    for (a, b) in city_ckpt.tensors.iter().zip(&full_ckpt.tensors) {
+        assert_eq!((&a.name, &a.shape), (&b.name, &b.shape));
+        let bits = |t: &[f32]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&a.data) == bits(&b.data), "{} differs", a.name);
+    }
+    assert_eq!(
+        serde_json::to_string(&city_ckpt).expect("serialise"),
+        serde_json::to_string(&full_ckpt).expect("serialise")
+    );
+
+    let handle = server::start(
+        ServerConfig {
+            batch: BatchConfig {
+                max_batch: 8,
+                queue_cap: 256,
+            },
+            lanes: 2,
+            ..ServerConfig::default()
+        },
+        cfg,
+        city,
+        None,
+    )
+    .expect("server starts");
+    let addr = handle.local_addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+
+    // Payload-addressed: every sample's raw stream.
+    for s in samples.iter().take(24) {
+        let (status, v) = client
+            .post_json("/v1/predict", &v1_body(&reference, s, 4, 10))
+            .expect("v1 predict I/O");
+        assert_eq!(status, 200, "v1 predict failed: {v:?}");
+        let offline = reference.predict_one(&Query::with_top(*s, 4, 10));
+        assert_eq!(pois_of(&v), offline.pois, "v1 ranking diverged for {s:?}");
+    }
+
+    // Session-addressed: seed with the history, then append the current
+    // trajectory visit by visit and predict after each append.
+    let s = *samples
+        .iter()
+        .find(|s| s.traj_index > 0 && s.prefix_len >= 3)
+        .expect("dataset has a deep sample");
+    let stream = stream_of(&reference, &s);
+    let (history, prefix) = stream.split_at(stream.len() - s.prefix_len);
+    let (status, v) = client
+        .post_json("/v1/sessions", &session_create_body(s.user_index, history))
+        .expect("create I/O");
+    assert_eq!(status, 200, "{v:?}");
+    let id = str_field(&v, "session").to_string();
+    for j in 1..=prefix.len() {
+        let (status, v) = client
+            .post_json(
+                &format!("/v1/sessions/{id}/checkins"),
+                &session_append_body(&prefix[j - 1..j]),
+            )
+            .expect("append I/O");
+        assert_eq!(status, 200, "append {j} failed: {v:?}");
+        let (status, v) = client
+            .post_json(&format!("/v1/sessions/{id}/predict"), r#"{"k":4,"top":10}"#)
+            .expect("session predict I/O");
+        assert_eq!(status, 200, "session predict {j} failed: {v:?}");
+        let offline = reference.predict_one(&Query::with_top(Sample { prefix_len: j, ..s }, 4, 10));
+        assert_eq!(pois_of(&v), offline.pois, "session step {j} diverged");
+    }
 
     handle.shutdown();
     handle.join();
