@@ -95,16 +95,21 @@ impl SpatialContext {
         }
         debug_assert!(poi_leaf.iter().all(|&r| r != usize::MAX));
 
-        let imagery = if config.variant.use_imagery {
-            ImageryDataset::render_all_nodes(&world, dataset.region, &tree, config.image_size)
+        // Every node gets an image even with imagery disabled, because
+        // `image_buffers_from` needs one per node. That model never reads
+        // the pixels (it uses learnable tile-id embeddings instead), so it
+        // gets the cheapest render, 8 px. The road edges are derived in
+        // the same worker-pool batch as the render.
+        let image_size = if config.variant.use_imagery {
+            config.image_size
         } else {
-            // Imagery disabled: keep an empty dataset; the model falls back
-            // to learnable tile-id embeddings.
-            ImageryDataset::render_all_nodes(&world, dataset.region, &tree, 8)
+            8
         };
-
-        let roads = generate_roads(&world, RoadGenConfig::default());
-        let road_adjacency = road_tile_adjacency(&roads, &tree, &dataset.region);
+        let (imagery, road_adjacency) =
+            ImageryDataset::render_all_nodes_and(&world, dataset.region, &tree, image_size, || {
+                let roads = generate_roads(&world, RoadGenConfig::default());
+                road_tile_adjacency(&roads, &tree, &dataset.region)
+            });
 
         let (image_chw, image_chw_size) =
             Self::image_buffers_from(&imagery, &tree, config.image_size);

@@ -120,16 +120,6 @@ impl Predictor {
         }
     }
 
-    /// Wraps an existing trainer (e.g. to serve a just-trained model).
-    pub fn from_trainer(trainer: Trainer) -> Self {
-        Predictor { trainer }
-    }
-
-    /// Releases the wrapped trainer (e.g. to continue training).
-    pub fn into_trainer(self) -> Trainer {
-        self.trainer
-    }
-
     /// Discards the model (whose state a panic mid-forward may have left
     /// inconsistent) and rebuilds a fresh one over the same spatial
     /// context and configuration. The context is immutable at serving
@@ -201,19 +191,23 @@ impl Predictor {
 
     /// Atomically replaces the parameters from a checkpoint: validates
     /// first ([`Predictor::validate_checkpoint`]), then restores, then
-    /// invalidates the cached batch tables. On error **no** parameter has
-    /// been modified and the predictor keeps serving the old snapshot.
+    /// invalidates the cached batch tables. On a validation error **no**
+    /// parameter has been modified and the predictor keeps serving the old
+    /// snapshot.
+    ///
+    /// The restore checks a subset of what validation checks, so it cannot
+    /// fail once validation has passed. Should it ever, its message is
+    /// returned rather than panicking the caller (the `/admin/reload`
+    /// handler or the serving supervisor), and the cached tables are still
+    /// invalidated because some parameters may already have been written.
     ///
     /// # Errors
     /// Returns the validation message on a corrupt or mismatched file.
     pub fn load_checkpoint(&self, ckpt: &Checkpoint) -> Result<(), String> {
         self.validate_checkpoint(ckpt)?;
-        self.trainer
-            .model
-            .load(ckpt)
-            .expect("validated checkpoint cannot fail to restore");
+        let restored = self.trainer.model.load(ckpt);
         self.trainer.mark_model_dirty();
-        Ok(())
+        restored
     }
 
     /// Answers a batch of queries in order; see [`Trainer::predict_batch`].

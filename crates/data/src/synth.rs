@@ -236,11 +236,10 @@ impl SynthGenerator {
             );
             let x = rng.gen_range(0.0..1.0);
             let y = rng.gen_range(0.0..1.0);
-            let attract = self.world.attractiveness(x, y);
-            if rng.gen::<f64>() >= attract {
+            let land = self.world.land_use(x, y);
+            if rng.gen::<f64>() >= self.world.attractiveness(land, x, y) {
                 continue;
             }
-            let land = self.world.land_use(x, y);
             let cate = CategoryId(weighted_choice(rng, &cate_weights[land as usize]));
             pois.push(Poi {
                 id: PoiId(pois.len()),

@@ -5,7 +5,8 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tspn_geo::{BBox, NodeId, QuadTree};
+use tspn_geo::{BBox, NodeId, QuadNode, QuadTree};
+use tspn_tensor::parallel;
 use tspn_world::World;
 
 use crate::image::TileImage;
@@ -35,13 +36,47 @@ impl ImageryDataset {
     /// larger-area views, mirroring the paper's multi-scale imagery
     /// discussion (Fig. 4): the same pixel budget covers more ground for
     /// large tiles.
+    ///
+    /// Runs on the worker pool; see [`ImageryDataset::render_all_nodes_and`].
     pub fn render_all_nodes(world: &World, region: BBox, tree: &QuadTree, size: usize) -> Self {
+        Self::render_all_nodes_and(world, region, tree, size, || ()).0
+    }
+
+    /// [`ImageryDataset::render_all_nodes`], with `job` run in the same
+    /// worker-pool batch as the render; returns both results.
+    ///
+    /// The nodes are rendered in contiguous shards, a few per pool thread,
+    /// and `job` is the batch's first task, so an independent piece of
+    /// set-up (the spatial context derives its road edges this way) shares
+    /// the threads with the render instead of waiting for it. Every tile is
+    /// a pure function of its node, so the dataset is bitwise the same at
+    /// any thread count; at one thread every task runs inline, in order.
+    pub fn render_all_nodes_and<T: Send>(
+        world: &World,
+        region: BBox,
+        tree: &QuadTree,
+        size: usize,
+        job: impl FnOnce() -> T + Send,
+    ) -> (Self, T) {
         let renderer = TileRenderer::new(world, region);
-        let images = tree
-            .iter()
-            .map(|node| (node.id, renderer.render(&node.bbox, size)))
-            .collect();
-        ImageryDataset { images, size }
+        let renderer = &renderer;
+        let nodes: Vec<&QuadNode> = tree.iter().collect();
+        let per_shard = nodes.len().div_ceil(4 * parallel::num_threads()).max(1);
+        let mut shards = vec![Vec::new(); nodes.len().div_ceil(per_shard)];
+        let mut out = None;
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(|| out = Some(job()))];
+        for (chunk, shard) in nodes.chunks(per_shard).zip(&mut shards) {
+            tasks.push(Box::new(move || {
+                *shard = chunk
+                    .iter()
+                    .map(|node| (node.id, renderer.render(&node.bbox, size)))
+                    .collect();
+            }));
+        }
+        parallel::run_scoped(tasks);
+        let images = shards.into_iter().flatten().collect();
+        let out = out.expect("run_scoped runs every task");
+        (ImageryDataset { images, size }, out)
     }
 
     /// Image side length.

@@ -68,7 +68,7 @@ impl<'w> TileRenderer<'w> {
         }
         // Road overlay: thin bright lines where the road field peaks.
         if land != LandUse::Water {
-            let road = self.world.road_density(wx, wy);
+            let road = self.world.road_density_on(land, wx, wy);
             let grid = self.texture.sample(wx * 900.0, wy * 900.0);
             if road > 0.35 && grid > 0.82 {
                 rgb = [208, 204, 196]; // asphalt-grey road pixels

@@ -32,22 +32,22 @@ pub fn road_tile_adjacency(
     tree: &QuadTree,
     region: &BBox,
 ) -> BTreeSet<(NodeId, NodeId)> {
+    // Step fine enough to notice the smallest leaf tile.
+    let min_span = tree
+        .leaves()
+        .iter()
+        .map(|&l| {
+            let bb = tree.node(l).bbox;
+            bb.lat_span().min(bb.lon_span())
+        })
+        .fold(f64::INFINITY, f64::min);
+    let region_span = region.lat_span().min(region.lon_span());
+    let step = (min_span / region_span / 2.0).max(1e-4);
     let mut edges = BTreeSet::new();
     for seg in net.segments() {
         let a = net.node(seg.a);
         let b = net.node(seg.b);
         let len = net.distance(seg.a, seg.b);
-        // Step fine enough to notice the smallest leaf tile.
-        let min_span = tree
-            .leaves()
-            .iter()
-            .map(|&l| {
-                let bb = tree.node(l).bbox;
-                bb.lat_span().min(bb.lon_span())
-            })
-            .fold(f64::INFINITY, f64::min);
-        let region_span = region.lat_span().min(region.lon_span());
-        let step = (min_span / region_span / 2.0).max(1e-4);
         let steps = ((len / step).ceil() as usize).clamp(1, 10_000);
         let mut prev_tile: Option<NodeId> = None;
         for s in 0..=steps {

@@ -39,6 +39,8 @@
 //! A server runs one multiplexer thread, which owns every socket and
 //! answers non-prediction routes inline, plus one thread per lane, which
 //! runs the batched forward and sends each answer back to its connection.
+//! The compute pool's `TSPN_NUM_THREADS - 1` workers start at boot,
+//! because the context build renders its imagery on them.
 //! A router runs the multiplexer alone, which also forwards to the
 //! backends, so an idle router process runs two threads.
 //!

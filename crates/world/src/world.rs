@@ -226,7 +226,19 @@ impl World {
     /// Road density in `[0, 1]` — the environmental factor the paper calls
     /// out in challenge 1 ("high road density implies commuting visits").
     pub fn road_density(&self, x: f64, y: f64) -> f64 {
-        match self.land_use(x, y) {
+        self.road_density_on(self.land_use(x, y), x, y)
+    }
+
+    /// [`World::road_density`] at a point whose land use the caller
+    /// already holds: `land` must be `self.land_use(x, y)`.
+    ///
+    /// Classifying a point evaluates the coast, park and terrain noise
+    /// fields, the most expensive part of every field here. The imagery
+    /// renderer and [`World::attractiveness`] already hold the class, so
+    /// they call this and no point is classified twice. The result is
+    /// bitwise the one [`World::road_density`] returns.
+    pub fn road_density_on(&self, land: LandUse, x: f64, y: f64) -> f64 {
+        match land {
             LandUse::Water => 0.0,
             LandUse::Park => 0.05,
             _ => {
@@ -251,8 +263,12 @@ impl World {
     /// Concentrated in commercial/residential land with road access;
     /// beachfront strips get a bonus (boardwalks, resorts — the venues the
     /// Florida case study revolves around).
-    pub fn attractiveness(&self, x: f64, y: f64) -> f64 {
-        let base = match self.land_use(x, y) {
+    ///
+    /// `land` must be `self.land_use(x, y)`; POI placement classifies the
+    /// point to pick a category, so it passes the class in once (see
+    /// [`World::road_density_on`]).
+    pub fn attractiveness(&self, land: LandUse, x: f64, y: f64) -> f64 {
+        let base = match land {
             LandUse::Water => return 0.0,
             LandUse::Park => 0.08,
             LandUse::Commercial => 1.0,
@@ -261,7 +277,7 @@ impl World {
             LandUse::Suburban => 0.12,
         };
         let coastal_bonus = if self.is_coastal(x, y) { 0.8 } else { 0.0 };
-        ((base + coastal_bonus) * (0.4 + 0.6 * self.road_density(x, y))).min(1.0)
+        ((base + coastal_bonus) * (0.4 + 0.6 * self.road_density_on(land, x, y))).min(1.0)
     }
 }
 
@@ -352,7 +368,7 @@ mod tests {
             let y = i as f64 / 20.0;
             if w.is_water_at(0.97, y) {
                 assert_eq!(w.road_density(0.97, y), 0.0);
-                assert_eq!(w.attractiveness(0.97, y), 0.0);
+                assert_eq!(w.attractiveness(w.land_use(0.97, y), 0.97, y), 0.0);
             }
         }
     }
@@ -379,8 +395,8 @@ mod tests {
     fn attractiveness_highest_downtown() {
         let w = World::new(WorldConfig::default());
         let (dx, dy) = w.districts()[0];
-        let downtown = w.attractiveness(dx, dy);
-        let fringe = w.attractiveness(0.02, 0.02);
+        let downtown = w.attractiveness(w.land_use(dx, dy), dx, dy);
+        let fringe = w.attractiveness(w.land_use(0.02, 0.02), 0.02, 0.02);
         assert!(downtown > fringe, "downtown {downtown} vs fringe {fringe}");
     }
 }
