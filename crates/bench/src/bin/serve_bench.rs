@@ -36,16 +36,19 @@
 //! stats schema v3, valid and *bitwise-reference-identical* top-k
 //! answers on the payload and session endpoints, the full session
 //! lifecycle (create → append → predict → delete → gone, plus TTL
-//! expiry when `--session-ttl-ms` names the server's TTL), typed-error
+//! expiry when `--session-ttl-ms` names the server's TTL), a session
+//! check-in at an already-visited POI that must hit the history memo
+//! (summed `history_memo_hits` rises) and stay bitwise, typed-error
 //! statuses (404/405/410/422), `/admin/reload` hot-swap (with `--ckpt`),
 //! and rejection of corrupt checkpoints.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Value;
 use tspn_core::{Predictor, Query, SpatialContext, TspnConfig};
 use tspn_data::synth::{generate_dataset, SynthConfig};
-use tspn_data::{LbsnDataset, PoiId, Sample};
+use tspn_data::{AdHocTrajectory, LbsnDataset, PoiId, Sample, UserId, Visit, DEFAULT_GAP_SECS};
 use tspn_serve::client::RetryPolicy;
 use tspn_serve::shard::shard_of_content;
 use tspn_serve::{
@@ -483,6 +486,7 @@ fn smoke(
     println!("serve_bench: v1-payload top-k answers bitwise-identical to offline predict");
 
     smoke_sessions(&mut client, reference, samples, session_ttl_ms);
+    smoke_session_revisit(&mut client, reference, samples);
     smoke_typed_errors(&mut client, reference);
 
     // Corrupt checkpoints must be rejected (400) and leave serving intact.
@@ -630,6 +634,92 @@ fn smoke_sessions(
         assert_eq!(status, 410, "expired session should be 410, got {text}");
         println!("serve_bench: idle session expired after ~{ttl_ms} ms (410 gone)");
     }
+}
+
+/// Summed `history_memo_hits` over every lane the server (or, behind a
+/// router, the fleet) reports.
+fn memo_hits(client: &mut Client) -> u64 {
+    let (status, text) = client.get("/v1/stats").expect("smoke: stats I/O");
+    assert_eq!(status, 200, "stats failed: {text}");
+    let stats: Value = serde_json::from_str(&text).expect("stats JSON");
+    num_of(&stats, &["aggregate", "history_memo_hits"])
+}
+
+/// Revisit smoke: a session check-in at a POI the session already holds
+/// leaves its history's QR-P graph unchanged, so the next predict reuses
+/// the memoised history encoding (the summed `history_memo_hits` rises)
+/// and is still bitwise the offline reference's cold answer.
+///
+/// The session starts from a short run of a sample's check-ins. Each
+/// append is a day past the trajectory gap, so the visit before it joins
+/// the history: the first append turns the seed run into the history,
+/// the second adds a revisit of the seed's first POI to it.
+fn smoke_session_revisit(client: &mut Client, reference: &Predictor, samples: &[Sample]) {
+    let ds = &reference.ctx().dataset;
+    let s = samples[0];
+    let stream = ds.sample_checkins(&s);
+    let mut visits: Vec<Visit> = stream[..stream.len().min(4)].to_vec();
+    let (status, text) = client
+        .post(
+            "/v1/sessions",
+            &protocol::session_create_body(s.user_index, &visits),
+        )
+        .expect("smoke: revisit create I/O");
+    assert_eq!(status, 200, "revisit session create failed: {text}");
+    let v: Value = serde_json::from_str(&text).expect("session create JSON");
+    let id = v
+        .get("session")
+        .and_then(Value::as_str)
+        .expect("session id")
+        .to_string();
+    let step = |client: &mut Client, visits: &mut Vec<Visit>| {
+        let revisit = Visit {
+            poi: visits[0].poi,
+            time: visits[visits.len() - 1].time + DEFAULT_GAP_SECS + 86_400,
+        };
+        visits.push(revisit);
+        let (status, text) = client
+            .post(
+                &format!("/v1/sessions/{id}/checkins"),
+                &protocol::session_append_body(&[revisit]),
+            )
+            .expect("smoke: revisit append I/O");
+        assert_eq!(status, 200, "revisit append failed: {text}");
+        let before = memo_hits(client);
+        let (status, text) = client
+            .post(
+                &format!("/v1/sessions/{id}/predict"),
+                "{\"k\":4,\"top\":10}",
+            )
+            .expect("smoke: revisit predict I/O");
+        assert_eq!(status, 200, "revisit predict failed: {text}");
+        let v: Value = serde_json::from_str(&text).expect("session predict JSON");
+        // The reference encodes from scratch.
+        reference.model().clear_cache();
+        let trajectory =
+            AdHocTrajectory::from_checkins(UserId(s.user_index), visits, DEFAULT_GAP_SECS)
+                .expect("smoke: revisit stream is ordered");
+        let offline = reference.predict_one(&Query::adhoc(Arc::new(trajectory), 4, 10));
+        assert_eq!(
+            pois_of(&v),
+            offline.pois,
+            "session predict after a revisit diverged from the offline reference"
+        );
+        memo_hits(client) - before
+    };
+    // The seed run becomes the history.
+    step(client, &mut visits);
+    // The history gains a revisit of a POI it holds: the same graph.
+    let hits = step(client, &mut visits);
+    assert!(
+        hits >= 1,
+        "a session predict whose history only gained a revisit missed the history memo"
+    );
+    let (status, _) = client
+        .request("DELETE", &format!("/v1/sessions/{id}"), None)
+        .expect("smoke: revisit delete I/O");
+    assert_eq!(status, 200, "revisit session delete failed");
+    println!("serve_bench: session revisit reused the history encoding (bitwise vs reference)");
 }
 
 /// Typed-error smoke: each status class answers with its code and the

@@ -39,7 +39,7 @@ mod trainer;
 pub use batch::BatchForward;
 pub use config::{Partition, TspnConfig, TspnVariant};
 pub use context::SpatialContext;
-pub use model::{descending_order, top_k_indices, BatchTables, Prediction, TspnRa};
+pub use model::{descending_order, top_k_indices, BatchTables, MemoCounts, Prediction, TspnRa};
 pub use predictor::{Predictor, Query, TopK};
 pub use subject::Subject;
 pub use trainer::{EpochStats, EvalOutcome, Trainer};

@@ -2,7 +2,7 @@
 //! graph knowledge, attention fusion, and the two-step tile→POI predictor
 //! with the ArcFace margin loss.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -47,23 +47,56 @@ impl Prediction {
 /// One trajectory's cached history encodings `(H_T◁, H_P◁)`.
 type HistoryEncodings = (Option<Tensor>, Option<Tensor>);
 
-/// Content key of a history visit run: the exact `(poi, time)` sequence.
-/// Keys both the QR-P structure cache and the inference-time encoding
-/// memo, so an ad-hoc subject whose history matches an indexed sample's
-/// (or a session re-predicting an unchanged sequence) reuses the cached
-/// work — and two *different* sequences can never collide.
-pub(crate) type HistKey = Box<[(usize, i64)]>;
+/// Graph key of a windowed history: its distinct POI ids in first-visit
+/// order. That is everything [`build_qrp`] reads from a visit run (the
+/// tiles follow from the POIs; times and repeat counts never enter the
+/// graph), so two runs with one key have one QR-P graph, and under fixed
+/// tables one HGAT encoding. Keys both the QR-P structure cache and the
+/// inference-time encoding memo: an ad-hoc subject whose history matches
+/// an indexed sample's, a session re-predicting an unchanged history, and
+/// a session whose newest history visit revisits a POI it already holds
+/// all reuse the cached work. Two runs whose graphs differ never share a
+/// key. Both caches look a key up as a borrowed `&[usize]`, so a hit
+/// allocates none.
+pub(crate) type HistKey = Box<[usize]>;
 
-/// Builds the content key of a visit run.
-pub(crate) fn hist_key(visits: &[Visit]) -> HistKey {
-    visits.iter().map(|v| (v.poi.0, v.time)).collect()
+/// Writes the graph key ([`HistKey`]) of a visit run into `key`,
+/// replacing its contents.
+fn graph_key_into(visits: &[Visit], key: &mut Vec<usize>) {
+    key.clear();
+    for v in visits {
+        if !key.contains(&v.poi.0) {
+            key.push(v.poi.0);
+        }
+    }
 }
 
-/// The inference-time history memo: `(tile-table tensor id, per-history
-/// content key encodings)`.
+/// The inference-time history memo: `(tile-table tensor id, encodings
+/// per graph key)`.
 type HistoryCache = (u64, HashMap<HistKey, HistoryEncodings>);
 
-/// Bound on the content-keyed caches (the QR-P structure cache, which
+/// Running totals of no-grad history-memo lookups on one model: one per
+/// distinct history run of a batch that has a graph to encode (the
+/// variant uses the graph and the history is non-empty).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoCounts {
+    /// Lookups answered from the memo: no graph built, no HGAT run.
+    pub hits: u64,
+    /// Lookups that built the QR-P graph and ran the HGAT.
+    pub misses: u64,
+}
+
+impl MemoCounts {
+    /// The lookups counted after `earlier`, a reading of the same model.
+    pub fn since(self, earlier: MemoCounts) -> MemoCounts {
+        MemoCounts {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+        }
+    }
+}
+
+/// Bound on the graph-keyed caches (the QR-P structure cache, which
 /// training fills, and the inference history memo). Ad-hoc traffic can present
 /// unboundedly many distinct histories; past this many entries a cache is
 /// cleared wholesale (the in-dataset working set re-fills in one pass,
@@ -95,23 +128,25 @@ pub struct TspnRa {
     /// gathered per prefix instead of re-running the trig encoder on
     /// every forward pass. Row `i` = POI `i`.
     pub(crate) spatial_codes: Tensor,
-    /// QR-P structures keyed by history **content** (graphs are pure
-    /// functions of the visit run), so indexed and ad-hoc subjects with
-    /// the same history share one structure. Filled only by taped
+    /// QR-P structures keyed by the history's graph key ([`HistKey`]:
+    /// graphs are pure functions of it), so indexed and ad-hoc subjects
+    /// with the same history share one structure. Filled only by taped
     /// passes: training re-encodes every history each step. A no-grad
     /// inference pass reuses a structure training left here (a trained
     /// replica evaluating) but never adds one, because its
     /// `history_cache` entry already spares it the next rebuild.
     qrp_cache: RefCell<HashMap<HistKey, Rc<QrpGraph>>>,
     /// Inference-only memo of [`TspnRa::history_encodings_batch`]
-    /// outputs, keyed by the tile-table tensor id they were computed
-    /// against (history encodings are pure functions of
-    /// `(graph, tables)`): `(tables id, per-history content key
-    /// encodings)`. Populated only under
-    /// [`Tensor::no_grad`], where the cached tensors carry no tape. This
-    /// is all a serving replica keeps per history: the QR-P graph behind
-    /// an entry is dropped once it is encoded.
+    /// outputs: `(tables id, encodings per graph key)`. History encodings
+    /// are pure functions of `(graph, tables)`, so an entry is keyed by
+    /// the history's [`HistKey`] and the whole memo by the tile-table
+    /// tensor id it was computed against (a new table clears it).
+    /// Populated only under [`Tensor::no_grad`], where the cached tensors
+    /// carry no tape. This is all a serving replica keeps per history:
+    /// the QR-P graph behind an entry is dropped once it is encoded.
     history_cache: RefCell<HistoryCache>,
+    /// Hits and misses of `history_cache` lookups so far.
+    memo_counts: Cell<MemoCounts>,
     /// Packed `[n, 3, s, s]` tile-image input keyed by the context
     /// revision it was staged from. The packed tensor is a pure leaf (no
     /// tape), so reusing it across gradient steps is safe; it only goes
@@ -156,6 +191,7 @@ impl TspnRa {
             spatial_codes,
             qrp_cache: RefCell::new(HashMap::new()),
             history_cache: RefCell::new((0, HashMap::new())),
+            memo_counts: Cell::new(MemoCounts::default()),
             packed_cache: RefCell::new(None),
             rng: RefCell::new(StdRng::seed_from_u64(config.seed ^ 0xD20)),
             config,
@@ -313,23 +349,19 @@ impl TspnRa {
         visits
     }
 
-    /// QR-P graph for a history visit run (`key` is the run's
-    /// precomputed [`hist_key`] — callers build it once per subject and
-    /// share it across every content-keyed cache). Every pass reads
-    /// `qrp_cache`; only a taped one fills it, while a no-grad inference
-    /// pass (`inference`) drops the graph it built once it is encoded.
+    /// QR-P graph for a non-empty history visit run (`key` is the run's
+    /// graph key, see [`graph_key_into`]). Every pass reads `qrp_cache`;
+    /// only a taped one fills it, while a no-grad inference pass
+    /// (`inference`) drops the graph it built once it is encoded.
     fn qrp_graph(
         &self,
         ctx: &SpatialContext,
         history: &[Visit],
-        key: &HistKey,
+        key: &[usize],
         inference: bool,
-    ) -> Option<Rc<QrpGraph>> {
-        if !self.config.variant.use_graph || history.is_empty() {
-            return None;
-        }
+    ) -> Rc<QrpGraph> {
         if let Some(g) = self.qrp_cache.borrow().get(key) {
-            return Some(Rc::clone(g));
+            return Rc::clone(g);
         }
         let graph = Rc::new(build_qrp(
             &ctx.tree,
@@ -342,14 +374,14 @@ impl TspnRa {
             },
         ));
         if inference {
-            return Some(graph);
+            return graph;
         }
         let mut cache = self.qrp_cache.borrow_mut();
         if cache.len() >= CONTENT_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(key.clone(), Rc::clone(&graph));
-        Some(graph)
+        cache.insert(key.into(), Rc::clone(&graph));
+        graph
     }
 
     /// Initial node features `H^0` of a QR-P graph (Eq. 7): tiles from
@@ -408,12 +440,18 @@ impl TspnRa {
     /// graphs still needing encoding through one disjoint
     /// [`tspn_graph::Hgat::forward_union`] tape — the per-edge-type GEMMs
     /// and padded softmaxes batch across samples instead of running once
-    /// per graph. Duplicate histories share one encoding tensor (by id),
-    /// which the fusion module's identity dedup relies on. Under no-grad inference the encodings are
-    /// pure functions of `(graph, tables)` and are memoised by sequence
-    /// content, so evaluating many prefixes of one trajectory — or a
-    /// session re-predicting an unchanged history — runs the HGAT once;
-    /// the graphs built for a miss are dropped after encoding.
+    /// per graph.
+    ///
+    /// Within a batch, histories are grouped by their exact visit run:
+    /// equal runs share one encoding tensor (by id), which the fusion
+    /// module's identity dedup relies on, and a taped pass shares nothing
+    /// more. Under no-grad inference the encodings are pure functions of
+    /// `(graph, tables)` and are memoised by graph key ([`HistKey`]): a
+    /// run whose distinct POIs, in first-visit order, match an earlier
+    /// one's — many prefixes of one trajectory, a session re-predicting an
+    /// unchanged history, or one whose newest history visit is a revisit
+    /// — reuses that encoding and runs no HGAT. The graphs built for a
+    /// miss are dropped after encoding.
     pub(crate) fn history_encodings_batch(
         &self,
         ctx: &SpatialContext,
@@ -421,21 +459,18 @@ impl TspnRa {
         tables: &BatchTables,
         training: bool,
     ) -> Vec<HistoryEncodings> {
-        // Unique histories, in first-appearance order.
-        let mut keys: Vec<HistKey> = Vec::new();
+        // Unique exact runs, in first-appearance order.
         let mut uniq_hist: Vec<&[Visit]> = Vec::new();
-        let mut index: HashMap<HistKey, usize> = HashMap::new();
-        let mut uniq_of: Vec<usize> = Vec::with_capacity(histories.len());
-        for h in histories {
-            let key = hist_key(h);
-            let next = keys.len();
-            let u = *index.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                uniq_hist.push(h.as_slice());
-                next
-            });
-            uniq_of.push(u);
-        }
+        let mut index: HashMap<&[Visit], usize> = HashMap::new();
+        let uniq_of: Vec<usize> = histories
+            .iter()
+            .map(|h| {
+                *index.entry(h).or_insert_with(|| {
+                    uniq_hist.push(h);
+                    uniq_hist.len() - 1
+                })
+            })
+            .collect();
         // No-grad inference reads and fills the encoding memo and stores no
         // graph; taped passes skip the memo and fill the structure cache.
         let inference = !training && Tensor::grad_suspended();
@@ -447,24 +482,33 @@ impl TspnRa {
                 cache.1.clear();
             }
         }
-        // Per unique history: a ready encoding or a graph to encode.
-        let mut ready: Vec<Option<HistoryEncodings>> = vec![None; keys.len()];
-        let mut pending: Vec<(usize, Rc<QrpGraph>)> = Vec::new();
-        for (u, key) in keys.iter().enumerate() {
+        // Per unique run: a ready encoding or a graph to encode (with the
+        // graph key its encoding is memoised under).
+        let mut ready: Vec<Option<HistoryEncodings>> = vec![None; uniq_hist.len()];
+        let mut pending: Vec<(usize, HistKey, Rc<QrpGraph>)> = Vec::new();
+        let mut key: Vec<usize> = Vec::new();
+        let mut counts = self.memo_counts.get();
+        for (u, &hist) in uniq_hist.iter().enumerate() {
+            if !self.config.variant.use_graph || hist.is_empty() {
+                ready[u] = Some((None, None));
+                continue;
+            }
+            graph_key_into(hist, &mut key);
             if inference {
-                if let Some(e) = self.history_cache.borrow().1.get(key) {
+                if let Some(e) = self.history_cache.borrow().1.get(key.as_slice()) {
+                    counts.hits += 1;
                     ready[u] = Some(e.clone());
                     continue;
                 }
+                counts.misses += 1;
             }
-            match self.qrp_graph(ctx, uniq_hist[u], key, inference) {
-                Some(g) => pending.push((u, g)),
-                None => ready[u] = Some((None, None)),
-            }
+            let graph = self.qrp_graph(ctx, hist, &key, inference);
+            pending.push((u, key.as_slice().into(), graph));
         }
+        self.memo_counts.set(counts);
         // One union tape over everything still to encode.
         if !pending.is_empty() {
-            let refs: Vec<&QrpGraph> = pending.iter().map(|(_, g)| g.as_ref()).collect();
+            let refs: Vec<&QrpGraph> = pending.iter().map(|(_, _, g)| g.as_ref()).collect();
             let h0 = if refs.len() == 1 {
                 self.qrp_h0(refs[0], tables)
             } else {
@@ -473,17 +517,17 @@ impl TspnRa {
             };
             let h = self.hgat.forward_union(&refs, &h0);
             let mut off = 0usize;
-            for (u, g) in &pending {
-                let enc = Self::split_encoding(g, &h, off);
+            for (u, key, g) in pending {
+                let enc = Self::split_encoding(&g, &h, off);
                 off += g.num_nodes();
                 if inference {
                     let mut cache = self.history_cache.borrow_mut();
                     if cache.1.len() >= CONTENT_CACHE_CAP {
                         cache.1.clear();
                     }
-                    cache.1.insert(keys[*u].clone(), enc.clone());
+                    cache.1.insert(key, enc.clone());
                 }
-                ready[*u] = Some(enc);
+                ready[u] = Some(enc);
             }
         }
         uniq_of
@@ -689,6 +733,22 @@ impl TspnRa {
         .expect("one query yields one prediction")
     }
 
+    /// Hits and misses of the inference-time history-encoding memo since
+    /// this model was built ([`TspnRa::clear_cache`] keeps them).
+    pub fn history_memo_counts(&self) -> MemoCounts {
+        self.memo_counts.get()
+    }
+
+    /// Folds lookups counted on another model (a worker replica answering
+    /// part of this model's batch) into [`TspnRa::history_memo_counts`].
+    pub(crate) fn add_history_memo_counts(&self, more: MemoCounts) {
+        let c = self.memo_counts.get();
+        self.memo_counts.set(MemoCounts {
+            hits: c.hits + more.hits,
+            misses: c.misses + more.misses,
+        });
+    }
+
     /// Clears the QR-P structure cache (e.g. after swapping imagery the
     /// structures stay valid, but tests use this to force rebuilds) and
     /// the inference-time history-encoding memo.
@@ -884,18 +944,20 @@ mod tests {
         assert_eq!(model.qrp_cache.borrow().len(), 0);
     }
 
-    /// Up to `n` samples whose (non-empty) histories are pairwise distinct,
-    /// with those histories.
+    /// Up to `n` samples whose (non-empty) histories have pairwise
+    /// distinct graph keys, with those histories.
     fn distinct_histories(
         model: &TspnRa,
         ctx: &SpatialContext,
         n: usize,
     ) -> (Vec<Sample>, Vec<Vec<Visit>>) {
-        let mut seen: std::collections::HashSet<HistKey> = Default::default();
+        let mut seen: std::collections::HashSet<Vec<usize>> = Default::default();
         let (mut samples, mut histories) = (Vec::new(), Vec::new());
+        let mut key = Vec::new();
         for s in ctx.dataset.all_samples() {
             let h = model.history_visits(ctx, &Subject::Indexed(s));
-            if !h.is_empty() && seen.insert(hist_key(&h)) {
+            graph_key_into(&h, &mut key);
+            if !h.is_empty() && seen.insert(key.clone()) {
                 samples.push(s);
                 histories.push(h);
                 if samples.len() == n {
@@ -941,11 +1003,103 @@ mod tests {
         assert_eq!(model.qrp_cache.borrow().len(), 0);
         assert_eq!(model.history_cache.borrow().1.len(), n);
         for (a, b) in first.iter().zip(&again) {
-            let ids =
-                |e: &HistoryEncodings| (e.0.as_ref().map(Tensor::id), e.1.as_ref().map(Tensor::id));
-            assert_eq!(ids(a), ids(b), "repeat missed the memo");
+            assert_eq!(encoding_ids(a), encoding_ids(b), "repeat missed the memo");
             assert_eq!(encoding_bits(a), encoding_bits(b));
         }
+    }
+
+    /// `history` re-timed, with a revisit of its first POI inserted after
+    /// its second visit and a revisit of its last POI appended: the same
+    /// distinct POIs in the same first-visit order, so the same graph key.
+    fn retimed_with_revisits(history: &[Visit]) -> Vec<Visit> {
+        let mut out: Vec<Visit> = history
+            .iter()
+            .map(|v| Visit {
+                time: v.time + 3_600,
+                ..*v
+            })
+            .collect();
+        let at = out.len().min(2);
+        let revisit = Visit {
+            time: out[at - 1].time,
+            ..out[0]
+        };
+        out.insert(at, revisit);
+        let last = out[out.len() - 1];
+        out.push(Visit {
+            time: last.time + 7_200,
+            ..last
+        });
+        out
+    }
+
+    fn encoding_ids(e: &HistoryEncodings) -> (Option<u64>, Option<u64>) {
+        (e.0.as_ref().map(Tensor::id), e.1.as_ref().map(Tensor::id))
+    }
+
+    #[test]
+    fn revisits_and_retiming_hit_the_memo_bitwise() {
+        let (ctx, cfg) = tiny_setup();
+        let model = TspnRa::new(cfg, &ctx);
+        let tables = Tensor::no_grad(|| model.batch_tables(&ctx));
+        let (_, histories) = distinct_histories(&model, &ctx, 2);
+        let base = histories[0].clone();
+        let revisited = retimed_with_revisits(&base);
+        assert_ne!(base, revisited);
+        let encode = |h: &Vec<Visit>| {
+            Tensor::no_grad(|| {
+                model.history_encodings_batch(&ctx, std::slice::from_ref(h), &tables, false)
+            })
+            .pop()
+            .expect("one history, one encoding")
+        };
+
+        let memoised = encode(&base);
+        let before = model.history_memo_counts();
+        let hit = encode(&revisited);
+        assert_eq!(
+            model.history_memo_counts().since(before),
+            MemoCounts { hits: 1, misses: 0 }
+        );
+        assert_eq!(
+            encoding_ids(&hit),
+            encoding_ids(&memoised),
+            "revisit missed"
+        );
+        assert_eq!(model.history_cache.borrow().1.len(), 1);
+
+        // A cold encode of the revisited run is bitwise the memo hit.
+        model.clear_cache();
+        let before = model.history_memo_counts();
+        let cold = encode(&revisited);
+        assert_eq!(
+            model.history_memo_counts().since(before),
+            MemoCounts { hits: 0, misses: 1 }
+        );
+        assert_ne!(encoding_ids(&cold), encoding_ids(&hit));
+        assert_eq!(encoding_bits(&cold), encoding_bits(&hit));
+    }
+
+    #[test]
+    fn taped_batch_keeps_runs_with_one_graph_apart() {
+        let (ctx, cfg) = tiny_setup();
+        let model = TspnRa::new(cfg, &ctx);
+        let tables = model.batch_tables(&ctx);
+        let (_, histories) = distinct_histories(&model, &ctx, 2);
+        let pair = [histories[0].clone(), retimed_with_revisits(&histories[0])];
+        let before = model.history_memo_counts();
+        let encs = model.history_encodings_batch(&ctx, &pair, &tables, true);
+        assert_eq!(encs.len(), 2);
+        assert_ne!(encoding_ids(&encs[0]), encoding_ids(&encs[1]));
+        assert_eq!(encoding_bits(&encs[0]), encoding_bits(&encs[1]));
+        assert_eq!(
+            model.history_cache.borrow().1.len(),
+            0,
+            "taped pass memoised"
+        );
+        assert_eq!(model.history_memo_counts(), before);
+        // The two runs share one structure.
+        assert_eq!(model.qrp_cache.borrow().len(), 1);
     }
 
     #[test]

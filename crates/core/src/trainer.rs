@@ -706,12 +706,18 @@ impl Trainer {
                                     pois_shape.clone(),
                                 ),
                             };
-                            predict_run(replica, &tables, shard)
+                            let before = replica.history_memo_counts();
+                            let results = predict_run(replica, &tables, shard);
+                            (results, replica.history_memo_counts().since(before))
                         })
                     }
                 })
                 .collect();
-            let flat = parallel::map_scoped(jobs).into_iter().flatten().collect();
+            let mut flat = Vec::with_capacity(queries.len());
+            for (results, counts) in parallel::map_scoped(jobs) {
+                flat.extend(results);
+                self.model.add_history_memo_counts(counts);
+            }
             for buf in snapshot {
                 pool::give(buf);
             }

@@ -14,7 +14,7 @@ use crate::poi::{PoiId, Timestamp, UserId};
 pub const DEFAULT_GAP_SECS: i64 = 72 * 3600;
 
 /// A single visit inside a trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Visit {
     /// Visited POI.
     pub poi: PoiId,

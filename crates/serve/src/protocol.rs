@@ -468,6 +468,11 @@ pub struct StatsSnapshot {
     pub served_session: u64,
     /// Flushed batches.
     pub batches: u64,
+    /// History-encoding memo hits: distinct histories of a flush whose
+    /// QR-P graph was already encoded (see [`LaneStats`]).
+    pub history_memo_hits: u64,
+    /// History-encoding memo misses: QR-P graphs built and encoded.
+    pub history_memo_misses: u64,
     /// Queries currently queued.
     pub queue: usize,
     /// Live sessions.
@@ -537,7 +542,8 @@ pub fn health_response(s: &StatsSnapshot) -> String {
 /// (always, zeros when inert) the fault-injection counters.
 fn aggregate_block(s: &StatsSnapshot) -> String {
     format!(
-        "{{\"snapshot\":{},\"published\":{},\"batches\":{},\"queue\":{},\"ready\":{},\
+        "{{\"snapshot\":{},\"published\":{},\"batches\":{},\
+         \"history_memo_hits\":{},\"history_memo_misses\":{},\"queue\":{},\"ready\":{},\
          \"served\":{{\"total\":{},\"v1_predict\":{},\"session_predict\":{}}},\
          \"sessions\":{{\"live\":{},\"created\":{},\"appends\":{},\"expired\":{},\"evicted\":{},\
          \"ttl_ms\":{},\"capacity\":{}}},\
@@ -547,6 +553,8 @@ fn aggregate_block(s: &StatsSnapshot) -> String {
         s.snapshot,
         s.published,
         s.batches,
+        s.history_memo_hits,
+        s.history_memo_misses,
         s.queue,
         s.ready,
         s.served,
@@ -601,6 +609,14 @@ pub struct LaneStats {
     pub served: u64,
     /// Batches this lane has flushed.
     pub batches: u64,
+    /// Distinct histories this lane's flushes found in the history
+    /// memo: a history whose distinct POIs, in first-visit order, match
+    /// one encoded since the parameters last changed, so no QR-P graph
+    /// was built and no HGAT ran.
+    pub history_memo_hits: u64,
+    /// Distinct histories this lane's flushes built and encoded a QR-P
+    /// graph for.
+    pub history_memo_misses: u64,
     /// 429 sheds: lane queue full.
     pub shed_queue_full: u64,
     /// 503 sheds: deadline spent in this lane's queue.
@@ -619,7 +635,7 @@ pub struct LaneStats {
 fn lane_block(l: &LaneStats) -> String {
     format!(
         "{{\"lane\":{},\"snapshot\":{},\"ready\":{},\"queue_depth\":{},\"queue_cap\":{},\
-         \"served\":{},\"batches\":{},\
+         \"served\":{},\"batches\":{},\"history_memo_hits\":{},\"history_memo_misses\":{},\
          \"shed\":{{\"queue_full\":{},\"expired\":{},\"not_ready\":{}}},\
          \"restarts\":{},\"sessions\":{},\"injected_panics\":{}}}",
         l.lane,
@@ -629,6 +645,8 @@ fn lane_block(l: &LaneStats) -> String {
         l.queue_cap,
         l.served,
         l.batches,
+        l.history_memo_hits,
+        l.history_memo_misses,
         l.shed_queue_full,
         l.shed_expired,
         l.shed_not_ready,
@@ -643,7 +661,8 @@ fn lane_block(l: &LaneStats) -> String {
 /// `aggregate` object carries the whole ledger summed across lanes (the
 /// `build` block is process-wide and lives at the top level); `lanes`
 /// breaks the same ledger down per lane. (v3 dropped v2's
-/// `served.legacy_predict` with the index-addressed endpoint.)
+/// `served.legacy_predict` with the index-addressed endpoint, and later
+/// added `history_memo_hits` / `history_memo_misses` to both views.)
 pub fn stats_response(s: &StatsSnapshot, lanes: &[LaneStats]) -> String {
     let lanes_json: Vec<String> = lanes.iter().map(lane_block).collect();
     format!(
@@ -716,7 +735,8 @@ pub fn parse_topology(v: &Value) -> Option<Topology> {
 
 /// Parses the `aggregate` block of a v3 stats answer back into a
 /// [`StatsSnapshot`]. The router uses this to merge backend ledgers into
-/// one fleet view.
+/// one fleet view. The history-memo counters read as 0 when absent: they
+/// joined v3 after its first release.
 pub fn parse_stats(v: &Value) -> Option<StatsSnapshot> {
     let num = |path: &[&str]| -> Option<u64> {
         let mut cur = v;
@@ -732,6 +752,8 @@ pub fn parse_stats(v: &Value) -> Option<StatsSnapshot> {
         served_v1: num(&["served", "v1_predict"])?,
         served_session: num(&["served", "session_predict"])?,
         batches: num(&["batches"])?,
+        history_memo_hits: num(&["history_memo_hits"]).unwrap_or(0),
+        history_memo_misses: num(&["history_memo_misses"]).unwrap_or(0),
         queue: num(&["queue"])? as usize,
         sessions_live: num(&["sessions", "live"])? as usize,
         sessions_created: num(&["sessions", "created"])?,
@@ -754,6 +776,7 @@ pub fn parse_stats(v: &Value) -> Option<StatsSnapshot> {
 
 /// Parses one entry of a stats `lanes` array back into [`LaneStats`] (the
 /// router re-numbers and re-renders backend lanes into its fleet view).
+/// Absent history-memo counters read as 0, as in [`parse_stats`].
 pub fn parse_lane_stats(v: &Value) -> Option<LaneStats> {
     let num = |path: &[&str]| -> Option<u64> {
         let mut cur = v;
@@ -770,6 +793,8 @@ pub fn parse_lane_stats(v: &Value) -> Option<LaneStats> {
         queue_cap: num(&["queue_cap"])? as usize,
         served: num(&["served"])?,
         batches: num(&["batches"])?,
+        history_memo_hits: num(&["history_memo_hits"]).unwrap_or(0),
+        history_memo_misses: num(&["history_memo_misses"]).unwrap_or(0),
         shed_queue_full: num(&["shed", "queue_full"])?,
         shed_expired: num(&["shed", "expired"])?,
         shed_not_ready: num(&["shed", "not_ready"])?,
@@ -791,6 +816,8 @@ pub fn merge_stats(a: &StatsSnapshot, b: &StatsSnapshot) -> StatsSnapshot {
         served_v1: a.served_v1 + b.served_v1,
         served_session: a.served_session + b.served_session,
         batches: a.batches + b.batches,
+        history_memo_hits: a.history_memo_hits + b.history_memo_hits,
+        history_memo_misses: a.history_memo_misses + b.history_memo_misses,
         queue: a.queue + b.queue,
         sessions_live: a.sessions_live + b.sessions_live,
         sessions_created: a.sessions_created + b.sessions_created,
@@ -920,6 +947,8 @@ mod tests {
             served_v1: 7,
             served_session: 3,
             batches: 3,
+            history_memo_hits: 5,
+            history_memo_misses: 8,
             queue: 0,
             sessions_live: 2,
             sessions_created: 5,
@@ -971,6 +1000,8 @@ mod tests {
                 queue_cap: 64,
                 served: 6,
                 batches: 2,
+                history_memo_hits: 5,
+                history_memo_misses: 8,
                 shed_queue_full: 6,
                 shed_expired: 4,
                 shed_not_ready: 2,
@@ -1028,6 +1059,14 @@ mod tests {
             chaos.get("injected_panics").and_then(Value::as_usize),
             Some(0)
         );
+        assert_eq!(
+            agg.get("history_memo_hits").and_then(Value::as_usize),
+            Some(5)
+        );
+        assert_eq!(
+            agg.get("history_memo_misses").and_then(Value::as_usize),
+            Some(8)
+        );
         assert!(agg.get("build").is_none(), "build is top-level in v3");
         let lanes_arr = v3.get("lanes").and_then(Value::as_array).expect("lanes");
         assert_eq!(lanes_arr.len(), 2);
@@ -1038,6 +1077,12 @@ mod tests {
                 .and_then(|s| s.get("queue_full"))
                 .and_then(Value::as_usize),
             Some(6)
+        );
+        assert_eq!(
+            lanes_arr[0]
+                .get("history_memo_misses")
+                .and_then(Value::as_usize),
+            Some(8)
         );
         assert_eq!(
             lanes_arr[1].get("ready").and_then(Value::as_bool),
@@ -1095,6 +1140,8 @@ mod tests {
             served_v1: 8,
             served_session: 2,
             batches: 7,
+            history_memo_hits: 14,
+            history_memo_misses: 15,
             queue: 1,
             sessions_live: 2,
             sessions_created: 6,
@@ -1122,6 +1169,8 @@ mod tests {
             queue_cap: 8,
             served: 5,
             batches: 4,
+            history_memo_hits: 6,
+            history_memo_misses: 7,
             shed_queue_full: 1,
             shed_expired: 0,
             shed_not_ready: 3,
@@ -1142,12 +1191,25 @@ mod tests {
         let lanes = v3.get("lanes").and_then(Value::as_array).unwrap();
         let lane_back = parse_lane_stats(&lanes[0]).expect("lane parse");
         assert_eq!(format!("{lane_back:?}"), format!("{lane:?}"));
+        // A v3 answer from before the memo counters parses them as 0.
+        let mut old_lane = lanes[0].clone();
+        if let Value::Object(fields) = &mut old_lane {
+            fields.retain(|(k, _)| !k.starts_with("history_memo_"));
+        }
+        let old_back = parse_lane_stats(&old_lane).expect("pre-counter lane parse");
+        assert_eq!(
+            (old_back.history_memo_hits, old_back.history_memo_misses),
+            (0, 0)
+        );
+        assert_eq!(old_back.batches, lane.batches);
 
         // Merging sums counters, ANDs readiness, keeps config from `a`.
         let merged = merge_stats(&s, &agg);
         assert_eq!(merged.served, 20);
         assert_eq!(merged.served, merged.served_v1 + merged.served_session);
         assert_eq!(merged.shed_not_ready, 26);
+        assert_eq!(merged.history_memo_hits, 28);
+        assert_eq!(merged.history_memo_misses, 30);
         assert_eq!(merged.queue_cap, 1024);
         assert!(merged.ready);
         let mut not_ready = s;

@@ -935,6 +935,8 @@ mod tests {
             served_v1: 6 * (i + 1),
             served_session: 4 * (i + 1),
             batches: 3,
+            history_memo_hits: 5 * (i + 1),
+            history_memo_misses: 2,
             queue: 1,
             ready: true,
             queue_cap: 64,
@@ -955,6 +957,8 @@ mod tests {
                 queue_cap: 64,
                 served: s.served,
                 batches: s.batches,
+                history_memo_hits: s.history_memo_hits,
+                history_memo_misses: s.history_memo_misses,
                 ..LaneStats::default()
             };
             match req.path.as_str() {
@@ -999,6 +1003,8 @@ mod tests {
         assert_eq!(merged.served_session, 12);
         assert_eq!(merged.served, merged.served_v1 + merged.served_session);
         assert_eq!(merged.batches, 6);
+        assert_eq!(merged.history_memo_hits, 15);
+        assert_eq!(merged.history_memo_misses, 4);
         assert_eq!(merged.queue, 2);
         assert_eq!(merged.snapshot, 2);
         assert!(merged.ready);
@@ -1010,6 +1016,7 @@ mod tests {
         for (i, lane) in lanes.iter().enumerate() {
             let l = parse_lane_stats(lane).expect("lane");
             assert_eq!(l.lane, i);
+            assert_eq!(l.history_memo_hits, 5 * (i as u64 + 1));
         }
 
         // Topology: fleet mode, summed lanes, backend list.

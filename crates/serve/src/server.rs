@@ -227,6 +227,10 @@ struct Lane {
     overload: Overload,
     /// Flushed batches on this lane.
     batches: AtomicU64,
+    /// History-encoding memo hits and misses of this lane's model,
+    /// published after each flush.
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
     /// Predictions answered through this lane (all endpoints).
     served: AtomicU64,
 }
@@ -360,6 +364,8 @@ pub fn start(
                 chaos: Chaos::new(cfg.chaos.for_lane(l)),
                 overload: Overload::new(),
                 batches: AtomicU64::new(0),
+                memo_hits: AtomicU64::new(0),
+                memo_misses: AtomicU64::new(0),
                 served: AtomicU64::new(0),
             }
         })
@@ -535,7 +541,11 @@ fn lane_main(
                     }
                 }
                 lane.chaos.on_flush();
+                let memo_before = predictor.model().history_memo_counts();
                 let answers = predictor.predict_batch(queries);
+                let memo = predictor.model().history_memo_counts().since(memo_before);
+                lane.memo_hits.fetch_add(memo.hits, Ordering::Relaxed);
+                lane.memo_misses.fetch_add(memo.misses, Ordering::Relaxed);
                 lane.batches.fetch_add(1, Ordering::Relaxed);
                 (answers, applied)
             },
@@ -779,6 +789,8 @@ fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
     let mut snapshot = 0u64;
     let mut queue = 0usize;
     let mut batches = 0u64;
+    let mut memo_hits = 0u64;
+    let mut memo_misses = 0u64;
     let mut shed_queue_full = 0u64;
     let mut shed_expired = 0u64;
     let mut shed_not_ready = shared.shed_draining.load(Ordering::Relaxed);
@@ -793,6 +805,8 @@ fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
         snapshot = snapshot.max(lane.applied.load(Ordering::Acquire));
         queue += lane.batcher.queue_len();
         batches += lane.batches.load(Ordering::Relaxed);
+        memo_hits += lane.memo_hits.load(Ordering::Relaxed);
+        memo_misses += lane.memo_misses.load(Ordering::Relaxed);
         shed_queue_full += lane.overload.shed_queue_full.load(Ordering::Relaxed);
         shed_expired += lane.batcher.shed_expired_total();
         shed_not_ready += lane.overload.shed_not_ready.load(Ordering::Relaxed);
@@ -813,6 +827,8 @@ fn stats_snapshot(shared: &Shared) -> protocol::StatsSnapshot {
         served_v1,
         served_session,
         batches,
+        history_memo_hits: memo_hits,
+        history_memo_misses: memo_misses,
         queue,
         ready: !shared.draining() && all_ready,
         queue_cap: shared.queue_cap,
@@ -847,6 +863,8 @@ fn lane_stats(shared: &Shared) -> Vec<LaneStats> {
             queue_cap: shared.queue_cap,
             served: lane.served.load(Ordering::Relaxed),
             batches: lane.batches.load(Ordering::Relaxed),
+            history_memo_hits: lane.memo_hits.load(Ordering::Relaxed),
+            history_memo_misses: lane.memo_misses.load(Ordering::Relaxed),
             shed_queue_full: lane.overload.shed_queue_full.load(Ordering::Relaxed),
             shed_expired: lane.batcher.shed_expired_total(),
             shed_not_ready: lane.overload.shed_not_ready.load(Ordering::Relaxed),
