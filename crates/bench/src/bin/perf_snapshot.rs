@@ -264,20 +264,11 @@ fn main() {
     let samples = trainer.ctx.dataset.all_samples();
     let sample = samples[samples.len() / 2];
 
-    // --- Shared tables tape (built once per step by the dispatching
-    // thread; shards consume its values as leaves) ---
+    // --- Batch tables tape (built once per training step) ---
     let tables_secs = time_best(repeats.max(3), || {
         std::hint::black_box(trainer.model.batch_tables(&trainer.ctx));
     });
     record("tables_build", tables_secs, repeats.max(3));
-
-    // --- Delta parameter sync round-trip: publish every downstream
-    // parameter and refresh one replica from the published buffers (the
-    // worst case — what a full-copy fallback pays every batch) ---
-    let sync_secs = time_best(repeats.max(3), || {
-        std::hint::black_box(trainer.bench_sync_roundtrip());
-    });
-    record("shard_sync", sync_secs, repeats.max(3));
 
     // --- One query: a batch of one through `predict_many` (the only
     // inference path); the metric keeps its name so the BENCH trajectory

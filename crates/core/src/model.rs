@@ -226,22 +226,6 @@ impl TspnRa {
         self.params().iter().map(Tensor::len).sum()
     }
 
-    /// Number of leading entries of [`TspnRa::params`] that feed the
-    /// shared embedding tables ([`TspnRa::batch_tables`]): `me1` (when
-    /// imagery is on), the per-tile correction table and `me2`. The
-    /// data-parallel trainer never syncs these to shard replicas — shards
-    /// receive the table *values* as read-only leaves and only the owner
-    /// backpropagates the tables tape.
-    pub fn table_params_len(&self) -> usize {
-        let mut n = 0;
-        if self.config.variant.use_imagery {
-            n += self.me1.params().len();
-        }
-        n += self.tile_fallback.params().len();
-        n += self.me2.params().len();
-        n
-    }
-
     /// Named parameters (stable order) for checkpointing.
     pub fn named_params(&self) -> Vec<(String, Tensor)> {
         self.params()
@@ -759,10 +743,10 @@ impl TspnRa {
         hist.1.clear();
     }
 
-    /// Reseeds the dropout RNG. The data-parallel trainer gives every
-    /// gradient shard a seed derived from `(config.seed, step, shard)`, so
-    /// training is reproducible for a fixed seed and thread count no
-    /// matter which worker executes which shard.
+    /// Reseeds the dropout RNG. The trainer reseeds before every gradient
+    /// step with a seed derived from `(config.seed, step)`, so a step's
+    /// dropout masks depend on neither the thread count nor the steps
+    /// that ran before it.
     pub fn reseed_dropout(&self, seed: u64) {
         *self.rng.borrow_mut() = StdRng::seed_from_u64(seed);
     }

@@ -1,77 +1,44 @@
 //! Training and evaluation driver for TSPN-RA.
 //!
-//! Both evaluation and per-batch gradient computation are data-parallel:
-//! samples are sharded across the persistent worker pool
-//! ([`tspn_tensor::parallel`]), and every pool thread owns a full model
-//! **replica** (the autodiff tape is single-threaded `Rc`, so replicas —
-//! cached per thread and kept in sync from the owner — are how the tape
-//! scales across cores). A one-thread training budget is not a separate
-//! path: each batch is one shard, run on the calling thread's cached
-//! replica. Within a shard the samples no longer run one at a time: each
-//! shard is one padded, masked batched forward
-//! ([`crate::TspnRa::forward_batch`]), so the ~50-node-per-sample tape
-//! overhead is paid once per batch. Shard work
-//! is dispatched per batch; nothing occupies a worker between batches,
-//! so concurrent trainers and evaluations interleave freely on the
-//! shared pool.
+//! **Training** runs every gradient step on the owner's model, on the
+//! calling thread, as one taped pass: the batch tables
+//! ([`crate::TspnRa::batch_tables`]: the CNN pass over every tile plus the
+//! POI table merge), one padded, masked batched loss
+//! ([`crate::TspnRa::loss_batch`]) over the whole batch, `backward`, and a
+//! fused clip + Adam update ([`optim::grad_global_norm`] +
+//! [`optim::Adam::step_scaled`]). The autodiff tape is single-threaded
+//! `Rc`, and splitting one step across per-thread replicas made
+//! training at most about 10% faster on 2 threads while tying every
+//! trained number to the thread count; parallel experiments run as
+//! independent one-thread jobs instead.
 //!
-//! ## Shared-tables ownership rule
-//!
-//! The embedding-tables tape ([`crate::TspnRa::batch_tables`]: the CNN
-//! pass over every tile plus the POI table merge) is built **once per
-//! gradient step, on the dispatching thread** — never inside a shard.
-//! Shards receive the table *values* and wrap them in local
-//! [`Tensor::param`] leaves; their backward passes accumulate table
-//! gradients into those leaves, which the owner merges in shard order and
-//! pushes through its own tape with [`Tensor::backward_seeded`] — one
-//! im2col/embedding tape per step instead of one per shard. Only the
-//! owner ever differentiates through the tables, so the table parameters
-//! (the leading [`crate::TspnRa::table_params_len`] entries of `params()`)
-//! are **never synchronised to replicas** — shards must not (and cannot)
-//! read them.
-//!
-//! ## Delta-sync publish/version protocol
-//!
-//! Non-table ("downstream") parameters reach replicas through a
-//! double-buffered publish area instead of a whole-model snapshot. The
-//! owner keeps, per downstream parameter, a publish buffer plus a
-//! monotonic version stamp; [`optim::Adam::step_scaled`] reports which
-//! parameters it actually moved, and only those get re-published (copy +
-//! version bump). Each replica remembers the version it last copied for
-//! every parameter and refreshes exactly the stale ones at shard start —
-//! O(changed params) per batch instead of O(all params). External
-//! parameter mutation ([`Trainer::mark_model_dirty`]) bumps every stamp.
-//! The full-copy refresh (every publish buffer rewritten, every replica
-//! copying all of them each batch) survives only as the reference that
-//! `tests/prop_trainer_sync.rs` selects through the hidden
-//! `Trainer::set_delta_sync(false)`. Both modes copy identical values,
-//! so training is **bitwise identical across sync modes**.
+//! **Evaluation and batched prediction** are data-parallel: samples are
+//! sharded across the persistent worker pool
+//! ([`tspn_tensor::parallel`]), and every pool thread keeps a forward-only
+//! model **replica**, cached per thread. A replica remembers the owner's
+//! `(param version, ctx revision)` it last copied, together with its
+//! wrapped batch tables; while that key is unchanged it reuses both, so
+//! its history-encoding memo survives between calls. Work is dispatched
+//! per call; nothing occupies a worker between calls, so concurrent
+//! trainers and evaluations interleave freely on the shared pool.
 //!
 //! ## Determinism contract
 //!
-//! * **Evaluation** is bitwise identical for every thread count: replicas
-//!   restore the exact parameter values, forward passes are deterministic
-//!   (the GEMM kernels are bitwise thread-count-invariant), and outcomes
-//!   are reassembled in sample order.
-//! * **Training** is deterministic for a fixed `(seed, thread count)`:
-//!   each batch is split into `min(threads, batch)` contiguous shards,
-//!   every shard's dropout RNG is seeded from `(seed, step, shard)`, and
-//!   shard gradients (downstream and table-leaf alike) merge in shard
-//!   order. A shard's result never depends on which pool thread computes
-//!   it (replica parameters are refreshed to the published values, and
-//!   every task runs under the worker scope), so the schedule is
-//!   irrelevant. With `batch_size: 1` every step is one shard at any
-//!   thread count, so such a run is bitwise **thread-count-invariant**
+//! * **Training** is bitwise identical for every thread count: a step's
+//!   dropout RNG is seeded from `(seed, step)`, and the kernels that fan
+//!   out across the worker pool inside a step (row-sharded GEMM, batched
+//!   and fused attention) are bitwise thread-count-invariant
 //!   (`tests/cross_thread_training.rs`).
+//! * **Evaluation** is bitwise identical for every thread count: replicas
+//!   hold the exact parameter values, forward passes are deterministic,
+//!   and outcomes are reassembled in sample order.
 //! * **Optimizer updates** run as one fused pass with the clip factor
-//!   folded in ([`optim::grad_global_norm`] + [`optim::Adam::step_scaled`]),
-//!   bitwise identical to the retired clip-then-step sequence on both
-//!   kernel tiers.
+//!   folded in, bitwise identical to the retired clip-then-step sequence
+//!   on both kernel tiers.
 //!
 //! Thread count comes from [`tspn_tensor::parallel::num_threads`]
-//! (`TSPN_NUM_THREADS` to override). At `1`, each training batch is one
-//! shard and every prediction runs on the owner's model, both on the
-//! calling thread.
+//! (`TSPN_NUM_THREADS` to override). At `1`, every prediction runs on the
+//! owner's model on the calling thread.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -114,10 +81,58 @@ struct ReplicaSlot {
     replica: TspnRa,
     /// `replica.params()`, in the same order as the owning trainer's.
     params: Vec<Tensor>,
-    /// Per-downstream-parameter version stamps last copied from the
-    /// owner's publish area (see the module docs); empty = never synced,
-    /// which forces a full copy on first use.
-    seen: Vec<u64>,
+    /// The owner's cache key these parameters were copied at, with the
+    /// batch tables wrapped from the same snapshot; `None` until the first
+    /// sync.
+    synced: Option<(CacheKey, BatchTables)>,
+}
+
+impl ReplicaSlot {
+    /// Brings the replica up to `snap`'s key and returns it with its batch
+    /// tables. An unchanged key skips the parameter overwrite and keeps the
+    /// tables, so the history memo (keyed by the tables' id) survives.
+    fn sync(&mut self, snap: &Snapshot) -> (&TspnRa, &BatchTables) {
+        if self.synced.as_ref().map(|(key, _)| *key) != Some(snap.key) {
+            overwrite_params(&self.params, &snap.params);
+            let wrap = |(data, shape): &(Vec<f32>, Vec<usize>)| {
+                Tensor::from_vec(pool::take_copied(data), shape.clone())
+            };
+            let tables = BatchTables {
+                tiles: wrap(&snap.tiles),
+                pois: wrap(&snap.pois),
+            };
+            self.synced = Some((snap.key, tables));
+        }
+        let (_, tables) = self.synced.as_ref().expect("synced above");
+        (&self.replica, tables)
+    }
+}
+
+/// The owner's parameter and batch-table values at one cache key, as plain
+/// buffers that replicas on other threads copy from.
+struct Snapshot {
+    key: CacheKey,
+    params: Vec<Vec<f32>>,
+    /// `(values, shape)` of the tile table.
+    tiles: (Vec<f32>, Vec<usize>),
+    /// `(values, shape)` of the POI table.
+    pois: (Vec<f32>, Vec<usize>),
+}
+
+/// Returns buffers from [`Trainer::param_values`] to the tensor pool.
+fn give_values(values: Vec<Vec<f32>>) {
+    for buf in values {
+        pool::give(buf);
+    }
+}
+
+/// Overwrites every replica parameter with the owner's values; returns the
+/// number of floats copied.
+fn overwrite_params(params: &[Tensor], values: &[Vec<f32>]) -> usize {
+    for (p, v) in params.iter().zip(values) {
+        p.set_data(v);
+    }
+    values.iter().map(Vec::len).sum()
 }
 
 thread_local! {
@@ -125,14 +140,14 @@ thread_local! {
     static REPLICAS: RefCell<Vec<ReplicaSlot>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` with this thread's replica for `trainer_id`, building one on
-/// first use. The replica survives across batches and fit/evaluate calls,
-/// so the per-shard cost is one parameter overwrite, not a model build.
+/// Runs `f` with this thread's replica slot for `trainer_id`, building a
+/// replica on first use. The slot survives across calls, so a shard pays
+/// at most one parameter overwrite, never a model build.
 fn with_replica<R>(
     trainer_id: u64,
     cfg: &TspnConfig,
     ctx: &SpatialContext,
-    f: impl FnOnce(&TspnRa, &[Tensor], &mut Vec<u64>) -> R,
+    f: impl FnOnce(&mut ReplicaSlot) -> R,
 ) -> R {
     REPLICAS.with(|cell| {
         let mut cache = cell.borrow_mut();
@@ -149,17 +164,10 @@ fn with_replica<R>(
                 trainer_id,
                 replica,
                 params,
-                seen: Vec::new(),
+                synced: None,
             });
         }
-        let slot = cache.last_mut().expect("replica cached above");
-        let ReplicaSlot {
-            replica,
-            params,
-            seen,
-            ..
-        } = slot;
-        f(replica, params, seen)
+        f(cache.last_mut().expect("replica cached above"))
     })
 }
 
@@ -191,76 +199,6 @@ pub struct EpochStats {
 /// Batch-tables cache key: `(parameter version, context revision)`.
 type CacheKey = (u64, u64);
 
-/// Owner side of the delta-sync protocol (module docs): per-downstream-
-/// parameter publish buffers plus monotonic version stamps. Shard
-/// closures borrow it read-only while a batch is in flight; the optimizer
-/// epilogue republishes the parameters it touched.
-#[derive(Default)]
-struct SyncState {
-    /// Version stamp per downstream parameter; starts at 1 (replicas
-    /// start at "never synced"), bumped on every republish, and never
-    /// reset, so replica stamps stay comparable for the trainer's life.
-    versions: Vec<u64>,
-    /// Published value per downstream parameter. Plain `Vec`s (not pool
-    /// buffers): they live for the trainer's lifetime and are rewritten
-    /// in place, so steady-state batches never reallocate them.
-    publish: Vec<Vec<f32>>,
-    /// Set by [`Trainer::mark_model_dirty`]: parameters changed outside
-    /// the optimizer, so every buffer must republish with a version bump.
-    stale: bool,
-}
-
-impl SyncState {
-    /// Brings the publish area up to date before a batch dispatch.
-    /// `down` is the downstream parameter suffix; in full-copy mode
-    /// (`delta == false`) every buffer is rewritten every batch.
-    fn prepare(&mut self, down: &[Tensor], delta: bool) {
-        if self.versions.len() != down.len() {
-            self.versions = vec![1; down.len()];
-            self.publish = down.iter().map(|p| p.to_vec()).collect();
-            self.stale = false;
-        } else if self.stale || !delta {
-            for (buf, p) in self.publish.iter_mut().zip(down) {
-                buf.clear();
-                buf.extend_from_slice(&p.data());
-            }
-            if self.stale {
-                for v in &mut self.versions {
-                    *v += 1;
-                }
-            }
-            self.stale = false;
-        }
-    }
-
-    /// Republishes one downstream parameter after the optimizer moved it.
-    fn republish(&mut self, j: usize, p: &Tensor) {
-        self.publish[j].clear();
-        self.publish[j].extend_from_slice(&p.data());
-        self.versions[j] += 1;
-    }
-}
-
-/// Copies stale published parameters into a replica's downstream suffix
-/// and advances its stamps. An empty or mismatched `seen` (fresh replica,
-/// or full-copy mode) copies everything.
-fn refresh_replica(rdown: &[Tensor], seen: &mut Vec<u64>, sync: &SyncState, delta: bool) {
-    if delta && seen.len() == sync.versions.len() {
-        for j in 0..rdown.len() {
-            if sync.versions[j] > seen[j] {
-                rdown[j].set_data(&sync.publish[j]);
-                seen[j] = sync.versions[j];
-            }
-        }
-    } else {
-        for (p, buf) in rdown.iter().zip(&sync.publish) {
-            p.set_data(buf);
-        }
-        seen.clear();
-        seen.extend_from_slice(&sync.versions);
-    }
-}
-
 /// Owns the model, the spatial context and the optimizer state.
 pub struct Trainer {
     /// The model under training.
@@ -277,11 +215,6 @@ pub struct Trainer {
     /// Cached `batch_tables` for evaluation, keyed by
     /// `(param version, ctx revision)`.
     tables_cache: RefCell<Option<(CacheKey, Rc<BatchTables>)>>,
-    /// Delta parameter sync to the training replicas (module docs); `false`
-    /// selects the bitwise-identical full-copy reference.
-    delta_sync: bool,
-    /// Owner side of the publish/version protocol.
-    sync: RefCell<SyncState>,
 }
 
 impl Trainer {
@@ -298,36 +231,28 @@ impl Trainer {
             rng,
             version: Cell::new(0),
             tables_cache: RefCell::new(None),
-            delta_sync: true,
-            sync: RefCell::new(SyncState::default()),
-        }
-    }
-
-    /// Switches training between delta parameter sync and the
-    /// full-copy reference (both bitwise identical; see the module docs).
-    /// Hidden: `prop_trainer_sync` only.
-    #[doc(hidden)]
-    pub fn set_delta_sync(&mut self, on: bool) {
-        if self.delta_sync != on {
-            self.delta_sync = on;
-            self.mark_model_dirty();
         }
     }
 
     /// Invalidates cached derived state (the evaluation batch tables and
-    /// the delta-sync publish area). The fit/restore paths call this
-    /// automatically; call it manually after mutating `model` parameters
-    /// from outside the trainer.
+    /// the replicas' copies of the parameters). The fit/restore paths call
+    /// this automatically; call it manually after mutating `model`
+    /// parameters from outside the trainer.
     pub fn mark_model_dirty(&self) {
         self.version.set(self.version.get() + 1);
-        self.sync.borrow_mut().stale = true;
+    }
+
+    /// The `(param version, ctx revision)` pair that keys every copy derived
+    /// from the current parameters and context.
+    fn cache_key(&self) -> CacheKey {
+        (self.version.get(), self.ctx.revision())
     }
 
     /// The batch tables for the current parameters and context, computed
-    /// at most once per `(param version, ctx revision)` pair — so both
-    /// optimizer steps and `ctx.swap_imagery` invalidate it.
+    /// at most once per [`Trainer::cache_key`] — so both optimizer steps
+    /// and `ctx.swap_imagery` invalidate it.
     fn shared_tables(&self) -> Rc<BatchTables> {
-        let key = (self.version.get(), self.ctx.revision());
+        let key = self.cache_key();
         let mut cache = self.tables_cache.borrow_mut();
         if let Some((k, tables)) = cache.as_ref() {
             if *k == key {
@@ -349,35 +274,23 @@ impl Trainer {
 
     /// Trains for an explicit number of epochs.
     ///
-    /// Every batch is split into `min(threads, batch)` contiguous shards
-    /// that run on cached per-thread model replicas; the owner builds the
-    /// shared tables tape once per batch, publishes only the downstream
-    /// parameters the optimizer moved, and merges shard gradients in shard
-    /// order (module docs cover the ownership, sync and determinism
-    /// contracts). A one-thread budget is simply one shard, run on the
-    /// calling thread.
+    /// Each batch is one taped step on the owner's model, on the calling
+    /// thread: the batch tables, the batched loss (dropout seeded from
+    /// `(seed, step)`), `backward`, and a fused clip + Adam update. The
+    /// result is bitwise identical for every thread count.
     pub fn fit_epochs(&mut self, train: &[Sample], epochs: usize) -> Vec<EpochStats> {
-        let workers = parallel::num_threads();
         let Trainer {
             ref model,
             ref ctx,
-            id: trainer_id,
             ref mut opt,
             ref mut rng,
-            ref sync,
-            delta_sync,
             ..
         } = *self;
         let params = model.params();
-        let tpl = model.table_params_len();
-        let down = &params[tpl..];
-        let batch_size = model.config.batch_size;
-        let lr_decay = model.config.lr_decay;
-        let seed = model.config.seed;
-        let cfg = model.config.clone();
+        let cfg = &model.config;
         let mut order: Vec<usize> = (0..train.len()).collect();
+        let mut batch: Vec<Sample> = Vec::with_capacity(cfg.batch_size);
         let mut stats = Vec::with_capacity(epochs);
-        let mut sync = sync.borrow_mut();
 
         let mut step = opt.steps();
         for epoch in 0..epochs {
@@ -386,142 +299,30 @@ impl Trainer {
             order.shuffle(rng);
             let mut total_loss = 0.0f64;
             let mut batches = 0usize;
-            for chunk in order.chunks(batch_size) {
-                sync.prepare(down, delta_sync);
-                // Shared tables: ONE tape on this thread per step. Shards
-                // see only the forward values (as fresh leaves), so the
-                // im2col/embedding forward never runs per shard.
-                let tables = model.batch_tables(ctx);
-                let tiles_shape = tables.tiles.shape().0.clone();
-                let pois_shape = tables.pois.shape().0.clone();
-                let tiles_vals = tables.tiles.data();
-                let pois_vals = tables.pois.data();
-                // Shard layout depends only on (batch len, workers), so a
-                // fixed thread count reproduces exactly; shard results are
-                // additionally independent of which pool thread runs them.
-                let shards = workers.min(chunk.len());
-                let per_shard = chunk.len().div_ceil(shards);
-                let inv_batch = 1.0 / chunk.len() as f32;
-                let jobs: Vec<_> = chunk
-                    .chunks(per_shard)
-                    .enumerate()
-                    .map(|(shard_id, shard)| {
-                        let samples: Vec<Sample> = shard.iter().map(|&i| train[i]).collect();
-                        let dropout_seed = seed
-                            ^ step.wrapping_mul(0x9E3779B97F4A7C15)
-                            ^ (shard_id as u64).wrapping_mul(0xD1B54A32D192ED03);
-                        let cfg = &cfg;
-                        let sync: &SyncState = &sync;
-                        let (tiles_vals, pois_vals) = (&*tiles_vals, &*pois_vals);
-                        let (tiles_shape, pois_shape) = (&tiles_shape, &pois_shape);
-                        move || {
-                            with_replica(trainer_id, cfg, ctx, |replica, rparams, seen| {
-                                refresh_replica(&rparams[tpl..], seen, sync, delta_sync);
-                                optim::zero_grad(rparams);
-                                replica.reseed_dropout(dropout_seed);
-                                // Table values as gradient-collecting
-                                // leaves; the tape behind them stays with
-                                // the owner.
-                                let tables = BatchTables {
-                                    tiles: Tensor::param(
-                                        pool::take_copied(tiles_vals),
-                                        tiles_shape.clone(),
-                                    ),
-                                    pois: Tensor::param(
-                                        pool::take_copied(pois_vals),
-                                        pois_shape.clone(),
-                                    ),
-                                };
-                                // One padded batched forward per shard.
-                                let loss = replica
-                                    .loss_batch(ctx, &samples, &tables)
-                                    .sum_all()
-                                    .scale(inv_batch);
-                                let value = loss.item();
-                                loss.backward();
-                                let leaf_grad = |t: &Tensor| {
-                                    t.with_grad_ref(|g| match g {
-                                        Some(g) => pool::take_copied(g),
-                                        None => pool::take_zeroed(t.len()),
-                                    })
-                                };
-                                let tiles_grad = leaf_grad(&tables.tiles);
-                                let pois_grad = leaf_grad(&tables.pois);
-                                let grads: Vec<Vec<f32>> =
-                                    rparams[tpl..].iter().map(leaf_grad).collect();
-                                (value, tiles_grad, pois_grad, grads)
-                            })
-                        }
-                    })
-                    .collect();
-                // Dispatch and merge; a panicking shard re-raises here
-                // after the batch drains (no half-applied updates).
-                let results = parallel::map_scoped(jobs);
-                drop(tiles_vals);
-                drop(pois_vals);
+            for chunk in order.chunks(cfg.batch_size) {
+                batch.clear();
+                batch.extend(chunk.iter().map(|&i| train[i]));
                 optim::zero_grad(&params);
-                let mut batch_loss = 0.0f32;
-                let mut tiles_merged: Option<Vec<f32>> = None;
-                let mut pois_merged: Option<Vec<f32>> = None;
-                let merge = |acc: &mut Option<Vec<f32>>, g: Vec<f32>| match acc {
-                    None => *acc = Some(g),
-                    Some(acc) => {
-                        for (a, b) in acc.iter_mut().zip(&g) {
-                            *a += b;
-                        }
-                        pool::give(g);
-                    }
-                };
-                for (loss, tiles_grad, pois_grad, grads) in results {
-                    batch_loss += loss;
-                    merge(&mut tiles_merged, tiles_grad);
-                    merge(&mut pois_merged, pois_grad);
-                    for (p, g) in down.iter().zip(&grads) {
-                        p.accumulate_grad(g);
-                    }
-                    for g in grads {
-                        pool::give(g);
-                    }
-                }
-                // Backpropagate the merged table gradients through the
-                // owner's tape — the tiles and POI tapes are disjoint, so
-                // two seeded walks cover the whole tables graph.
-                let tiles_merged = tiles_merged.expect("at least one shard ran");
-                let pois_merged = pois_merged.expect("at least one shard ran");
-                tables.tiles.backward_seeded(&tiles_merged);
-                tables.pois.backward_seeded(&pois_merged);
-                pool::give(tiles_merged);
-                pool::give(pois_merged);
-                total_loss += batch_loss as f64;
+                let tables = model.batch_tables(ctx);
+                model.reseed_dropout(cfg.seed ^ step.wrapping_mul(0x9E3779B97F4A7C15));
+                let loss = model
+                    .loss_batch(ctx, &batch, &tables)
+                    .sum_all()
+                    .scale(1.0 / batch.len() as f32);
+                total_loss += loss.item() as f64;
                 batches += 1;
-                // Fused clip + update; touched downstream parameters are
-                // republished for the next batch's replica refresh.
+                loss.backward();
                 let scale = optim::clip_scale(optim::grad_global_norm(&params), 5.0);
-                opt.step_scaled(&params, scale, |i| {
-                    if delta_sync && i >= tpl {
-                        sync.republish(i - tpl, &params[i]);
-                    }
-                });
+                opt.step_scaled(&params, scale, |_| {});
                 step += 1;
-                // Drop the tables tape, then spill this thread's local
-                // buffer cache to the shared pool: the dispatching thread
-                // may have run a shard job itself, and buffers parked in
-                // its local cache would be invisible to whichever worker
-                // draws that shard next batch. (Workers spill when idle.)
-                // A one-thread budget has no workers, so nothing to spill.
-                drop(tables);
-                if workers > 1 {
-                    pool::flush_thread_local();
-                }
             }
-            opt.decay_lr(lr_decay);
+            opt.decay_lr(cfg.lr_decay);
             stats.push(EpochStats {
                 epoch,
                 mean_loss: (total_loss / batches.max(1) as f64) as f32,
                 seconds: started.elapsed().as_secs_f64(),
             });
         }
-        drop(sync);
         self.mark_model_dirty();
         stats
     }
@@ -658,56 +459,31 @@ impl Trainer {
         // once here, so repeated evaluations with unchanged parameters (the
         // Fig. 11 K-sweep) never rerun the CNN pass over all tiles.
         let tables = self.shared_tables();
-        // Dispatch is cheap but each shard still pays a parameter
+        // Dispatch is cheap but a stale replica still pays a parameter
         // overwrite; tiny sets stay on the owner's model.
         let flat: Vec<R> = if workers <= 1 || queries.len() < 4 * workers {
             predict_run(&self.model, &tables, &order)
         } else {
-            // Shards receive the raw table values and wrap them in
-            // non-differentiable tensors.
-            let tiles_data = tables.tiles.to_vec();
-            let tiles_shape = tables.tiles.shape().0.clone();
-            let pois_data = tables.pois.to_vec();
-            let pois_shape = tables.pois.shape().0.clone();
+            let values = |t: &Tensor| (t.to_vec(), t.shape().0.clone());
+            let snapshot = Snapshot {
+                key: self.cache_key(),
+                params: self.param_values(),
+                tiles: values(&tables.tiles),
+                pois: values(&tables.pois),
+            };
             drop(tables);
-            let snapshot: Vec<Vec<f32>> = self
-                .model
-                .params()
-                .iter()
-                .map(|p| pool::take_copied(&p.data()))
-                .collect();
             let cfg = &self.model.config;
             let trainer_id = self.id;
-            let predict_run = &predict_run;
+            let (predict_run, snap) = (&predict_run, &snapshot);
             let per_shard = queries.len().div_ceil(workers);
             let jobs: Vec<_> = order
                 .chunks(per_shard)
                 .map(|shard| {
-                    let snapshot = &snapshot;
-                    let (tiles_data, tiles_shape) = (&tiles_data, &tiles_shape);
-                    let (pois_data, pois_shape) = (&pois_data, &pois_shape);
                     move || {
-                        // Full-value overwrite (prediction never steps the
-                        // optimizer, so the publish/version protocol does
-                        // not apply); replica `seen` stamps are left alone
-                        // — they under-report freshness, which is always
-                        // safe.
-                        with_replica(trainer_id, cfg, ctx, |replica, rparams, _seen| {
-                            for (p, values) in rparams.iter().zip(snapshot) {
-                                p.set_data(values);
-                            }
-                            let tables = BatchTables {
-                                tiles: Tensor::from_vec(
-                                    pool::take_copied(tiles_data),
-                                    tiles_shape.clone(),
-                                ),
-                                pois: Tensor::from_vec(
-                                    pool::take_copied(pois_data),
-                                    pois_shape.clone(),
-                                ),
-                            };
+                        with_replica(trainer_id, cfg, ctx, |slot| {
+                            let (replica, tables) = slot.sync(snap);
                             let before = replica.history_memo_counts();
-                            let results = predict_run(replica, &tables, shard);
+                            let results = predict_run(replica, tables, shard);
                             (results, replica.history_memo_counts().since(before))
                         })
                     }
@@ -718,9 +494,7 @@ impl Trainer {
                 flat.extend(results);
                 self.model.add_history_memo_counts(counts);
             }
-            for buf in snapshot {
-                pool::give(buf);
-            }
+            give_values(snapshot.params);
             flat
         };
         let mut out: Vec<Option<R>> = (0..queries.len()).map(|_| None).collect();
@@ -732,22 +506,27 @@ impl Trainer {
             .collect()
     }
 
-    /// Benchmark hook: one full publish + replica-style refresh round
-    /// trip over every downstream parameter (the worst case the delta
-    /// protocol avoids). Returns the number of f32 values copied each
-    /// way. Hidden: perf_snapshot only.
+    /// The owner's parameter values, in `params()` order, in pool buffers
+    /// (return them with `give_values`).
+    fn param_values(&self) -> Vec<Vec<f32>> {
+        self.model
+            .params()
+            .iter()
+            .map(|p| pool::take_copied(&p.data()))
+            .collect()
+    }
+
+    /// Benchmark hook: the one parameter copy left, the full overwrite a
+    /// stale evaluation replica pays (here, the calling thread's replica)
+    /// from the owner's current values. Returns the number of f32 values
+    /// copied. Hidden: benchmark harnesses only.
     #[doc(hidden)]
     pub fn bench_sync_roundtrip(&mut self) -> usize {
-        let params = self.model.params();
-        let down = &params[self.model.table_params_len()..];
-        let sync = self.sync.get_mut();
-        sync.stale = true;
-        sync.prepare(down, true);
-        let mut copied = 0;
-        for (p, buf) in down.iter().zip(&sync.publish) {
-            p.set_data(buf);
-            copied += buf.len();
-        }
+        let values = self.param_values();
+        let copied = with_replica(self.id, &self.model.config, &self.ctx, |slot| {
+            overwrite_params(&slot.params, &values)
+        });
+        give_values(values);
         copied
     }
 
@@ -871,11 +650,7 @@ mod tests {
                 .flat_map(|p| p.to_vec())
                 .collect::<Vec<f32>>()
         };
-        assert_eq!(
-            run(),
-            run(),
-            "same seed + thread count must reproduce bitwise"
-        );
+        assert_eq!(run(), run(), "same seed must reproduce bitwise");
     }
 
     #[test]
@@ -906,9 +681,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "")]
     fn invalid_sample_panics_rather_than_hanging() {
-        // A poisoned shard must surface its panic on the calling thread —
-        // a lost worker must not deadlock the batch loop (a one-thread
-        // budget runs its one shard inline and re-raises after it).
+        // An invalid sample must panic on the calling thread, never hang
+        // the batch loop.
         let (mut trainer, _) = tiny_trainer();
         let bogus = Sample {
             user_index: usize::MAX,

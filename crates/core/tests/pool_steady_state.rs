@@ -81,24 +81,20 @@ fn steady_state_training_mostly_hits_the_buffer_pool() {
 
 #[test]
 fn steady_state_sharded_step_allocates_zero_tensor_buffers() {
-    // The PR-9 acceptance bar for the sharded hot path: with shared
-    // tables and delta sync, a steady-state sharded training epoch must
-    // be served ENTIRELY from recycled buffers — pool misses == 0.
-    // Repeating one sample keeps every tensor geometry identical across
-    // batches regardless of shuffle order, and worker idle-spill plus
-    // the trainer's per-step `pool::flush_thread_local` make warmed
-    // buffers visible to every thread, so shard-to-thread assignment
-    // cannot strand them. What remains scheduling-dependent is how many
-    // buffers "enough" is: mid-batch, a checkout on one thread may be
-    // served by a buffer another thread just spilled, so an unlucky
-    // interleaving can demand one more. Nothing is discarded at this
-    // scale, so the pool only grows — each unlucky interleaving
-    // allocates at most once and the loop below must converge to
-    // zero-miss epochs almost immediately. A hot path that allocated
-    // per step would never converge and fails the bound. With
-    // TSPN_NUM_THREADS=1 each batch is one shard on the calling thread,
-    // so no buffer changes threads and the first measured epoch clears
-    // the bar.
+    // A steady-state training epoch must be served ENTIRELY from
+    // recycled buffers — pool misses == 0. Every step is one taped pass
+    // on the calling thread; repeating one sample keeps every tensor
+    // geometry identical across batches regardless of shuffle order. The
+    // kernels that fan out inside a step (row-sharded GEMM, batched
+    // attention) may check buffers out on worker threads, and worker
+    // idle-spill makes those visible to every thread again, but an
+    // unlucky interleaving can still demand one more buffer mid-step.
+    // Nothing is discarded at this scale, so the pool only grows — each
+    // unlucky interleaving allocates at most once and the loop below
+    // must converge to zero-miss epochs almost immediately. A hot path
+    // that allocated per step would never converge and fails the bound.
+    // With TSPN_NUM_THREADS=1 no buffer changes threads and the first
+    // measured epoch clears the bar.
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut trainer, samples) = build_trainer();
     let train = vec![samples[0]; 4];

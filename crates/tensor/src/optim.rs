@@ -189,8 +189,8 @@ impl Adam {
     /// non-zero moments from an earlier step. Untouched parameters are
     /// skipped entirely — their zero moments would decay to exactly zero
     /// and the update term is exactly `0.0`, so skipping is bitwise
-    /// equivalent — which is what makes delta parameter sync sound: a
-    /// caller may publish only touched parameters.
+    /// equivalent, and a parameter `on_touched` never reports still holds
+    /// its value from before the step.
     pub fn step_scaled(
         &mut self,
         params: &[Tensor],
