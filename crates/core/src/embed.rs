@@ -405,29 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn me1_batched_embedding_is_thread_count_invariant() {
-        // Forced-serial (worker scope) vs top-level (pool dispatch) runs
-        // must agree bitwise — the forced TSPN_NUM_THREADS=3 CI lane turns
-        // this into a real multi-thread equivalence check.
-        let mut rng = StdRng::seed_from_u64(10);
-        let me1 = Me1::new(&mut rng, 16, 24);
-        let images: Vec<Vec<f32>> = (0..40)
-            .map(|i| {
-                (0..3 * 16 * 16)
-                    .map(|v| ((v * (i + 3)) % 23) as f32 * 0.08 - 0.9)
-                    .collect()
-            })
-            .collect();
-        let top = me1.embed_tiles_chw(&images).to_vec();
-        let serial =
-            tspn_tensor::parallel::with_worker_scope(|| me1.embed_tiles_chw(&images).to_vec());
-        assert!(
-            top == serial,
-            "Me1 embedding depends on the worker-pool thread count"
-        );
-    }
-
-    #[test]
     fn me2_blends_id_and_category() {
         let mut rng = StdRng::seed_from_u64(3);
         let me2 = Me2::new(&mut rng, 10, 4, 8, 0.5);

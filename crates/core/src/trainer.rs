@@ -25,13 +25,14 @@
 //! ## Determinism contract
 //!
 //! * **Training** is bitwise identical for every thread count: a step's
-//!   dropout RNG is seeded from `(seed, step)`, and the kernels that fan
-//!   out across the worker pool inside a step (row-sharded GEMM, batched
-//!   and fused attention) are bitwise thread-count-invariant
-//!   (`tests/cross_thread_training.rs`).
+//!   dropout RNG is seeded from `(seed, step)`, and every kernel inside a
+//!   step runs on the calling thread, so the thread count never reaches
+//!   its arithmetic (`tests/cross_thread_training.rs`).
 //! * **Evaluation** is bitwise identical for every thread count: replicas
-//!   hold the exact parameter values, forward passes are deterministic,
-//!   and outcomes are reassembled in sample order.
+//!   hold the exact parameter values, a query's forward rows do not
+//!   depend on which shard or padded batch they land in (the GEMM
+//!   row-independence contract), and outcomes are reassembled in sample
+//!   order.
 //! * **Optimizer updates** run as one fused pass with the clip factor
 //!   folded in, bitwise identical to the retired clip-then-step sequence
 //!   on both kernel tiers.

@@ -1,9 +1,8 @@
 //! Cross-thread-count bitwise-determinism test for training.
 //!
 //! Every training step runs on the owner's model on the calling thread,
-//! with its dropout RNG seeded from `(seed, step)`; the only work that fans
-//! out across the worker pool inside a step is kernel row-sharding, which
-//! is bitwise thread-count-invariant. A run must therefore produce
+//! with its dropout RNG seeded from `(seed, step)`, and every kernel inside
+//! the step runs on that thread too. A run must therefore produce
 //! bitwise-identical parameters whatever `TSPN_NUM_THREADS` says, at any
 //! batch size; this test uses `batch_size: 4`, so every step is a
 //! multi-sample batch.

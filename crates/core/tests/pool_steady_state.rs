@@ -83,18 +83,13 @@ fn steady_state_training_mostly_hits_the_buffer_pool() {
 fn steady_state_sharded_step_allocates_zero_tensor_buffers() {
     // A steady-state training epoch must be served ENTIRELY from
     // recycled buffers — pool misses == 0. Every step is one taped pass
-    // on the calling thread; repeating one sample keeps every tensor
-    // geometry identical across batches regardless of shuffle order. The
-    // kernels that fan out inside a step (row-sharded GEMM, batched
-    // attention) may check buffers out on worker threads, and worker
-    // idle-spill makes those visible to every thread again, but an
-    // unlucky interleaving can still demand one more buffer mid-step.
-    // Nothing is discarded at this scale, so the pool only grows — each
-    // unlucky interleaving allocates at most once and the loop below
-    // must converge to zero-miss epochs almost immediately. A hot path
-    // that allocated per step would never converge and fails the bound.
-    // With TSPN_NUM_THREADS=1 no buffer changes threads and the first
-    // measured epoch clears the bar.
+    // on the calling thread, and every kernel inside it runs on that
+    // thread too, so no buffer changes threads at any TSPN_NUM_THREADS;
+    // repeating one sample keeps every tensor geometry identical across
+    // batches regardless of shuffle order. The first measured epoch
+    // should clear the bar; the loop below tolerates a few warm-up
+    // epochs, while a hot path that allocated per step would never
+    // converge and fails the bound.
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut trainer, samples) = build_trainer();
     let train = vec![samples[0]; 4];

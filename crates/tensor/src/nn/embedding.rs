@@ -34,11 +34,6 @@ impl EmbeddingTable {
     pub fn lookup(&self, indices: &[usize]) -> Tensor {
         self.weight.gather_rows(indices)
     }
-
-    /// Looks up one index → `[1, dim]`.
-    pub fn lookup_one(&self, index: usize) -> Tensor {
-        self.weight.gather_rows(&[index])
-    }
 }
 
 impl Module for EmbeddingTable {
@@ -82,8 +77,8 @@ mod tests {
         let params = e.params();
         for _ in 0..100 {
             crate::optim::zero_grad(&params);
-            let a = e.lookup_one(0);
-            let b = e.lookup_one(1);
+            let a = e.lookup(&[0]);
+            let b = e.lookup(&[1]);
             let ta = Tensor::from_vec(vec![1.0, 1.0], vec![1, 2]);
             let tb = Tensor::from_vec(vec![-1.0, -1.0], vec![1, 2]);
             let loss = a

@@ -10,8 +10,7 @@
 //!
 //! * [`Tensor::bmm_jagged`] / [`Tensor::bmm_nt_jagged`] — strided batched
 //!   GEMM over offset-addressed per-item row spans with live extents,
-//!   riding the packed 4×16 kernels of [`crate::ops::matmul`] and the
-//!   persistent worker pool;
+//!   riding the kernels of [`crate::ops::matmul`];
 //! * [`Tensor::gather_rows_padded`] — the gather/pad primitive that
 //!   assembles ragged per-sample row sets into one zero-padded block
 //!   tensor (the backward scatter skips the padding);
@@ -31,12 +30,11 @@
 //! `gemm_ex` (a row's result does not depend on the surrounding product
 //! size — see `small_nn`), a batched forward's per-sample outputs are
 //! bitwise identical to the serial per-sample forward, at every batch
-//! size and thread count.
+//! size.
 
 use crate::ops::elementwise::matrix_shape;
-use crate::ops::matmul::{gemm_ex, GemmLayout, PAR_ELEMS};
+use crate::ops::matmul::{gemm_ex, GemmLayout};
 use crate::ops::norm::NORM_EPS;
-use crate::parallel;
 use crate::pool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -66,21 +64,6 @@ impl BmmPlan {
         self.a_start.len()
     }
 
-    /// Total live multiply-accumulate count (the parallel threshold).
-    fn flops(&self, inner_from_b: bool) -> usize {
-        self.a_rows
-            .iter()
-            .zip(&self.b_rows)
-            .map(|(&m, &b)| {
-                if inner_from_b {
-                    m * b * self.n
-                } else {
-                    m * self.k * b
-                }
-            })
-            .sum()
-    }
-
     fn validate(&self, lhs: &Tensor, rhs: &Tensor, out_rows: usize, nn: bool) {
         for i in 0..self.batch() {
             let (a0, am) = (self.a_start[i], self.a_rows[i]);
@@ -104,42 +87,14 @@ impl BmmPlan {
     }
 }
 
-/// Runs `item(i, window)` for every batch item, where `window` is item
-/// `i`'s live row span of `out`; fans out across the worker pool when
-/// the work is big enough. Per-item results are identical either way
-/// (pool tasks run under the worker scope, and `gemm_ex` itself is
-/// thread-count-invariant). Item row spans must be disjoint and
-/// ascending — the jagged layout satisfies this by construction.
-fn bmm_dispatch(
-    out: &mut [f32],
-    plan: &BmmPlan,
-    flops: usize,
-    item: impl Fn(usize, &mut [f32]) + Sync,
-) {
+/// Runs `item(i, window)` for every batch item with live rows, where
+/// `window` is item `i`'s live row span of `out`.
+fn for_each_live_item(out: &mut [f32], plan: &BmmPlan, item: impl Fn(usize, &mut [f32])) {
     let n = plan.n;
-    if flops >= PAR_ELEMS && plan.batch() >= 2 && parallel::effective_threads() > 1 {
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(plan.batch());
-        let mut rest = out;
-        let mut consumed = 0usize;
-        let item = &item;
-        for i in 0..plan.batch() {
-            let (start, rows) = (plan.a_start[i] * n, plan.a_rows[i] * n);
-            if rows == 0 {
-                continue;
-            }
-            let (_gap, tail) = rest.split_at_mut(start - consumed);
-            let (window, tail) = tail.split_at_mut(rows);
-            rest = tail;
-            consumed = start + rows;
-            tasks.push(Box::new(move || item(i, window)));
-        }
-        parallel::run_scoped(tasks);
-    } else {
-        for i in 0..plan.batch() {
-            let (start, rows) = (plan.a_start[i] * n, plan.a_rows[i] * n);
-            if rows > 0 {
-                item(i, &mut out[start..start + rows]);
-            }
+    for i in 0..plan.batch() {
+        let (start, rows) = (plan.a_start[i] * n, plan.a_rows[i] * n);
+        if rows > 0 {
+            item(i, &mut out[start..start + rows]);
         }
     }
 }
@@ -150,7 +105,7 @@ fn bmm_dispatch(
 /// masked downstream or multiplied by exact-zero attention weights.
 fn bmm_nt_fwd(a: &[f32], b: &[f32], out: &mut [f32], plan: &BmmPlan) {
     let (k, n) = (plan.k, plan.n);
-    bmm_dispatch(out, plan, plan.flops(false), |i, window| {
+    for_each_live_item(out, plan, |i, window| {
         let (ml, nl) = (plan.a_rows[i], plan.b_rows[i]);
         if nl == 0 {
             return;
@@ -174,7 +129,7 @@ fn bmm_nt_fwd(a: &[f32], b: &[f32], out: &mut [f32], plan: &BmmPlan) {
 /// products are exact-zero addends).
 fn bmm_nn_fwd(a: &[f32], b: &[f32], out: &mut [f32], plan: &BmmPlan) {
     let (k, n) = (plan.k, plan.n);
-    bmm_dispatch(out, plan, plan.flops(true), |i, window| {
+    for_each_live_item(out, plan, |i, window| {
         let (ml, kl) = (plan.a_rows[i], plan.b_rows[i]);
         if kl == 0 {
             return;

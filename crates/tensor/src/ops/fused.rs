@@ -25,7 +25,7 @@
 //! backward whose per-pass structure (dP, dV, dS, dQ, dK; items in batch
 //! order within each pass) mirrors the composite's node-by-node reverse
 //! sweep. Values *and* gradients are therefore bitwise identical to the
-//! composite on every kernel tier, at every batch size and thread count
+//! composite on every kernel tier and at every batch size
 //! (`tests/prop_fused_attention.rs` pins this down).
 //!
 //! [`Tensor::affine_packed`] is bitwise identical to the separate
@@ -39,9 +39,8 @@
 //! them bitwise interchangeable.
 
 use crate::ops::elementwise::matrix_shape;
-use crate::ops::matmul::{gemm_ex, GemmLayout, PAR_ELEMS};
+use crate::ops::matmul::{gemm_ex, GemmLayout};
 use crate::ops::softmax::{softmax_row_backward, softmax_row_in_place};
-use crate::parallel;
 use crate::pool;
 use crate::simd;
 use crate::tensor::Tensor;
@@ -174,7 +173,6 @@ pub fn fused_attention(q: &Tensor, k: &Tensor, v: &Tensor, spec: &FusedAttnSpec)
     assert!(spec.v_col + dm <= v.cols(), "value block out of bounds");
     assert_eq!(k.rows(), v.rows(), "key/value row geometry must match");
     let t_rows = q.rows();
-    let mut flops = 0usize;
     for i in 0..batch {
         let (ql, kl) = (spec.q_lens[i], spec.k_lens[i]);
         assert!(
@@ -194,7 +192,6 @@ pub fn fused_attention(q: &Tensor, k: &Tensor, v: &Tensor, spec: &FusedAttnSpec)
         if spec.causal {
             assert_eq!(ql, kl, "causal attention needs square live blocks");
         }
-        flops += 2 * ql * dm * kl;
     }
 
     let mut out = pool::take_zeroed(t_rows * dm);
@@ -205,11 +202,13 @@ pub fn fused_attention(q: &Tensor, k: &Tensor, v: &Tensor, spec: &FusedAttnSpec)
         let (qd, kd, vd) = (q.data(), k.data(), v.data());
         let (qd, kd, vd): (&[f32], &[f32], &[f32]) = (&qd, &kd, &vd);
         let (qs, ks, vs) = (q.cols(), k.cols(), v.cols());
-        let item = |i: usize, owin: &mut [f32], swin: &mut [f32]| {
+        for i in 0..batch {
             let (ql, kl) = (spec.q_lens[i], spec.k_lens[i]);
             if ql == 0 || kl == 0 {
-                return;
+                continue;
             }
+            let (o0, s0) = (spec.q_starts[i] * dm, spec.q_starts[i] * 2);
+            let (owin, swin) = (&mut out[o0..o0 + ql * dm], &mut saved[s0..s0 + ql * 2]);
             let (mut qh, mut kh, mut vh) = (None, None, None);
             let qb = dense_block(qd, spec.q_starts[i], ql, spec.q_col, dm, qs, &mut qh);
             let kb = dense_block(kd, spec.k_starts[i], kl, spec.k_col, dm, ks, &mut kh);
@@ -227,40 +226,6 @@ pub fn fused_attention(q: &Tensor, k: &Tensor, v: &Tensor, spec: &FusedAttnSpec)
                 swin[2 * u + 1] = sum;
             }
             gemm_ex(GemmLayout::NN, &s, vb, owin, ql, kl, dm);
-        };
-        if flops >= PAR_ELEMS && batch >= 2 && parallel::effective_threads() > 1 {
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(batch);
-            let (mut orest, mut srest) = (&mut out[..], &mut saved[..]);
-            let (mut oused, mut sused) = (0usize, 0usize);
-            let item = &item;
-            for i in 0..batch {
-                let ql = spec.q_lens[i];
-                if ql == 0 {
-                    continue;
-                }
-                let (o0, s0) = (spec.q_starts[i] * dm, spec.q_starts[i] * 2);
-                let (_gap, tail) = orest.split_at_mut(o0 - oused);
-                let (owin, tail) = tail.split_at_mut(ql * dm);
-                orest = tail;
-                oused = o0 + ql * dm;
-                let (_gap, tail) = srest.split_at_mut(s0 - sused);
-                let (swin, tail) = tail.split_at_mut(ql * 2);
-                srest = tail;
-                sused = s0 + ql * 2;
-                tasks.push(Box::new(move || item(i, owin, swin)));
-            }
-            parallel::run_scoped(tasks);
-        } else {
-            for i in 0..batch {
-                let ql = spec.q_lens[i];
-                if ql == 0 {
-                    continue;
-                }
-                let (o0, s0) = (spec.q_starts[i] * dm, spec.q_starts[i] * 2);
-                let (owin, swin) = (&mut out[o0..o0 + ql * dm], &mut saved[s0..s0 + ql * 2]);
-                // Windows are re-sliced per item; spans are disjoint.
-                item(i, owin, swin);
-            }
         }
     }
 

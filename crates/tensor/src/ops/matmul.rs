@@ -10,17 +10,17 @@
 //!   always streams unit-stride memory;
 //! * a register-tiled `MR×NR` microkernel accumulates in local arrays
 //!   with fixed bounds, which the compiler unrolls and vectorises;
-//! * the row dimension is sharded across threads above a flop threshold
-//!   (see [`crate::parallel`]). Each output row's accumulation order is
-//!   independent of the sharding, so results are **bitwise identical for
-//!   every thread count** — the determinism contract the trainer's
-//!   data-parallel evaluation relies on.
+//! * small products (the `[1, dm]`-style vectors that dominate model
+//!   forward passes) skip packing entirely and use straight ikj loops.
 //!
-//! Small products (the `[1, dm]`-style vectors that dominate model
-//! forward passes) skip packing entirely and use straight ikj loops.
+//! Every kernel runs on the calling thread. Each output row's
+//! accumulation order depends only on that row and the operands, never
+//! on the row count or on which kernel the product lands on, so a row of
+//! an `n`-row product is **bitwise identical** to the same row computed
+//! as a 1-row product. Batched-vs-per-sample forwards and the trainer's
+//! uneven evaluation shards rely on this (`tests/prop_gemm.rs`).
 
 use crate::ops::elementwise::matrix_shape;
-use crate::parallel;
 use crate::pool;
 use crate::simd;
 use crate::tensor::Tensor;
@@ -61,10 +61,6 @@ const SMALL_KM: usize = 1024;
 /// backward `Xᵀ·dY` products of the `dm = 16` dense layers (`k` = batch
 /// rows, `m = dm`) land in this band.
 const QUAD_KM: usize = 4 * 1024;
-/// Minimum `n·k·m` before work is sharded across the persistent worker
-/// pool (~0.5 MFLOP). Dispatch through the pool costs a few µs, not the
-/// ~50 µs of spawning scoped threads, so medium GEMMs parallelise too.
-pub(crate) const PAR_ELEMS: usize = 256 * 1024;
 /// j-strip width of the small kernels' stack-local accumulators.
 const SMALL_JB: usize = 64;
 
@@ -94,47 +90,18 @@ pub fn gemm_ex(
     if n == 0 || m == 0 || k == 0 {
         return;
     }
-    let elems = n * k * m;
-    // `effective_threads` is 1 inside a pool worker, so replica-local and
-    // nested GEMMs never fan out a second time.
-    let workers = parallel::effective_threads();
-    let parallelize = elems >= PAR_ELEMS && workers > 1 && n >= 2 * MR;
-    let small = elems <= SMALL_ELEMS
+    let small = n * k * m <= SMALL_ELEMS
         || (k <= KC
             && (k * m <= SMALL_KM
                 || (k * m <= QUAD_KM && simd::enabled() && (m == 1 || m.is_multiple_of(8)))));
-    if !parallelize && small {
+    if small {
         match layout {
             GemmLayout::NN => small_nn(a, b, c, n, k, m),
             GemmLayout::TN => small_tn(a, b, c, n, k, m),
             GemmLayout::NT => small_nt(a, b, c, n, k, m),
         }
-        return;
-    }
-    if parallelize {
-        // Shard rows of C across the persistent worker pool, k-block by
-        // k-block: each block's B panel is packed **once** here and shared
-        // read-only by every row shard (the old per-thread repacking was
-        // duplicated `O(k·m)` work per worker). Row results do not depend
-        // on which shard a row lands in, so any worker count produces
-        // bitwise-identical output.
-        let shards = workers.min(n / MR);
-        let rows_per = n.div_ceil(shards).next_multiple_of(MR);
-        let m_strips = m.div_ceil(NR);
-        let mut bpack = pool::scratch_uninit(KC.min(k) * m_strips * NR);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            pack_b_block(layout, b, &mut bpack, pc, kc, k, m);
-            let bpack = &bpack[..];
-            parallel::parallel_for_rows(c, m, rows_per, |row0, window| {
-                let rows = window.len() / m;
-                process_rows(layout, a, bpack, window, row0, rows, pc, kc, n, k, m);
-            });
-            pc += kc;
-        }
     } else {
-        gemm_blocked(layout, a, b, c, 0, n, n, k, m);
+        gemm_blocked(layout, a, b, c, n, k, m);
     }
 }
 
@@ -182,83 +149,56 @@ fn pack_b_block(
     }
 }
 
-/// Accumulates one k-block (`pc..pc+kc`, B already packed into `bpack`)
-/// into the row window `[row0, row0 + rows)`; `c` is the window's slice
-/// (local row 0 = global row `row0`). A strips are packed here, into
-/// pool scratch local to the calling shard.
-#[allow(clippy::too_many_arguments)]
-fn process_rows(
-    layout: GemmLayout,
-    a: &[f32],
-    bpack: &[f32],
-    c: &mut [f32],
-    row0: usize,
-    rows: usize,
-    pc: usize,
-    kc: usize,
-    n: usize,
-    k: usize,
-    m: usize,
-) {
-    let m_strips = m.div_ceil(NR);
-    let mut apack = pool::scratch_uninit(kc * MC.next_multiple_of(MR));
-    let mut ic = 0;
-    while ic < rows {
-        let mc = MC.min(rows - ic);
-        let r_strips = mc.div_ceil(MR);
-        // Pack A[row0+ic .., pc..pc+kc] into MR-row strips.
-        for s in 0..r_strips {
-            let i0 = ic + s * MR;
-            let live = MR.min(mc - s * MR);
-            let strip = &mut apack[s * kc * MR..(s + 1) * kc * MR];
-            for p in 0..kc {
-                for rr in 0..live {
-                    strip[p * MR + rr] = a_at(layout, a, row0 + i0 + rr, pc + p, n, k);
-                }
-                for rr in live..MR {
-                    strip[p * MR + rr] = 0.0;
-                }
-            }
-        }
-        for s in 0..r_strips {
-            let i0 = ic + s * MR;
-            let live_rows = MR.min(mc - s * MR);
-            let astrip = &apack[s * kc * MR..(s + 1) * kc * MR];
-            for js in 0..m_strips {
-                let j0 = js * NR;
-                let cols = NR.min(m - j0);
-                let bstrip = &bpack[js * kc * NR..(js + 1) * kc * NR];
-                microkernel(astrip, bstrip, kc, c, i0, j0, m, live_rows, cols);
-            }
-        }
-        ic += mc;
-    }
-}
-
-/// Blocked GEMM over the row window `[row0, row0 + rows)`; `c` is the
-/// window's slice (local row 0 = global row `row0`). This is the serial
-/// path; the parallel dispatcher runs the same `pack_b_block` +
-/// `process_rows` pair per k-block, so both paths share one arithmetic
-/// order and stay bitwise identical.
-#[allow(clippy::too_many_arguments)]
+/// Cache-blocked GEMM: per `KC` k-block, B is packed once into `NR`-column
+/// strips, then each `MC`-row block of A is packed into `MR`-row strips
+/// and run through the microkernel.
 fn gemm_blocked(
     layout: GemmLayout,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    row0: usize,
-    rows: usize,
     n: usize,
     k: usize,
     m: usize,
 ) {
     let m_strips = m.div_ceil(NR);
     let mut bpack = pool::scratch_uninit(KC.min(k) * m_strips * NR);
+    let mut apack = pool::scratch_uninit(KC.min(k) * MC.next_multiple_of(MR));
     let mut pc = 0;
     while pc < k {
         let kc = KC.min(k - pc);
         pack_b_block(layout, b, &mut bpack, pc, kc, k, m);
-        process_rows(layout, a, &bpack, c, row0, rows, pc, kc, n, k, m);
+        let mut ic = 0;
+        while ic < n {
+            let mc = MC.min(n - ic);
+            let r_strips = mc.div_ceil(MR);
+            // Pack A[ic .., pc..pc+kc] into MR-row strips.
+            for s in 0..r_strips {
+                let i0 = ic + s * MR;
+                let live = MR.min(mc - s * MR);
+                let strip = &mut apack[s * kc * MR..(s + 1) * kc * MR];
+                for p in 0..kc {
+                    for rr in 0..live {
+                        strip[p * MR + rr] = a_at(layout, a, i0 + rr, pc + p, n, k);
+                    }
+                    for rr in live..MR {
+                        strip[p * MR + rr] = 0.0;
+                    }
+                }
+            }
+            for s in 0..r_strips {
+                let i0 = ic + s * MR;
+                let live_rows = MR.min(mc - s * MR);
+                let astrip = &apack[s * kc * MR..(s + 1) * kc * MR];
+                for js in 0..m_strips {
+                    let j0 = js * NR;
+                    let cols = NR.min(m - j0);
+                    let bstrip = &bpack[js * kc * NR..(js + 1) * kc * NR];
+                    microkernel(astrip, bstrip, kc, c, i0, j0, m, live_rows, cols);
+                }
+            }
+            ic += mc;
+        }
         pc += kc;
     }
 }
@@ -307,15 +247,6 @@ fn microkernel(
     }
 }
 
-/// Naive kernel for small `A·B`.
-///
-/// Accumulates each output element per **KC-chunk** into a stack-local
-/// accumulator and only then adds the chunk sum into `c` — exactly the
-/// addition order of the blocked microkernel. A product's per-row result
-/// therefore never depends on which kernel (naive, blocked, or
-/// pool-sharded) it lands on, which is what lets a padded *batched*
-/// forward reproduce the per-sample path bitwise even when the batch
-/// crosses the small/blocked size threshold that the lone sample did not.
 /// Four-row-interleaved driver for the small `NN`/`TN` kernels (AVX2
 /// tier only): rows run through the quad chunk kernels in groups of
 /// four; the return value is the first row left for the caller's
@@ -392,6 +323,15 @@ fn small_quad<F: Fn(usize, usize) -> usize>(
     quads
 }
 
+/// Naive kernel for small `A·B`.
+///
+/// Accumulates each output element per **KC-chunk** into a stack-local
+/// accumulator and only then adds the chunk sum into `c` — exactly the
+/// addition order of the blocked microkernel. A product's per-row result
+/// therefore never depends on which kernel (naive, quad or blocked) it
+/// lands on, which is what lets a padded *batched* forward reproduce the
+/// per-sample path bitwise even when the batch crosses the small/blocked
+/// size threshold that the lone sample did not.
 fn small_nn(a: &[f32], b: &[f32], c: &mut [f32], n: usize, k: usize, m: usize) {
     let vector = simd::enabled();
     let start = small_quad(a, b, c, n, k, m, 1, |i, pc| i * k + pc);
@@ -862,7 +802,7 @@ mod tests {
                     GemmLayout::NT => small_nt(&a, &b, &mut c_small, n, k, m),
                 }
                 let mut c_blocked = vec![0.25f32; n * m];
-                gemm_blocked(layout, &a, &b, &mut c_blocked, 0, n, n, k, m);
+                gemm_blocked(layout, &a, &b, &mut c_blocked, n, k, m);
                 assert!(
                     c_small == c_blocked,
                     "{layout:?} {n}x{k}x{m}: small and blocked kernels diverged"
@@ -885,7 +825,7 @@ mod tests {
                 let mut c_dispatch = vec![0.125f32; n * m];
                 gemm_ex(layout, &a, &b, &mut c_dispatch, n, k, m);
                 let mut c_blocked = vec![0.125f32; n * m];
-                gemm_blocked(layout, &a, &b, &mut c_blocked, 0, n, n, k, m);
+                gemm_blocked(layout, &a, &b, &mut c_blocked, n, k, m);
                 assert!(
                     c_dispatch == c_blocked,
                     "{layout:?} {n}x{k}x{m}: quad-band dispatch diverged from blocked"
@@ -907,9 +847,9 @@ mod tests {
 
     #[test]
     fn parallel_dispatch_is_bitwise_identical_to_single_threaded() {
-        // 160³ = 4.1M elements crosses PAR_ELEMS, so on a multi-core
-        // machine (or under TSPN_NUM_THREADS>1) gemm_ex shards rows; the
-        // result must match the serial blocked path bit for bit.
+        // 160³ = 4.1M elements is past every small-path bound. Kernels
+        // run on the calling thread at any TSPN_NUM_THREADS, so gemm_ex
+        // must match the blocked kernel bit for bit.
         let (n, k, m) = (160usize, 160usize, 160usize);
         let a = filled(n * k, 3);
         let b = filled(k * m, 7);
@@ -917,10 +857,10 @@ mod tests {
             let mut c_dispatch = vec![0.0f32; n * m];
             gemm_ex(layout, &a, &b, &mut c_dispatch, n, k, m);
             let mut c_serial = vec![0.0f32; n * m];
-            gemm_blocked(layout, &a, &b, &mut c_serial, 0, n, n, k, m);
+            gemm_blocked(layout, &a, &b, &mut c_serial, n, k, m);
             assert!(
                 c_dispatch == c_serial,
-                "{layout:?}: parallel dispatch diverged from the serial kernel"
+                "{layout:?}: dispatch diverged from the blocked kernel"
             );
         }
     }

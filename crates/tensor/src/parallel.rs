@@ -1,31 +1,28 @@
-//! Thread-count policy and the persistent worker pool shared by the GEMM
-//! kernels and the higher-level trainer.
+//! Thread-count policy and the persistent worker pool.
+//!
+//! The pool runs coarse, independent jobs: the imagery render of a
+//! context build and the trainer's evaluation shards. Tensor kernels never
+//! dispatch to it; they run on the thread that calls them.
 //!
 //! ## Worker pool
 //!
-//! Data-parallel callers used to spawn `std::thread::scope` threads per
-//! call, paying ~50 µs of spawn/join latency each time — enough to make
-//! parallelising medium GEMMs a loss. The pool replaces that with
-//! long-lived workers and a scoped dispatch, [`run_scoped`]:
+//! [`run_scoped`] hands a batch of tasks to long-lived workers:
 //!
-//! * tasks may borrow stack data (including disjoint `&mut` row windows —
-//!   see [`parallel_for_rows`]) because the call blocks until every task
-//!   has finished before any borrow can expire;
+//! * tasks may borrow stack data (including disjoint `&mut` windows)
+//!   because the call blocks until every task has finished before any
+//!   borrow can expire;
 //! * the **calling thread participates**: it drains its own task queue
 //!   while workers steal from the shared injector. Even when every worker
 //!   is busy with somebody else's batch, a dispatch therefore always makes
-//!   progress and can never deadlock;
-//! * every task body runs inside [`with_worker_scope`], on workers and on
-//!   the caller alike, so nested dispatch degrades to serial execution
-//!   (no `threads²` oversubscription) and a task computes bitwise the same
-//!   result whichever thread picks it up;
+//!   progress and can never deadlock, nested dispatch from inside a task
+//!   included;
 //! * a panicking task is caught, the remaining tasks still run, and the
 //!   first payload is re-raised on the calling thread after the batch
 //!   drains — borrowed data is never observed by a half-finished batch.
 //!
 //! Workers are spawned lazily on the first multi-task dispatch:
 //! `num_threads() - 1` of them, so together with the participating caller
-//! the process never has more than `num_threads()` compute threads.
+//! one dispatch never has more than `num_threads()` compute threads.
 //!
 //! Thread count resolution (cached for the process lifetime):
 //! `TSPN_NUM_THREADS` environment variable when set, otherwise
@@ -34,42 +31,8 @@
 //! spawned, and callers that shard by thread count get one shard.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True on a thread that is already executing inside a data-parallel
-/// worker (see [`with_worker_scope`]).
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
-/// Marks the current thread as a data-parallel worker for the duration of
-/// `f`. Nested parallel dispatch (e.g. a big GEMM inside a trainer
-/// replica) sees [`effective_threads`] `== 1` and stays serial instead of
-/// oversubscribing the machine with `threads²` runnable threads.
-pub fn with_worker_scope<T>(f: impl FnOnce() -> T) -> T {
-    IN_WORKER.with(|flag| {
-        let previous = flag.replace(true);
-        let result = f();
-        flag.set(previous);
-        result
-    })
-}
-
-/// The thread budget available at this call site: [`num_threads`] at top
-/// level, `1` inside a worker (no nested parallelism).
-pub fn effective_threads() -> usize {
-    if in_worker() {
-        1
-    } else {
-        num_threads()
-    }
-}
 
 /// The number of worker threads this process uses for data-parallel work.
 pub fn num_threads() -> usize {
@@ -111,12 +74,9 @@ impl Batch {
         self.queue.lock().expect("batch queue").pop_front()
     }
 
-    /// Runs one task under the worker scope, recording completion and any
-    /// panic payload.
+    /// Runs one task, recording completion and any panic payload.
     fn run(&self, task: Task) {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_worker_scope(|| (task.0)())
-        }));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task.0));
         let mut state = self.state.lock().expect("batch state");
         state.0 -= 1;
         if let Err(payload) = result {
@@ -190,11 +150,8 @@ fn worker_loop(inj: &'static Injector) {
 /// worker pool, and returns once all have finished. Closures may borrow
 /// from the caller's stack — the borrows remain live for the whole call.
 ///
-/// Every task body executes inside [`with_worker_scope`] (on the
-/// participating caller too), so nested dispatch stays serial and task
-/// results cannot depend on which thread ran them. When the pool is
-/// effectively serial (`num_threads() == 1`, a single task, or a call from
-/// inside a worker) the tasks simply run inline in order.
+/// When the pool is serial (`num_threads() == 1`) or there is a single
+/// task, the tasks simply run inline in order.
 ///
 /// # Panics
 /// Re-raises the first panic raised by any task, after the whole batch has
@@ -204,13 +161,12 @@ pub fn run_scoped(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
     if n == 0 {
         return;
     }
-    if n == 1 || num_threads() == 1 || in_worker() {
+    if n == 1 || num_threads() == 1 {
         // Inline execution keeps the pool's batch semantics: every task
         // runs, and the first panic re-raises only after the batch drains.
         let mut first_panic = None;
         for task in tasks {
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| with_worker_scope(task)));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
             if let Err(payload) = result {
                 first_panic.get_or_insert(payload);
             }
@@ -284,37 +240,6 @@ where
         .collect()
 }
 
-/// Splits the row-major matrix `data` (rows of length `row_len`) into
-/// contiguous windows of `rows_per_shard` rows and runs
-/// `f(first_row, window)` for every window on the pool. The windows are
-/// disjoint `&mut` slices, so shards can write their rows freely; `f` must
-/// not depend on which thread runs it (it executes under the worker
-/// scope on caller and workers alike).
-pub fn parallel_for_rows<F>(data: &mut [f32], row_len: usize, rows_per_shard: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    assert!(rows_per_shard > 0, "rows_per_shard must be positive");
-    if row_len == 0 {
-        return;
-    }
-    debug_assert_eq!(data.len() % row_len, 0, "data must be whole rows");
-    let n_rows = data.len() / row_len;
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-    let mut rest = data;
-    let mut row0 = 0usize;
-    let f = &f;
-    while row0 < n_rows {
-        let rows = rows_per_shard.min(n_rows - row0);
-        let (head, tail) = rest.split_at_mut(rows * row_len);
-        rest = tail;
-        let r0 = row0;
-        tasks.push(Box::new(move || f(r0, head)));
-        row0 += rows;
-    }
-    run_scoped(tasks);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,19 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_scope_suppresses_nested_parallelism() {
-        assert!(!in_worker());
-        let inner = with_worker_scope(|| {
-            assert!(in_worker());
-            // Nesting stays suppressed and unwinds correctly.
-            with_worker_scope(effective_threads)
-        });
-        assert_eq!(inner, 1);
-        assert!(!in_worker());
-        assert_eq!(effective_threads(), num_threads());
-    }
-
-    #[test]
     fn run_scoped_executes_every_task_with_stack_borrows() {
         let mut slots = vec![0usize; 23];
         {
@@ -349,7 +261,6 @@ mod tests {
                 .enumerate()
                 .map(|(i, slot)| {
                     Box::new(move || {
-                        assert!(in_worker(), "tasks must run under the worker scope");
                         *slot = i + 1;
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
@@ -366,30 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_rows_covers_disjoint_windows() {
-        let mut data = vec![0.0f32; 7 * 5];
-        parallel_for_rows(&mut data, 5, 2, |row0, window| {
-            for (r, row) in window.chunks_mut(5).enumerate() {
-                row.fill((row0 + r) as f32);
-            }
-        });
-        for (r, row) in data.chunks(5).enumerate() {
-            assert!(row.iter().all(|&v| v == r as f32), "row {r}: {row:?}");
-        }
-    }
-
-    #[test]
     fn nested_dispatch_runs_inline() {
         let counter = AtomicUsize::new(0);
         let jobs: Vec<_> = (0..4)
             .map(|_| {
                 let counter = &counter;
                 move || {
-                    // A nested dispatch from inside a task must run inline.
+                    // A nested dispatch from inside a task must complete.
                     let inner: Vec<_> = (0..3)
                         .map(|_| {
                             move || {
-                                assert!(in_worker());
                                 counter.fetch_add(1, Ordering::Relaxed);
                             }
                         })

@@ -11,12 +11,11 @@
 //!
 //! ## Numeric contract
 //!
-//! Within one tier every kernel is run-to-run deterministic and
-//! thread-count-invariant, and the GEMM kernels preserve the per-element
-//! accumulation-order contract of `ops/matmul.rs`: each output element is
-//! a serial chain over `p` (FMA chain on this tier), chunked by `KC`, so
-//! the small, blocked, and pool-sharded paths stay mutually bitwise
-//! identical. Row reductions (softmax sums, layer-norm moments, dot
+//! Within one tier every kernel is run-to-run deterministic, and the
+//! GEMM kernels preserve the per-element accumulation-order contract of
+//! `ops/matmul.rs`: each output element is a serial chain over `p` (FMA
+//! chain on this tier), chunked by `KC`, so the small, quad and blocked
+//! paths stay mutually bitwise identical. Row reductions (softmax sums, layer-norm moments, dot
 //! products) accumulate **lane-strided** — element `i` always lands in
 //! lane `i mod 8` and the 8 lanes collapse through one fixed tree — which
 //! makes every row kernel transparent to zero suffixes: a row padded with

@@ -373,22 +373,7 @@ impl Tensor {
             "backward() must start from a scalar loss, got shape {}",
             self.inner.shape
         );
-        self.backward_seeded(&[1.0]);
-    }
-
-    /// Reverse-mode differentiation from this (possibly non-scalar) node,
-    /// seeding its gradient with `seed` instead of the implicit `1.0`.
-    ///
-    /// This is how the data-parallel trainer backpropagates the shared
-    /// embedding-tables tape: shards accumulate table gradients into
-    /// detached leaves, the owner merges them in shard order, and the
-    /// merged buffer is pushed through the owner's tape exactly once.
-    /// The walk is identical to [`Tensor::backward`]'s.
-    ///
-    /// # Panics
-    /// Panics (debug) when `seed.len() != self.len()`.
-    pub fn backward_seeded(&self, seed: &[f32]) {
-        self.accumulate_grad(seed);
+        self.accumulate_grad(&[1.0]);
         let order = self.topo_order();
         for node in order.iter().rev() {
             if let Some(back) = &node.inner.backward {

@@ -1,12 +1,11 @@
 //! Property tests for the im2col + GEMM convolution: on arbitrary shapes,
 //! strides and paddings the fast path must agree with the retained naive
 //! loop-nest reference ([`Tensor::conv2d_reference`]) — forward values to
-//! float-accumulation-order tolerance, gradients likewise — and results
-//! must be bitwise invariant to the worker-pool thread count.
+//! float-accumulation-order tolerance, gradients likewise.
 
 use proptest::prelude::*;
 use tspn_tensor::gradcheck::grad_check;
-use tspn_tensor::{conv_out_dim, parallel, Tensor};
+use tspn_tensor::{conv_out_dim, Tensor};
 
 /// Deterministic pseudo-random values in roughly `[-2, 2]`.
 fn values(len: usize, seed: u64) -> Vec<f32> {
@@ -109,51 +108,6 @@ proptest! {
         assert_close(&fw, &nw, 1e-4, "dW");
         assert_close(&fb, &nb, 1e-4, "db");
     }
-}
-
-/// A conv batch large enough to push its GEMMs past the parallel
-/// threshold must produce bitwise identical results at the top level
-/// (pool dispatch enabled) and inside a worker scope (forced serial).
-/// Run under `TSPN_NUM_THREADS=3` in CI, this pins the thread-count
-/// invariance contract for the whole conv path.
-#[test]
-fn conv_results_are_bitwise_invariant_to_worker_pool() {
-    let (n, c, o, hw, k) = (24usize, 3usize, 16usize, 32usize, 3usize);
-    let x = Tensor::from_vec(values(n * c * hw * hw, 11), vec![n, c, hw, hw]);
-    let w = Tensor::from_vec(values(o * c * k * k, 13), vec![o, c, k, k]);
-    let b = Tensor::from_vec(values(o, 17), vec![o]);
-    let parallel_out = x.conv2d_batch(&w, &b, 2, 1).to_vec();
-    let serial_out = parallel::with_worker_scope(|| x.conv2d_batch(&w, &b, 2, 1).to_vec());
-    assert!(
-        parallel_out == serial_out,
-        "conv output depends on the worker-pool thread count"
-    );
-}
-
-/// Same invariance for the backward products (dW/dX GEMMs also shard).
-#[test]
-fn conv_gradients_are_bitwise_invariant_to_worker_pool() {
-    let (n, c, o, hw, k) = (16usize, 3usize, 12usize, 24usize, 3usize);
-    let run = |forced_serial: bool| {
-        let body = || {
-            let x = Tensor::param(values(n * c * hw * hw, 19), vec![n, c, hw, hw]);
-            let w = Tensor::param(values(o * c * k * k, 23), vec![o, c, k, k]);
-            let b = Tensor::param(values(o, 29), vec![o]);
-            x.conv2d_batch(&w, &b, 2, 1).sum_all().backward();
-            (x.grad(), w.grad(), b.grad())
-        };
-        if forced_serial {
-            parallel::with_worker_scope(body)
-        } else {
-            body()
-        }
-    };
-    let (px, pw, pb) = run(false);
-    let (sx, sw, sb) = run(true);
-    assert!(
-        px == sx && pw == sw && pb == sb,
-        "conv gradients depend on thread count"
-    );
 }
 
 /// Finite-difference check straight through the batched GEMM formulation.

@@ -1,7 +1,8 @@
-//! Property tests for the blocked/parallel GEMM kernels: every layout must
-//! agree with a naive triple-loop reference on arbitrary shapes, including
-//! degenerate (zero-sized) dimensions and panels that straddle the
-//! microkernel/cache-block boundaries.
+//! Property tests for the GEMM kernels: every layout must agree with a
+//! naive triple-loop reference on arbitrary shapes, including degenerate
+//! (zero-sized) dimensions and panels that straddle the
+//! microkernel/cache-block boundaries; and every row of a product must be
+//! bitwise the same row computed alone, whichever kernel either lands on.
 
 use proptest::prelude::*;
 use tspn_tensor::gradcheck::grad_check;
@@ -54,8 +55,103 @@ fn values(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// Values with full 24-bit mantissas, so products round and a changed
+/// summation order shows in the bits.
+fn rough_values(len: usize, seed: u64) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            let x = (i as u64)
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(seed.wrapping_mul(1442695040888963407));
+            ((x >> 40) as f32 / 16_777_216.0 - 0.5) * 3.7
+        })
+        .collect()
+}
+
+/// Row `i` of `op(A)` as the operand of a 1-row product in `layout`.
+fn a_row(layout: GemmLayout, a: &[f32], i: usize, n: usize, k: usize) -> Vec<f32> {
+    match layout {
+        GemmLayout::NN | GemmLayout::NT => a[i * k..(i + 1) * k].to_vec(),
+        GemmLayout::TN => (0..k).map(|p| a[p * n + i]).collect(),
+    }
+}
+
+/// The row-independence contract: every row of the `n`-row product
+/// `op(A)·op(B)` is bitwise equal to that row computed as a 1-row product,
+/// on any kernel tier. Batched-vs-per-sample forwards and uneven
+/// evaluation shards rest on it.
+fn check_rows_independent(layout: GemmLayout, n: usize, k: usize, m: usize, seed: u64) {
+    let a = rough_values(n * k, seed);
+    let b = rough_values(k * m, seed ^ 0x5EED);
+    let mut c = vec![0.5f32; n * m];
+    gemm_ex(layout, &a, &b, &mut c, n, k, m);
+    for i in 0..n {
+        let mut row = vec![0.5f32; m];
+        gemm_ex(layout, &a_row(layout, &a, i, n, k), &b, &mut row, 1, k, m);
+        for (j, (got, want)) in c[i * m..(i + 1) * m].iter().zip(&row).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{layout:?} {n}x{k}x{m}: element ({i}, {j}) is {got} in the product, {want} alone"
+            );
+        }
+    }
+}
+
+/// Shapes on both sides of the dispatch bounds (`SMALL_ELEMS` = 32Ki,
+/// `SMALL_KM` = 1Ki, `QUAD_KM` = 4Ki, `KC` = 256), where the full product
+/// and its 1-row products land on different kernels.
+#[test]
+fn product_rows_equal_their_one_row_products_across_dispatch_bounds() {
+    let shapes = [
+        // n·k·m across SMALL_ELEMS, k·m just past SMALL_KM, m not quad.
+        (40, 40, 30),
+        (26, 41, 31),
+        // k·m at SMALL_KM (small) and just past it.
+        (40, 32, 32),
+        (40, 41, 25),
+        (40, 33, 32),
+        // k·m at QUAD_KM with quad-eligible m, and just past it.
+        (37, 256, 16),
+        (37, 128, 32),
+        (37, 129, 32),
+        (21, 512, 8),
+        // k past KC: several KC chunks per element on every path.
+        (8, 513, 16),
+        (140, 300, 1),
+        (9, 700, 3),
+        (66, 257, 17),
+        // Small products with quad leftovers (n % 4 != 0).
+        (7, 20, 16),
+        (5, 300, 1),
+    ];
+    for (n, k, m) in shapes {
+        for layout in [GemmLayout::NN, GemmLayout::TN, GemmLayout::NT] {
+            check_rows_independent(layout, n, k, m, (n * k * m) as u64);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn product_rows_equal_their_one_row_products(
+        n in 1usize..48,
+        k_band in 0usize..3,
+        k_off in 0usize..64,
+        m_pick in 0usize..8,
+        m_any in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        // k within one KC chunk, around KC, or past two chunks; m either
+        // quad-eligible (1 or a multiple of 8) or arbitrary.
+        let k = [1, 220, 500][k_band] + k_off;
+        let m = [1, 8, 16, 32].get(m_pick).copied().unwrap_or(m_any);
+        for layout in [GemmLayout::NN, GemmLayout::TN, GemmLayout::NT] {
+            check_rows_independent(layout, n, k, m, seed);
+        }
+    }
 
     #[test]
     fn all_layouts_match_reference(
