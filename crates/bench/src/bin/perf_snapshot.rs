@@ -326,8 +326,9 @@ fn main() {
         optim::zero_grad(&params);
     }
 
-    // Warm the pool and every model/replica cache, then reset the pool
-    // counters so the reported hit rate is the steady-state one.
+    // Warm the buffer pool and the model's caches (evaluation runs on this
+    // thread, on the owner's model), then reset the pool counters so the
+    // reported hit rate is the steady-state one.
     let train: Vec<_> = samples
         .iter()
         .take(if quick { 16 } else { 64 })

@@ -42,9 +42,11 @@ pub struct SpatialContext {
     /// Pre-converted CHW float image buffers, indexed by `NodeId.0`.
     ///
     /// Stored as plain `Vec<f32>` (not tensors) so the whole context is
-    /// `Sync` and can be shared by reference across the data-parallel
-    /// trainer's worker threads; each model replica wraps them in
-    /// (non-differentiable) tensors on demand.
+    /// `Send + Sync` and can move to a serving lane's thread; the model
+    /// wraps them in (non-differentiable) tensors on demand, on the thread
+    /// that runs it (the calling thread for training and evaluation, the
+    /// lane thread for a serving flush). The worker pool only renders the
+    /// imagery during [`SpatialContext::build`].
     pub image_chw: Vec<Vec<f32>>,
     /// Image side length of the buffers in [`SpatialContext::image_chw`].
     pub image_chw_size: usize,
@@ -53,8 +55,8 @@ pub struct SpatialContext {
     revision: u64,
 }
 
-// The trainer shares `&SpatialContext` across worker threads; keep the
-// context free of interior mutability and `Rc`-based types.
+// A serving lane's context moves onto its lane thread; keep the context
+// free of interior mutability and `Rc`-based types.
 const _: fn() = || {
     fn assert_sync<T: Sync + Send>() {}
     assert_sync::<SpatialContext>();

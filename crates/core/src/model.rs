@@ -132,9 +132,10 @@ pub struct TspnRa {
     /// graphs are pure functions of it), so indexed and ad-hoc subjects
     /// with the same history share one structure. Filled only by taped
     /// passes: training re-encodes every history each step. A no-grad
-    /// inference pass reuses a structure training left here (a trained
-    /// replica evaluating) but never adds one, because its
-    /// `history_cache` entry already spares it the next rebuild.
+    /// inference pass (an evaluation or a serving flush, on the calling or
+    /// lane thread) reuses a structure training left here but never adds
+    /// one, because its `history_cache` entry already spares it the next
+    /// rebuild.
     qrp_cache: RefCell<HashMap<HistKey, Rc<QrpGraph>>>,
     /// Inference-only memo of [`TspnRa::history_encodings_batch`]
     /// outputs: `(tables id, encodings per graph key)`. History encodings
@@ -142,7 +143,7 @@ pub struct TspnRa {
     /// the history's [`HistKey`] and the whole memo by the tile-table
     /// tensor id it was computed against (a new table clears it).
     /// Populated only under [`Tensor::no_grad`], where the cached tensors
-    /// carry no tape. This is all a serving replica keeps per history:
+    /// carry no tape. This is all a serving lane's model keeps per history:
     /// the QR-P graph behind an entry is dropped once it is encoded.
     history_cache: RefCell<HistoryCache>,
     /// Hits and misses of `history_cache` lookups so far.
@@ -721,16 +722,6 @@ impl TspnRa {
     /// this model was built ([`TspnRa::clear_cache`] keeps them).
     pub fn history_memo_counts(&self) -> MemoCounts {
         self.memo_counts.get()
-    }
-
-    /// Folds lookups counted on another model (a worker replica answering
-    /// part of this model's batch) into [`TspnRa::history_memo_counts`].
-    pub(crate) fn add_history_memo_counts(&self, more: MemoCounts) {
-        let c = self.memo_counts.get();
-        self.memo_counts.set(MemoCounts {
-            hits: c.hits + more.hits,
-            misses: c.misses + more.misses,
-        });
     }
 
     /// Clears the QR-P structure cache (e.g. after swapping imagery the

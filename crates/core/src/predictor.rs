@@ -3,9 +3,10 @@
 //!
 //! [`Predictor`] wraps a [`Trainer`] so the serving layer and the offline
 //! evaluation harness run the *same* batched prediction code path
-//! ([`Trainer::predict_batch`] / [`Trainer::evaluate_with_k`]): queries
-//! are sharded across the persistent worker pool onto cached per-thread
-//! model replicas, and every answer is bitwise identical to answering the
+//! ([`Trainer::predict_batch`] / [`Trainer::evaluate_with_k`]): a batch
+//! runs on the predictor's own model, on the calling thread (a serving
+//! lane's flush on its lane thread; the worker pool serves only the
+//! context build), and every answer is bitwise identical to answering the
 //! same query alone, as a batch of one ([`Predictor::predict_one`]).
 //! [`crate::TspnRa::predict_many`] is the one inference path under all
 //! of these.

@@ -12,15 +12,15 @@
 //! trained number to the thread count; parallel experiments run as
 //! independent one-thread jobs instead.
 //!
-//! **Evaluation and batched prediction** are data-parallel: samples are
-//! sharded across the persistent worker pool
-//! ([`tspn_tensor::parallel`]), and every pool thread keeps a forward-only
-//! model **replica**, cached per thread. A replica remembers the owner's
-//! `(param version, ctx revision)` it last copied, together with its
-//! wrapped batch tables; while that key is unchanged it reuses both, so
-//! its history-encoding memo survives between calls. Work is dispatched
-//! per call; nothing occupies a worker between calls, so concurrent
-//! trainers and evaluations interleave freely on the shared pool.
+//! **Evaluation and batched prediction** run on the owner's model, on the
+//! calling thread (a serving lane's flush runs on its lane thread): the
+//! batch tables are computed once per `(param version, ctx revision)` and
+//! cached, and queries run as padded batched forwards of up to
+//! `PRED_CHUNK`, co-batched by prefix length. Because one model answers
+//! every call, its history-encoding memo is reused exactly: a repeated
+//! evaluation with unchanged parameters encodes no history again. The
+//! worker pool ([`tspn_tensor::parallel`]) serves only the context
+//! build's imagery render.
 //!
 //! ## Determinism contract
 //!
@@ -28,22 +28,20 @@
 //!   dropout RNG is seeded from `(seed, step)`, and every kernel inside a
 //!   step runs on the calling thread, so the thread count never reaches
 //!   its arithmetic (`tests/cross_thread_training.rs`).
-//! * **Evaluation** is bitwise identical for every thread count: replicas
-//!   hold the exact parameter values, a query's forward rows do not
-//!   depend on which shard or padded batch they land in (the GEMM
-//!   row-independence contract), and outcomes are reassembled in sample
-//!   order.
+//! * **Evaluation** is bitwise identical for every thread count: it runs
+//!   on the calling thread, a query's forward rows do not depend on which
+//!   padded batch they land in (the GEMM row-independence contract), and
+//!   outcomes are reassembled in sample order.
 //! * **Optimizer updates** run as one fused pass with the clip factor
 //!   folded in, bitwise identical to the retired clip-then-step sequence
 //!   on both kernel tiers.
 //!
-//! Thread count comes from [`tspn_tensor::parallel::num_threads`]
-//! (`TSPN_NUM_THREADS` to override). At `1`, every prediction runs on the
-//! owner's model on the calling thread.
+//! The thread count ([`tspn_tensor::parallel::num_threads`],
+//! `TSPN_NUM_THREADS` to override) reaches neither training nor
+//! evaluation.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -51,7 +49,7 @@ use rand::SeedableRng;
 
 use tspn_data::Sample;
 use tspn_tensor::serialize::Checkpoint;
-use tspn_tensor::{optim, parallel, pool, Tensor};
+use tspn_tensor::{optim, pool, Tensor};
 
 use crate::config::TspnConfig;
 use crate::context::SpatialContext;
@@ -59,118 +57,12 @@ use crate::model::{BatchTables, Prediction, TspnRa};
 use crate::predictor::{Query, TopK};
 use crate::subject::Subject;
 
-/// Identity source for trainer instances; keys the per-thread replica
-/// cache.
-static NEXT_TRAINER_ID: AtomicU64 = AtomicU64::new(1);
-
-/// How many distinct trainers' replicas one pool thread keeps alive. Two
-/// covers the common case (a trainer plus a second model under
-/// comparison) without letting long test runs pin arbitrary memory.
-const MAX_CACHED_REPLICAS: usize = 2;
-
 /// Queries per padded batched forward on the prediction paths: large
 /// enough to amortise per-batch fixed costs, small enough to bound the
 /// padded `[chunk·S, dm]` scratch at paper scale. Per-sample results are
 /// chunk-size-invariant (bitwise), so this is purely a memory/locality
 /// knob.
 const PRED_CHUNK: usize = 64;
-
-/// One cached model replica, pinned to the thread that built it (the tape
-/// is `Rc`-based and must never migrate).
-struct ReplicaSlot {
-    trainer_id: u64,
-    replica: TspnRa,
-    /// `replica.params()`, in the same order as the owning trainer's.
-    params: Vec<Tensor>,
-    /// The owner's cache key these parameters were copied at, with the
-    /// batch tables wrapped from the same snapshot; `None` until the first
-    /// sync.
-    synced: Option<(CacheKey, BatchTables)>,
-}
-
-impl ReplicaSlot {
-    /// Brings the replica up to `snap`'s key and returns it with its batch
-    /// tables. An unchanged key skips the parameter overwrite and keeps the
-    /// tables, so the history memo (keyed by the tables' id) survives.
-    fn sync(&mut self, snap: &Snapshot) -> (&TspnRa, &BatchTables) {
-        if self.synced.as_ref().map(|(key, _)| *key) != Some(snap.key) {
-            overwrite_params(&self.params, &snap.params);
-            let wrap = |(data, shape): &(Vec<f32>, Vec<usize>)| {
-                Tensor::from_vec(pool::take_copied(data), shape.clone())
-            };
-            let tables = BatchTables {
-                tiles: wrap(&snap.tiles),
-                pois: wrap(&snap.pois),
-            };
-            self.synced = Some((snap.key, tables));
-        }
-        let (_, tables) = self.synced.as_ref().expect("synced above");
-        (&self.replica, tables)
-    }
-}
-
-/// The owner's parameter and batch-table values at one cache key, as plain
-/// buffers that replicas on other threads copy from.
-struct Snapshot {
-    key: CacheKey,
-    params: Vec<Vec<f32>>,
-    /// `(values, shape)` of the tile table.
-    tiles: (Vec<f32>, Vec<usize>),
-    /// `(values, shape)` of the POI table.
-    pois: (Vec<f32>, Vec<usize>),
-}
-
-/// Returns buffers from [`Trainer::param_values`] to the tensor pool.
-fn give_values(values: Vec<Vec<f32>>) {
-    for buf in values {
-        pool::give(buf);
-    }
-}
-
-/// Overwrites every replica parameter with the owner's values; returns the
-/// number of floats copied.
-fn overwrite_params(params: &[Tensor], values: &[Vec<f32>]) -> usize {
-    for (p, v) in params.iter().zip(values) {
-        p.set_data(v);
-    }
-    values.iter().map(Vec::len).sum()
-}
-
-thread_local! {
-    /// LRU cache (most recent last) of model replicas on this pool thread.
-    static REPLICAS: RefCell<Vec<ReplicaSlot>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with this thread's replica slot for `trainer_id`, building a
-/// replica on first use. The slot survives across calls, so a shard pays
-/// at most one parameter overwrite, never a model build.
-fn with_replica<R>(
-    trainer_id: u64,
-    cfg: &TspnConfig,
-    ctx: &SpatialContext,
-    f: impl FnOnce(&mut ReplicaSlot) -> R,
-) -> R {
-    REPLICAS.with(|cell| {
-        let mut cache = cell.borrow_mut();
-        if let Some(i) = cache.iter().position(|s| s.trainer_id == trainer_id) {
-            let slot = cache.remove(i);
-            cache.push(slot);
-        } else {
-            if cache.len() >= MAX_CACHED_REPLICAS {
-                cache.remove(0);
-            }
-            let replica = TspnRa::new(cfg.clone(), ctx);
-            let params = replica.params();
-            cache.push(ReplicaSlot {
-                trainer_id,
-                replica,
-                params,
-                synced: None,
-            });
-        }
-        f(cache.last_mut().expect("replica cached above"))
-    })
-}
 
 /// Outcome of evaluating one sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,8 +98,6 @@ pub struct Trainer {
     pub model: TspnRa,
     /// The prepared spatial context.
     pub ctx: SpatialContext,
-    /// Process-unique identity; keys the pool threads' replica caches.
-    id: u64,
     opt: optim::Adam,
     rng: StdRng,
     /// Monotonic counter bumped whenever parameters change; keys the
@@ -227,7 +117,6 @@ impl Trainer {
         Trainer {
             model,
             ctx,
-            id: NEXT_TRAINER_ID.fetch_add(1, Ordering::Relaxed),
             opt,
             rng,
             version: Cell::new(0),
@@ -235,25 +124,19 @@ impl Trainer {
         }
     }
 
-    /// Invalidates cached derived state (the evaluation batch tables and
-    /// the replicas' copies of the parameters). The fit/restore paths call
+    /// Invalidates cached derived state (the evaluation batch tables). The
+    /// fit/restore paths call
     /// this automatically; call it manually after mutating `model`
     /// parameters from outside the trainer.
     pub fn mark_model_dirty(&self) {
         self.version.set(self.version.get() + 1);
     }
 
-    /// The `(param version, ctx revision)` pair that keys every copy derived
-    /// from the current parameters and context.
-    fn cache_key(&self) -> CacheKey {
-        (self.version.get(), self.ctx.revision())
-    }
-
     /// The batch tables for the current parameters and context, computed
-    /// at most once per [`Trainer::cache_key`] — so both optimizer steps
-    /// and `ctx.swap_imagery` invalidate it.
+    /// at most once per `(param version, ctx revision)` — so both optimizer
+    /// steps and `ctx.swap_imagery` invalidate it.
     fn shared_tables(&self) -> Rc<BatchTables> {
-        let key = self.cache_key();
+        let key: CacheKey = (self.version.get(), self.ctx.revision());
         let mut cache = self.tables_cache.borrow_mut();
         if let Some((k, tables)) = cache.as_ref() {
             if *k == key {
@@ -378,8 +261,7 @@ impl Trainer {
 
     /// Evaluates samples with an explicit tile-selection K (Fig. 11 sweep).
     ///
-    /// Shards samples across the persistent worker pool (forward-only
-    /// model replicas, cached per pool thread); results are bitwise
+    /// Runs on the owner's model on the calling thread; results are bitwise
     /// identical for every thread count. Evaluation and online serving
     /// ([`Trainer::predict_batch`]) run through the same
     /// `Trainer::predict_mapped` machinery, so a served ranking is the
@@ -392,10 +274,9 @@ impl Trainer {
         self.predict_mapped(&queries, outcome_of)
     }
 
-    /// Answers a batch of prediction queries, sharded across the
-    /// persistent worker pool exactly like [`Trainer::evaluate_with_k`];
-    /// results are in query order and bitwise identical to answering each
-    /// query alone.
+    /// Answers a batch of prediction queries on the calling thread, exactly
+    /// like [`Trainer::evaluate_with_k`]; results are in query order and
+    /// bitwise identical to answering each query alone.
     pub fn predict_batch(&self, queries: &[Query]) -> Vec<TopK> {
         self.predict_mapped(queries, |_ctx, q, pred| TopK::from_prediction(pred, q.top))
     }
@@ -423,111 +304,50 @@ impl Trainer {
 
     /// The shared batched-prediction core: computes (or reuses) the batch
     /// tables once, runs one padded batched forward per [`PRED_CHUNK`]
-    /// queries (co-batched by prefix length) and maps each query's
-    /// [`Prediction`] through `f`; results return in query order. Large
-    /// sets are sharded across the persistent worker pool onto cached
-    /// per-thread model replicas; small sets and a single-thread budget run
-    /// on the owner's model in place.
+    /// queries (co-batched by prefix length) on the owner's model and maps
+    /// each query's [`Prediction`] through `f`; results return in query
+    /// order.
     fn predict_mapped<R, F>(&self, queries: &[Query], f: F) -> Vec<R>
     where
-        R: Send,
-        F: Fn(&SpatialContext, &Query, Prediction) -> R + Sync,
+        F: Fn(&SpatialContext, &Query, Prediction) -> R,
     {
-        let workers = parallel::num_threads();
         let ctx = &self.ctx;
-        // Shards take contiguous runs of the length-sorted order, so each
-        // run's padded batches stay dense; results scatter back to query
-        // order below.
-        let order = self.length_sorted_order(queries);
-        let predict_run = |model: &TspnRa, tables: &BatchTables, run: &[usize]| {
-            let mut results: Vec<R> = Vec::with_capacity(run.len());
-            for chunk in run.chunks(PRED_CHUNK) {
-                let pairs: Vec<(Subject, usize)> = chunk
-                    .iter()
-                    .map(|&i| (queries[i].subject.clone(), queries[i].k))
-                    .collect();
-                let preds = model.predict_many(ctx, &pairs, tables);
-                results.extend(
-                    chunk
-                        .iter()
-                        .zip(preds)
-                        .map(|(&i, pred)| f(ctx, &queries[i], pred)),
-                );
-            }
-            results
-        };
         // The batch tables are computed (or served from cache) exactly
         // once here, so repeated evaluations with unchanged parameters (the
         // Fig. 11 K-sweep) never rerun the CNN pass over all tiles.
         let tables = self.shared_tables();
-        // Dispatch is cheap but a stale replica still pays a parameter
-        // overwrite; tiny sets stay on the owner's model.
-        let flat: Vec<R> = if workers <= 1 || queries.len() < 4 * workers {
-            predict_run(&self.model, &tables, &order)
-        } else {
-            let values = |t: &Tensor| (t.to_vec(), t.shape().0.clone());
-            let snapshot = Snapshot {
-                key: self.cache_key(),
-                params: self.param_values(),
-                tiles: values(&tables.tiles),
-                pois: values(&tables.pois),
-            };
-            drop(tables);
-            let cfg = &self.model.config;
-            let trainer_id = self.id;
-            let (predict_run, snap) = (&predict_run, &snapshot);
-            let per_shard = queries.len().div_ceil(workers);
-            let jobs: Vec<_> = order
-                .chunks(per_shard)
-                .map(|shard| {
-                    move || {
-                        with_replica(trainer_id, cfg, ctx, |slot| {
-                            let (replica, tables) = slot.sync(snap);
-                            let before = replica.history_memo_counts();
-                            let results = predict_run(replica, tables, shard);
-                            (results, replica.history_memo_counts().since(before))
-                        })
-                    }
-                })
-                .collect();
-            let mut flat = Vec::with_capacity(queries.len());
-            for (results, counts) in parallel::map_scoped(jobs) {
-                flat.extend(results);
-                self.model.add_history_memo_counts(counts);
-            }
-            give_values(snapshot.params);
-            flat
-        };
+        let order = self.length_sorted_order(queries);
         let mut out: Vec<Option<R>> = (0..queries.len()).map(|_| None).collect();
-        for (&i, r) in order.iter().zip(flat) {
-            out[i] = Some(r);
+        for chunk in order.chunks(PRED_CHUNK) {
+            let pairs: Vec<(Subject, usize)> = chunk
+                .iter()
+                .map(|&i| (queries[i].subject.clone(), queries[i].k))
+                .collect();
+            let preds = self.model.predict_many(ctx, &pairs, &tables);
+            for (&i, pred) in chunk.iter().zip(preds) {
+                out[i] = Some(f(ctx, &queries[i], pred));
+            }
         }
         out.into_iter()
             .map(|r| r.expect("every query answered"))
             .collect()
     }
 
-    /// The owner's parameter values, in `params()` order, in pool buffers
-    /// (return them with `give_values`).
-    fn param_values(&self) -> Vec<Vec<f32>> {
-        self.model
-            .params()
-            .iter()
-            .map(|p| pool::take_copied(&p.data()))
-            .collect()
-    }
-
-    /// Benchmark hook: the one parameter copy left, the full overwrite a
-    /// stale evaluation replica pays (here, the calling thread's replica)
-    /// from the owner's current values. Returns the number of f32 values
-    /// copied. Hidden: benchmark harnesses only.
+    /// Benchmark hook: copies the owner's parameters out and writes them
+    /// back, one full round trip, and returns the number of f32 values
+    /// copied. It survives only for perfbench's `core.trainer.sync_us`
+    /// probe; ROADMAP item 13 retires it together with that metric.
+    /// Hidden: benchmark harnesses only.
     #[doc(hidden)]
     pub fn bench_sync_roundtrip(&mut self) -> usize {
-        let values = self.param_values();
-        let copied = with_replica(self.id, &self.model.config, &self.ctx, |slot| {
-            overwrite_params(&slot.params, &values)
-        });
-        give_values(values);
+        let params = self.model.params();
+        let mut copied = 0;
+        for p in &params {
+            let values = pool::take_copied(&p.data());
+            p.set_data(&values);
+            copied += values.len();
+            pool::give(values);
+        }
         copied
     }
 
@@ -616,16 +436,17 @@ mod tests {
                 assert!(r < o.num_ranked);
             }
             assert!(o.candidate_count <= trainer.ctx.dataset.pois.len());
-            assert!(o.tile_rank.is_some() || o.tile_rank.is_none());
+            assert_eq!(o.num_ranked, o.candidate_count);
+            let tile_rank = o.tile_rank.expect("two-step mode ranks every tile");
+            assert!(tile_rank < trainer.ctx.num_leaves());
         }
     }
 
     #[test]
     fn parallel_evaluation_matches_serial_exactly() {
-        // The acceptance contract: sharded evaluation must return the
-        // same ranks as answering each sample alone, bitwise. Singletons
-        // always run on the owner's model; on a single-core machine the
-        // batched call does too and the test is trivial.
+        // The acceptance contract: one batched evaluation (padded,
+        // length-sorted chunks) must return the same ranks as answering
+        // each sample alone, bitwise.
         let (mut trainer, samples) = tiny_trainer();
         let train: Vec<Sample> = samples.iter().take(16).copied().collect();
         trainer.fit_epochs(&train, 1);
@@ -657,7 +478,6 @@ mod tests {
     #[test]
     fn evaluate_caches_tables_between_calls() {
         let (mut trainer, samples) = tiny_trainer();
-        // Three samples stay on the owner's model at any thread count.
         let eval: Vec<Sample> = samples.iter().take(3).copied().collect();
         let _ = trainer.evaluate(&eval);
         let v1 = trainer.tables_cache.borrow().as_ref().map(|(k, _)| *k);

@@ -2,8 +2,8 @@
 //! from a sample's raw check-in stream must predict **bitwise**
 //! identically to the dataset-indexed sample — for every trajectory in
 //! the dataset, at every batch composition mixing indexed, payload, and
-//! session-style (incrementally assembled) queries, on the batched
-//! pool-sharded path and as a batch of one, and equal to the per-sample
+//! session-style (incrementally assembled) queries, on the batched path
+//! and as a batch of one, and equal to the per-sample
 //! ranking oracle in `support`.
 
 mod support;
@@ -92,7 +92,7 @@ fn every_in_dataset_trajectory_predicts_identically_by_payload_and_index() {
     // Exhaustive over the dataset, including the true online next-visit
     // queries (prefix_len == trajectory length, which all_samples never
     // yields): one big mixed batch of indexed/payload pairs, answered by
-    // the batched pool-sharded path, then spot-checked as batches of one.
+    // the batched path, then spot-checked as batches of one.
     let (pred, samples) = setup_predictor();
     let samples = &samples;
     let ctx = pred.ctx();

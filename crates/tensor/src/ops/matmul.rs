@@ -18,7 +18,7 @@
 //! on the row count or on which kernel the product lands on, so a row of
 //! an `n`-row product is **bitwise identical** to the same row computed
 //! as a 1-row product. Batched-vs-per-sample forwards and the trainer's
-//! uneven evaluation shards rely on this (`tests/prop_gemm.rs`).
+//! length-sorted prediction chunks rely on this (`tests/prop_gemm.rs`).
 
 use crate::ops::elementwise::matrix_shape;
 use crate::pool;

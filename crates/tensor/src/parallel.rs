@@ -1,8 +1,9 @@
 //! Thread-count policy and the persistent worker pool.
 //!
-//! The pool runs coarse, independent jobs: the imagery render of a
-//! context build and the trainer's evaluation shards. Tensor kernels never
-//! dispatch to it; they run on the thread that calls them.
+//! The pool runs coarse, independent jobs; its one production caller is
+//! the imagery render of a context build. Tensor kernels, training,
+//! evaluation and serving flushes never dispatch to it; they run on the
+//! thread that calls them.
 //!
 //! ## Worker pool
 //!
@@ -28,7 +29,7 @@
 //! `TSPN_NUM_THREADS` environment variable when set, otherwise
 //! `std::thread::available_parallelism()`. Setting `TSPN_NUM_THREADS=1`
 //! runs every dispatch inline on the calling thread: no workers are
-//! spawned, and callers that shard by thread count get one shard.
+//! spawned.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -215,31 +216,6 @@ pub fn run_scoped(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
     }
 }
 
-/// Runs `jobs` on the pool (see [`run_scoped`]) and collects their results
-/// in job order.
-pub fn map_scoped<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = jobs
-        .into_iter()
-        .zip(results.iter_mut())
-        .map(|(job, slot)| {
-            Box::new(move || {
-                *slot = Some(job());
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_scoped(tasks);
-    results
-        .into_iter()
-        .map(|r| r.expect("pool task completed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,31 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn map_scoped_preserves_job_order() {
-        let jobs: Vec<_> = (0..17).map(|i| move || i * 3).collect();
-        assert_eq!(map_scoped(jobs), (0..17).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn nested_dispatch_runs_inline() {
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<_> = (0..4)
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
             .map(|_| {
                 let counter = &counter;
-                move || {
+                Box::new(move || {
                     // A nested dispatch from inside a task must complete.
-                    let inner: Vec<_> = (0..3)
+                    let inner: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
                         .map(|_| {
-                            move || {
+                            Box::new(move || {
                                 counter.fetch_add(1, Ordering::Relaxed);
-                            }
+                            }) as Box<dyn FnOnce() + Send + '_>
                         })
                         .collect();
-                    map_scoped(inner);
-                }
+                    run_scoped(inner);
+                }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        map_scoped(jobs);
+        run_scoped(tasks);
         assert_eq!(counter.load(Ordering::Relaxed), 12);
     }
 
@@ -333,9 +303,17 @@ mod tests {
             for t in 0..4 {
                 s.spawn(move || {
                     for round in 0..20 {
-                        let jobs: Vec<_> =
-                            (0..5).map(|i| move || t * 1000 + round * 10 + i).collect();
-                        let got = map_scoped(jobs);
+                        let mut got = vec![0usize; 5];
+                        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = got
+                            .iter_mut()
+                            .enumerate()
+                            .map(|(i, slot)| {
+                                Box::new(move || {
+                                    *slot = t * 1000 + round * 10 + i;
+                                }) as Box<dyn FnOnce() + Send + '_>
+                            })
+                            .collect();
+                        run_scoped(tasks);
                         let want: Vec<_> = (0..5).map(|i| t * 1000 + round * 10 + i).collect();
                         assert_eq!(got, want);
                     }

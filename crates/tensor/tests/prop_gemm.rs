@@ -78,8 +78,8 @@ fn a_row(layout: GemmLayout, a: &[f32], i: usize, n: usize, k: usize) -> Vec<f32
 
 /// The row-independence contract: every row of the `n`-row product
 /// `op(A)·op(B)` is bitwise equal to that row computed as a 1-row product,
-/// on any kernel tier. Batched-vs-per-sample forwards and uneven
-/// evaluation shards rest on it.
+/// on any kernel tier. Batched-vs-per-sample forwards and length-sorted
+/// prediction chunks rest on it.
 fn check_rows_independent(layout: GemmLayout, n: usize, k: usize, m: usize, seed: u64) {
     let a = rough_values(n * k, seed);
     let b = rough_values(k * m, seed ^ 0x5EED);
